@@ -440,8 +440,3 @@ def parse_poly(text: str) -> ClassPoly:
     if not text.strip():
         raise PolyParseError("empty polynomial text")
     return _Parser(text).parse()
-
-
-def parse_class_arg(text: str) -> ClassPoly:
-    """Parse a class argument as used on the command line: a polynomial, e.g. 'x' or '2'."""
-    return parse_poly(text)

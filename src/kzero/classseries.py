@@ -206,7 +206,7 @@ def _render_term(c: ClassPoly, k: int, latex: bool, first: bool) -> str:
         negate = True
         text = text[1:]
     if k == 0:
-        body = text if single else (f"({text})" if not single else text)
+        body = text if single else f"({text})"
     else:
         xk = "x" if k == 1 else (f"x^{{{k}}}" if latex else f"x^{k}")
         if single:
@@ -235,6 +235,8 @@ def binomial_series(
     sum_k C(exponent, k) (-sign)^k x^(power*k).  A negative exponent -q is
     handled by the same formula, since C(-q, k)(-1)^k = C(q+k-1, k).
     """
+    if order < 0:
+        raise PreconditionError(f"series order must be >= 0, got {order}")
     if power < 1:
         raise ValueError("power of x must be >= 1")
     if sign not in (1, -1):

@@ -12,11 +12,13 @@ import argparse
 import sys
 
 from .classpoly import ClassPoly, parse_poly
-from .classseries import macdonald_series
+from .classseries import ClassSeries, macdonald_series
 from .errors import InputSyntaxError, PreconditionError
 from .permgroups import (
+    PermGroup,
+    check_degree,
     cyclic_product_class,
-    parse_group_text,
+    parse_group_generators,
     permutation_product_class,
 )
 from .polyhedral import (
@@ -53,16 +55,8 @@ def _read_file(path: str) -> str:
         raise InputSyntaxError(f"cannot read {path}: {e.strerror or e}") from None
 
 
-def _class_arg(text: str) -> ClassPoly:
-    return parse_poly(text)
-
-
-def _render_poly(p: ClassPoly, latex: bool) -> str:
-    return p.latex() if latex else str(p)
-
-
-def _render_series(s, latex: bool) -> str:
-    return s.latex() if latex else str(s)
+def _render(value: ClassPoly | ClassSeries, latex: bool) -> str:
+    return value.latex() if latex else str(value)
 
 
 def _print_poset(rendered: str) -> None:
@@ -72,60 +66,62 @@ def _print_poset(rendered: str) -> None:
 
 def cmd_polyprod(args: argparse.Namespace) -> None:
     K = SimplicialComplex.from_text(_read_file(args.complex))
-    pair = PolyPair(_class_arg(args.X), _class_arg(args.A))
-    print(_render_poly(polyhedral_product_class(K, pair), args.latex))
+    pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
+    print(_render(polyhedral_product_class(K, pair), args.latex))
 
 
 def cmd_complement(args: argparse.Namespace) -> None:
     K = SimplicialComplex.from_text(_read_file(args.complex))
-    pair = PolyPair(_class_arg(args.X), _class_arg(args.A))
+    pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
     result, rendered = polyhedral_product_complement_class(K, pair, show_poset=True)
     if args.show_poset:
         _print_poset(rendered)
-    print(_render_poly(result, args.latex))
+    print(_render(result, args.latex))
 
 
 def cmd_fatwedge(args: argparse.Namespace) -> None:
-    print(_render_poly(fat_wedge_class(args.n, args.d, _class_arg(args.X)), args.latex))
+    print(_render(fat_wedge_class(args.n, args.d, parse_poly(args.X)), args.latex))
 
 
 def cmd_config(args: argparse.Namespace) -> None:
     K = SimplicialComplex.from_text(_read_file(args.complex))
-    print(_render_poly(delta_config_class(K, _class_arg(args.X)), args.latex))
+    print(_render(delta_config_class(K, parse_poly(args.X)), args.latex))
 
 
 def cmd_config_complement(args: argparse.Namespace) -> None:
     K = SimplicialComplex.from_text(_read_file(args.complex))
-    result, rendered = m_complement_class(K, _class_arg(args.X), show_poset=True)
+    result, rendered = m_complement_class(K, parse_poly(args.X), show_poset=True)
     if args.show_poset:
         _print_poset(rendered)
-    print(_render_poly(result, args.latex))
+    print(_render(result, args.latex))
 
 
 def cmd_permprod(args: argparse.Namespace) -> None:
-    G = parse_group_text(_read_file(args.group))
-    print(_render_poly(permutation_product_class(G, _class_arg(args.X)), args.latex))
+    degree, gens = parse_group_generators(_read_file(args.group))
+    check_degree(degree)
+    G = PermGroup.generate(degree, gens)
+    print(_render(permutation_product_class(G, parse_poly(args.X)), args.latex))
 
 
 def cmd_cycprod(args: argparse.Namespace) -> None:
-    print(_render_poly(cyclic_product_class(args.n, _class_arg(args.X)), args.latex))
+    print(_render(cyclic_product_class(args.n, parse_poly(args.X)), args.latex))
 
 
 def cmd_symprod_series(args: argparse.Namespace) -> None:
-    print(_render_series(macdonald_series(_class_arg(args.X), args.order), args.latex))
+    print(_render(macdonald_series(parse_poly(args.X), args.order), args.latex))
 
 
 def cmd_zerocycles(args: argparse.Namespace) -> None:
     if args.table:
-        table = ZeroCycleTable(args.m, args.n, _class_arg(args.X), args.order)
+        table = ZeroCycleTable(args.m, args.n, parse_poly(args.X), args.order)
         for d, value in table.entries():
-            print(f"{','.join(map(str, d))}: {_render_poly(value, args.latex)}")
+            print(f"{','.join(map(str, d))}: {_render(value, args.latex)}")
         return
-    print(_render_series(closed_series(args.m, args.n, _class_arg(args.X), args.order), args.latex))
+    print(_render(closed_series(args.m, args.n, parse_poly(args.X), args.order), args.latex))
 
 
 def cmd_ratio(args: argparse.Namespace) -> None:
-    print(_render_series(ratio_series(args.m, args.n, _class_arg(args.X), args.order), args.latex))
+    print(_render(ratio_series(args.m, args.n, parse_poly(args.X), args.order), args.latex))
 
 
 def cmd_quotient(args: argparse.Namespace) -> None:
@@ -135,12 +131,12 @@ def cmd_quotient(args: argparse.Namespace) -> None:
     orbit = orbit_sum_class(space)
     if result != check or result != orbit:
         raise RuntimeError("internal error: quotient routes disagree")
-    print(_render_poly(result, args.latex))
+    print(_render(result, args.latex))
 
 
 def cmd_quotient_descriptor(args: argparse.Namespace) -> None:
     descriptor = parse_descriptor_text(_read_file(args.descriptor))
-    print(_render_poly(descriptor_class(descriptor), args.latex))
+    print(_render(descriptor_class(descriptor), args.latex))
 
 
 def cmd_orbifold_euler(args: argparse.Namespace) -> None:
@@ -161,7 +157,7 @@ def cmd_fixed_point(args: argparse.Namespace) -> None:
 def cmd_eval(args: argparse.Namespace) -> None:
     poly = parse_poly(args.expr)
     if not args.at:
-        print(_render_poly(poly, args.latex))
+        print(_render(poly, args.latex))
         return
     assignment: dict[str, int] = {}
     for item in args.at:

@@ -11,7 +11,9 @@ The class formulas here are all averages over a group:
       [X^n / G] = (1/n!) sum over cycle types lambda of
                   h_lambda * chi^G(sigma_lambda) * x^(parts of lambda),
   where h_lambda counts permutations of type lambda and chi^G(sigma) counts
-  left cosets tG with t^-1 sigma t in G;
+  left cosets tG with t^-1 sigma t in G.  That count is read off G alone:
+  chi^G(sigma_lambda) = z_lambda * |G meet C_lambda| / |G|, with C_lambda the
+  S_n-class of type lambda and z_lambda = n! / h_lambda its centralizer order;
 
 * cyclic products: [X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d);
 
@@ -24,6 +26,7 @@ Composition is (p * q)(i) = p(q(i)).  Cycle notation reads and prints as
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations as _itertools_permutations
 from math import factorial, gcd
@@ -33,8 +36,12 @@ from .classpoly import ClassPoly, PolyLike, _coerce, binomial
 from .errors import InputSyntaxError, PreconditionError
 
 
+MAX_DEGREE = 8
+"""Largest degree accepted by the cycle-type route (``coset_chi``, ``permutation_product_class``)."""
+
+
 class DegreeTooLargeError(PreconditionError):
-    """An operation that enumerates S_n or all partitions hit its degree cap."""
+    """A degree is above ``MAX_DEGREE`` or the partition enumeration cap."""
 
 
 class OrderCapExceededError(PreconditionError):
@@ -106,8 +113,7 @@ class Permutation:
 
     def cycle_count(self) -> int:
         """Number of cycles, fixed points included."""
-        moved = sum(len(c) for c in self.cycles())
-        return len(self.cycles()) + (self.degree - moved)
+        return len(self.cycle_type())
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths as a partition of n, in decreasing order, 1-cycles included."""
@@ -289,6 +295,11 @@ def _symmetric_elements(n: int) -> tuple[Permutation, ...]:
 
 
 def parse_group_text(text: str) -> PermGroup:
+    """Read a group file and generate the group; see ``parse_group_generators``."""
+    return PermGroup.generate(*parse_group_generators(text))
+
+
+def parse_group_generators(text: str) -> tuple[int, list[Permutation]]:
     """Read a group file: a line ``degree=<int>`` then one ``gen <cycles>`` line per generator."""
     degree: int | None = None
     gens: list[Permutation] = []
@@ -311,7 +322,7 @@ def parse_group_text(text: str) -> PermGroup:
         gens.append(_parse_cycles(line[4:], degree))
     if degree is None:
         raise InputSyntaxError("missing 'degree=<int>' line")
-    return PermGroup.generate(degree, gens)
+    return degree, gens
 
 
 # -- partitions --------------------------------------------------------------
@@ -327,17 +338,15 @@ def partitions_with_weights(n: int, cap: int = 12) -> list[tuple[tuple[int, ...]
         raise ValueError("partitions need n >= 1")
     if n > cap:
         raise DegreeTooLargeError(f"partition enumeration capped at n = {cap}, got {n}")
-    out: list[tuple[tuple[int, ...], int]] = []
-    for lam in _partitions(n, n):
-        denom = 1
-        mult: dict[int, int] = {}
-        for part in lam:
-            denom *= part
-            mult[part] = mult.get(part, 0) + 1
-        for m in mult.values():
-            denom *= factorial(m)
-        out.append((lam, factorial(n) // denom))
-    return out
+    return [(lam, factorial(n) // _centralizer_order(lam)) for lam in _partitions(n, n)]
+
+
+def _centralizer_order(lam: Sequence[int]) -> int:
+    """z_lambda = product over part sizes k of k^m_k * m_k!, m_k the multiplicity of k."""
+    z = 1
+    for k, m in Counter(lam).items():
+        z *= k ** m * factorial(m)
+    return z
 
 
 def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -363,49 +372,51 @@ def permutation_of_cycle_type(lam: Sequence[int]) -> Permutation:
 # -- class formulas ----------------------------------------------------------
 
 
-def coset_chi(G: PermGroup, sigma: Permutation, max_degree: int = 8) -> int:
+def check_degree(n: int) -> None:
+    """Refuse a degree above ``MAX_DEGREE`` with ``DegreeTooLargeError``."""
+    if n > MAX_DEGREE:
+        raise DegreeTooLargeError(f"permutation products are capped at degree {MAX_DEGREE}, got {n}")
+
+
+def coset_chi(G: PermGroup, sigma: Permutation) -> int:
     """Number of left cosets tG of G in S_n with t^-1 sigma t in G.
 
     This is the number of fixed points of sigma acting on S_n / G, and is
-    constant on conjugacy classes of S_n.  Enumerates S_n, so the degree is
-    capped (default 8).
+    constant on conjugacy classes of S_n: with lambda the cycle type of
+    sigma, it equals z_lambda * |G meet C_lambda| / |G|.
     """
-    n = G.degree
-    if sigma.degree != n:
+    if sigma.degree != G.degree:
         raise ValueError("sigma must have the group's degree")
-    if n > max_degree:
-        raise DegreeTooLargeError(f"coset count enumerates S_{n}; cap is {max_degree}")
-    hits = 0
-    for t in _symmetric_elements(n):
-        if t.inverse() * sigma * t in G:
-            hits += 1
-    return hits // G.order
+    check_degree(G.degree)
+    lam = sigma.cycle_type()
+    return _centralizer_order(lam) * sum(1 for g in G if g.cycle_type() == lam) // G.order
 
 
 def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
     """[X^n / G] = (1/|G|) sum over g of x^(cycles of g)."""
     p = _coerce_class(x_class)
     total = ClassPoly.zero()
-    for g in G:
-        total = total + p ** g.cycle_count()
+    for k, count in Counter(g.cycle_count() for g in G).items():
+        total = total + count * p ** k
     return total / G.order
 
 
-def permutation_product_class(G: PermGroup, x_class: PolyLike, max_degree: int = 8) -> ClassPoly:
+def permutation_product_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
     """[X^n / G] summed by cycle type, using G-stable coset counts.
 
     (1/n!) sum over partitions lambda of n of
-        h_lambda * chi^G(sigma_lambda) * x^(number of parts of lambda).
+        h_lambda * chi^G(sigma_lambda) * x^(number of parts of lambda),
+    with every chi read from one cycle-type histogram of G.
 
     Agrees with ``burnside_quotient_class`` for every subgroup of S_n.
     """
     p = _coerce_class(x_class)
     n = G.degree
-    if n > max_degree:
-        raise DegreeTooLargeError(f"permutation product enumerates S_{n}; cap is {max_degree}")
+    check_degree(n)
+    histogram = Counter(g.cycle_type() for g in G)
     total = ClassPoly.zero()
-    for lam, weight in partitions_with_weights(n, cap=max_degree):
-        chi = coset_chi(G, permutation_of_cycle_type(lam), max_degree=max_degree)
+    for lam, weight in partitions_with_weights(n):
+        chi = _centralizer_order(lam) * histogram[lam] // G.order
         if chi:
             total = total + weight * chi * p ** len(lam)
     return total / factorial(n)

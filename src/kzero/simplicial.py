@@ -57,10 +57,6 @@ class SimplicialComplex:
         ]
         self._facets = tuple(sorted(kept, key=lambda s: (len(s), s)))
 
-    @classmethod
-    def from_facets(cls, n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
-        return cls(n, facets)
-
     @property
     def n(self) -> int:
         return self._n

@@ -1,11 +1,14 @@
 """End-to-end checks of every command line verb, including exit codes."""
 
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from kzero.cli import main
+from kzero.permgroups import PermGroup
 
 EXAMPLE_COMPLEX = "n=5\n1,2,3\n3,4\n3,5\n"
 LINE_GRAPH = "n=5\n1,2\n2,3\n3,4\n4,5\n"
@@ -197,12 +200,45 @@ def test_precondition_errors_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_permprod_refuses_degree_nine_before_generating(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the group was generated before the degree check")
+
+    monkeypatch.setattr(PermGroup, "generate", fail)
+    path = tmp_path / "S9.txt"
+    path.write_text("degree=9\ngen (1 2)\ngen (1 2 3 4 5 6 7 8 9)\n")
+    code, out, err = run(capsys, "permprod", "--group", str(path), "--X", "x")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_negative_order_exits_3(capsys):
+    for argv in (
+        ["symprod-series", "--X", "x", "--order", "-1"],
+        ["zerocycles", "--m", "1", "--n", "1", "--X", "x", "--order", "-1"],
+        ["ratio", "--m", "1", "--n", "1", "--X", "x", "--order", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         ["kzero", "eval", "x + 1"], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0
     assert proc.stdout == "x + 1\n"
+
+
+def test_pyproject_declares_console_script():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["kzero"] == "kzero.cli:main"
+    module, _, name = scripts["kzero"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
 
 
 def test_module_invocation():

@@ -22,7 +22,7 @@ from kzero.permgroups import (
     permutation_product_class,
     symmetric_product_class,
 )
-from util import left_cosets, random_subgroup
+from util import brute_force_coset_chi, left_cosets, random_subgroup
 
 X = ClassPoly.var("x")
 
@@ -207,6 +207,16 @@ def test_coset_chi_counts_fixed_cosets_directly():
             if frozenset(sigma * t for t in members) == members
         )
         assert coset_chi(G, sigma) == fixed
+
+
+def test_coset_chi_matches_brute_force_on_every_cycle_type():
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        G = random_subgroup(rng, n)
+        for lam, _ in partitions_with_weights(n):
+            sigma = permutation_of_cycle_type(lam)
+            assert coset_chi(G, sigma) == brute_force_coset_chi(G, sigma)
 
 
 def test_coset_chi_degree_cap():

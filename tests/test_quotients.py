@@ -90,6 +90,17 @@ def test_action_must_be_a_homomorphism():
         StratifiedGSpace(strata, G, [Permutation.from_cycles("(1 2 3)", 3)])
 
 
+def test_action_must_respect_every_relation():
+    # each generator's image has the generator's order, but (1 2) -> id and
+    # (1 2 3) -> a 3-cycle breaks (1 2)(1 2 3)(1 2) = (1 2 3)^-1
+    strata = [("s1", ONE), ("s2", ONE), ("s3", ONE)]
+    G = PermGroup.generate(3, [Permutation.from_cycles("(1 2)", 3),
+                               Permutation.from_cycles("(1 2 3)", 3)])
+    with pytest.raises(ValueError):
+        StratifiedGSpace(strata, G, [Permutation.identity(3),
+                                     Permutation.from_cycles("(1 2 3)", 3)])
+
+
 def test_generators_must_generate():
     bare = PermGroup(2, (), PermGroup.symmetric(2).elements)
     with pytest.raises(ValueError):

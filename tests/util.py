@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from kzero.classpoly import ClassPoly
 from kzero.permgroups import PermGroup, Permutation
@@ -59,6 +59,16 @@ def random_subgroup(rng: random.Random, n: int) -> PermGroup:
         for _ in range(rng.randint(1, 2))
     ]
     return PermGroup.generate(n, gens)
+
+
+def brute_force_coset_chi(G: PermGroup, sigma: Permutation) -> int:
+    """Left cosets tG of G in S_n with t^-1 sigma t in G, by enumerating all t in S_n."""
+    hits = 0
+    for images in permutations(range(1, G.degree + 1)):
+        t = Permutation(images)
+        if t.inverse() * sigma * t in G:
+            hits += 1
+    return hits // G.order
 
 
 def left_cosets(G: PermGroup, subgroup_elements: list[Permutation]) -> list[frozenset[Permutation]]:
