@@ -3,7 +3,8 @@
 One verb per calculator operation; every verb prints its result on the last
 line of stdout in the canonical text form, so outputs are byte-stable and
 re-parseable.  Exit codes: 0 on success, 2 when an input (file or argument)
-cannot be parsed, 3 when a documented precondition is violated.
+cannot be parsed, 3 when a documented precondition is violated, 4 when the
+independent routes of ``quotient`` disagree.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .classpoly import ClassPoly, parse_poly
 from .classseries import ClassSeries, macdonald_series
-from .errors import InputSyntaxError, PreconditionError
+from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError
 from .permgroups import (
     PermGroup,
     check_degree,
@@ -59,9 +60,13 @@ def _render(value: ClassPoly | ClassSeries, latex: bool) -> str:
     return value.latex() if latex else str(value)
 
 
-def _print_poset(rendered: str) -> None:
-    for line in rendered.splitlines():
-        print(f"# {line}")
+def _print_complement(result: ClassPoly | tuple[ClassPoly, str], args: argparse.Namespace) -> None:
+    """Print a complement class, below its poset when ``--show-poset`` asked for one."""
+    if args.show_poset:
+        result, rendered = result
+        for line in rendered.splitlines():
+            print(f"# {line}")
+    print(_render(result, args.latex))
 
 
 def cmd_polyprod(args: argparse.Namespace) -> None:
@@ -73,10 +78,7 @@ def cmd_polyprod(args: argparse.Namespace) -> None:
 def cmd_complement(args: argparse.Namespace) -> None:
     K = SimplicialComplex.from_text(_read_file(args.complex))
     pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
-    result, rendered = polyhedral_product_complement_class(K, pair, show_poset=True)
-    if args.show_poset:
-        _print_poset(rendered)
-    print(_render(result, args.latex))
+    _print_complement(polyhedral_product_complement_class(K, pair, show_poset=args.show_poset), args)
 
 
 def cmd_fatwedge(args: argparse.Namespace) -> None:
@@ -90,10 +92,7 @@ def cmd_config(args: argparse.Namespace) -> None:
 
 def cmd_config_complement(args: argparse.Namespace) -> None:
     K = SimplicialComplex.from_text(_read_file(args.complex))
-    result, rendered = m_complement_class(K, parse_poly(args.X), show_poset=True)
-    if args.show_poset:
-        _print_poset(rendered)
-    print(_render(result, args.latex))
+    _print_complement(m_complement_class(K, parse_poly(args.X), show_poset=args.show_poset), args)
 
 
 def cmd_permprod(args: argparse.Namespace) -> None:
@@ -130,7 +129,10 @@ def cmd_quotient(args: argparse.Namespace) -> None:
     check = burnside_class(space)
     orbit = orbit_sum_class(space)
     if result != check or result != orbit:
-        raise RuntimeError("internal error: quotient routes disagree")
+        raise RouteDisagreementError(
+            f"quotient routes disagree: centralizer sum {result}, "
+            f"Burnside {check}, orbit sum {orbit}"
+        )
     print(_render(result, args.latex))
 
 
@@ -294,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except RouteDisagreementError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -1,8 +1,9 @@
 """Shared exception bases.
 
-Two failure families matter to callers (and to the command line tool, which
-maps them to distinct exit codes): input that could not be parsed, and input
-that parsed fine but violates a documented precondition of an operation.
+Three failure families matter to callers (and to the command line tool, which
+maps them to distinct exit codes): input that could not be parsed, input
+that parsed fine but violates a documented precondition of an operation, and
+independent routes to one result that give different values.
 """
 
 
@@ -12,3 +13,7 @@ class InputSyntaxError(ValueError):
 
 class PreconditionError(ValueError):
     """Raised when an operation's documented precondition is violated."""
+
+
+class RouteDisagreementError(RuntimeError):
+    """Raised when independent routes to the same result give different values."""

@@ -14,16 +14,32 @@ function is computed by the defining recursion mu(bottom) = 1 and
 mu(x) = -sum of mu(y) over y strictly below x; inclusion-exclusion then
 expresses the class of a complement as sum of mu(sigma) times the class of
 the stratum at sigma.
+
+Vertex sets are handled as int bitmasks.  The closure is built by meeting
+each newly found set with the facets only: every intersection of facets
+F1 & ... & Fk is reached from F1 by meeting with one facet at a time, so no
+pair of found sets needs to be met.  The nodes below sigma are the strict
+supersets of sigma, which all have larger size and so come earlier in the
+node order; the recursion scans only those.
+
+Every stratum class the callers use depends on sigma only through its size
+(x^|sigma| a^(n - |sigma|) for polyhedral products, x^(|sigma| + 1) for
+diagonal arrangements).  So ``inclusion_exclusion`` first adds up mu over
+the nodes of each size k and then evaluates ``class_of`` once per size whose
+sum is nonzero, passing the first node of that size as the representative.
+This is exact for any ``class_of`` that depends on sigma only through |sigma|,
+which is the contract ``class_of`` must meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable
 
 from .classpoly import ClassPoly
 from .errors import PreconditionError
-from .simplicial import Simplex, SimplicialComplex
+from .simplicial import Simplex, SimplicialComplex, from_mask, to_mask
 
 
 class EmptyComplexError(PreconditionError):
@@ -85,32 +101,22 @@ def intersection_poset(K: SimplicialComplex) -> IntersectionPoset:
     """Build the intersection poset of K's facets and compute its Möbius function."""
     if not K.facets:
         raise EmptyComplexError("intersection poset needs at least one facet")
-    sets: set[frozenset[int]] = {frozenset(f) for f in K.facets}
-    frontier = list(sets)
+    facet_masks = [to_mask(f) for f in K.facets]
+    masks = set(facet_masks)
+    frontier = set(masks)
     while frontier:
-        fresh: list[frozenset[int]] = []
-        for s in frontier:
-            for t in list(sets):
-                meet = s & t
-                if meet not in sets:
-                    sets.add(meet)
-                    fresh.append(meet)
-        frontier = fresh
-    ordered: list[Simplex | None] = [None]
-    ordered.extend(sorted((tuple(sorted(s)) for s in sets), key=lambda s: (-len(s), s)))
-    mobius: list[int] = []
-    for i, vs in enumerate(ordered):
-        if vs is None:
-            mobius.append(1)
-            continue
-        acc = mobius[0]
-        for j in range(1, i):
-            other = ordered[j]
-            if set(other) > set(vs):
-                acc += mobius[j]
-        mobius.append(-acc)
-    nodes = tuple(PosetNode(vs, mu) for vs, mu in zip(ordered, mobius))
-    return IntersectionPoset(nodes)
+        frontier = {s & f for s in frontier for f in facet_masks} - masks
+        masks |= frontier
+    ordered = sorted(((from_mask(m), m) for m in masks), key=lambda p: (-len(p[0]), p[0]))
+    nodes = [PosetNode(None, 1)]
+    larger: list[tuple[int, int]] = []  # (mask, mu) of the nodes larger than the current size
+    for _, same_size in groupby(ordered, key=lambda p: len(p[0])):
+        fresh = [
+            (vs, m, -1 - sum(mu for g, mu in larger if not m & ~g)) for vs, m in same_size
+        ]
+        nodes.extend(PosetNode(vs, mu) for vs, _, mu in fresh)
+        larger.extend((m, mu) for _, m, mu in fresh)
+    return IntersectionPoset(tuple(nodes))
 
 
 def inclusion_exclusion(
@@ -118,9 +124,15 @@ def inclusion_exclusion(
     class_of: Callable[[Simplex], ClassPoly],
     ambient: ClassPoly,
 ) -> ClassPoly:
-    """Sum of mu(sigma) * class_of(sigma) over all nodes, the bottom counting as ambient."""
-    total = ClassPoly.zero()
-    for node in poset.nodes:
-        piece = ambient if node.vertex_set is None else class_of(node.vertex_set)
-        total = total + node.mobius * piece
+    """Sum of mu(sigma) * class_of(sigma) over all nodes, the bottom counting as ambient.
+
+    ``class_of`` must depend on sigma only through |sigma|: it is called once
+    per size whose mu-sum is nonzero, with one node of that size.
+    """
+    total = poset.bottom.mobius * ambient
+    for _, same_size in groupby(poset.nodes[1:], key=lambda node: len(node.vertex_set)):
+        same_size = list(same_size)
+        mu = sum(node.mobius for node in same_size)
+        if mu:
+            total = total + mu * class_of(same_size[0].vertex_set)
     return total

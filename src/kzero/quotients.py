@@ -120,7 +120,7 @@ class StratifiedGSpace:
                             f"(conflict at {h})"
                         )
             frontier = fresh
-        if len(action) != self._group.order:
+        if action.keys() != set(self._group):
             raise ValueError("generators do not generate the given group")
         return action
 

@@ -6,7 +6,14 @@ simplex are distinct values; the latter arises as the (-1)-skeleton.
 
 Simplices are plain sorted tuples of vertices.  Vertex numbering is global
 to the complex: two complexes on the same n can share vertices, and
-``disjoint_union`` shifts numbering to make components disjoint.
+``disjoint_union`` shifts numbering to make components disjoint.  Internally
+a simplex is also read as an int bitmask (bit v for vertex v), so that a
+subset test is ``a & ~b == 0`` and a meet is ``a & b``.
+
+The facet filter works by size: the distinct candidate faces are taken in
+decreasing size, and each is kept unless it lies inside a kept face of
+strictly larger size.  Two distinct faces of equal size are never nested, so
+a pure complex such as a skeleton needs no subset test at all.
 
 File format (one complex per file): a line ``n=<int>`` followed by one facet
 per line as comma-separated vertices.  Blank lines and ``#`` comments are
@@ -16,8 +23,9 @@ representation (an empty line reads as a blank, not a facet).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
 from .errors import InputSyntaxError, PreconditionError
@@ -31,6 +39,19 @@ class VertexOutOfRangeError(PreconditionError):
 
 class ComplexFormatError(InputSyntaxError):
     """A complex file does not follow the documented format."""
+
+
+def to_mask(face: Iterable[int]) -> int:
+    """The bitmask of a face: bit v is set for each vertex v."""
+    mask = 0
+    for v in face:
+        mask |= 1 << v
+    return mask
+
+
+def from_mask(mask: int) -> Simplex:
+    """The sorted vertex tuple of a bitmask."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:
@@ -50,11 +71,14 @@ class SimplicialComplex:
         if not (isinstance(n, int) and n >= 0):
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
         self._n = n
-        candidates = {_as_simplex(f, n) for f in facets}
-        kept = [
-            f for f in candidates
-            if not any(set(f) < set(g) for g in candidates)
-        ]
+        candidates = sorted({_as_simplex(f, n) for f in facets}, key=len, reverse=True)
+        kept: list[Simplex] = []
+        larger: list[int] = []  # masks of the kept faces larger than the current size
+        for _, same_size in groupby(candidates, key=len):
+            masks = [(f, to_mask(f)) for f in same_size]
+            fresh = [(f, m) for f, m in masks if all(m & ~g for g in larger)]
+            kept.extend(f for f, _ in fresh)
+            larger.extend(m for _, m in fresh)
         self._facets = tuple(sorted(kept, key=lambda s: (len(s), s)))
 
     @property
@@ -74,19 +98,21 @@ class SimplicialComplex:
         """True for the complex with no faces at all."""
         return not self._facets
 
-    def all_faces(self) -> list[Simplex]:
-        """Every face, the empty simplex included, sorted by (size, lexicographic)."""
-        faces = set()
+    def _faces(self) -> set[Simplex]:
+        faces: set[Simplex] = set()
         for f in self._facets:
             for k in range(len(f) + 1):
                 faces.update(combinations(f, k))
-        return sorted(faces, key=lambda s: (len(s), s))
+        return faces
+
+    def all_faces(self) -> list[Simplex]:
+        """Every face, the empty simplex included, sorted by (size, lexicographic)."""
+        return sorted(self._faces(), key=lambda s: (len(s), s))
 
     def face_count_by_size(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for f in self.all_faces():
-            counts[len(f)] = counts.get(len(f), 0) + 1
-        return counts
+        """Number of faces of each size, by increasing size."""
+        counts = Counter(map(len, self._faces()))
+        return {k: counts[k] for k in sorted(counts)}
 
     def skeleton(self, d: int) -> SimplicialComplex:
         """The subcomplex of faces of dimension at most d; d = -1 keeps only the empty face."""

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from kzero.classpoly import ClassPoly
 from kzero.cli import main
 from kzero.permgroups import PermGroup
 
@@ -118,6 +119,17 @@ def test_quotient(tmp_path, capsys):
     path.write_text(CIRCLE_SPACE)
     code, out, _ = run(capsys, "quotient", "--space", str(path))
     assert (code, out) == (0, "1\n")
+
+
+def test_quotient_route_disagreement_exits_4_with_every_value(tmp_path, capsys, monkeypatch):
+    import kzero.cli
+
+    monkeypatch.setattr(kzero.cli, "burnside_class", lambda space: ClassPoly.const(7))
+    path = tmp_path / "space.txt"
+    path.write_text(CIRCLE_SPACE)
+    code, out, err = run(capsys, "quotient", "--space", str(path))
+    assert (code, out) == (4, "")
+    assert err == "error: quotient routes disagree: centralizer sum 1, Burnside 7, orbit sum 1\n"
 
 
 def test_quotient_descriptor(tmp_path, capsys):

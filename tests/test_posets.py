@@ -11,8 +11,16 @@ from kzero.posets import (
     inclusion_exclusion,
     intersection_poset,
 )
-from kzero.simplicial import SimplicialComplex
-from util import random_complex
+from kzero.simplicial import SimplicialComplex, full_simplex
+from util import brute_force_poset, facet_list_cases, random_complex
+
+SKELETA = [(8, 2), (9, 3)]
+
+
+def oracle_complexes() -> list[SimplicialComplex]:
+    return [SimplicialComplex(n, faces) for n, faces in facet_list_cases()] + [
+        full_simplex(n).skeleton(d) for n, d in SKELETA
+    ]
 
 
 def test_three_facet_example_mobius_values():
@@ -111,3 +119,26 @@ def test_inclusion_exclusion_counts_complement_of_a_union():
             ClassPoly.const(K.n),
         )
         assert got == ClassPoly.const(expected)
+
+
+def test_poset_matches_brute_force():
+    for K in oracle_complexes():
+        P, expected = intersection_poset(K), brute_force_poset(K)
+        assert P.nodes == expected.nodes
+        assert P.render() == expected.render()
+
+
+def test_inclusion_exclusion_by_size_matches_the_per_node_sum():
+    x, a = ClassPoly.var("x"), ClassPoly.var("a")
+    for K in oracle_complexes():
+        P = intersection_poset(K)
+        strata = (
+            lambda vs: x ** len(vs) * a ** (K.n - len(vs)),
+            lambda vs: x ** (len(vs) + 1),
+        )
+        for class_of in strata:
+            expected = ClassPoly.zero()
+            for node in brute_force_poset(K).nodes:
+                piece = x ** K.n if node.is_bottom() else class_of(node.vertex_set)
+                expected = expected + node.mobius * piece
+            assert inclusion_exclusion(P, class_of, x ** K.n) == expected

@@ -1,6 +1,7 @@
 """Complexes: facet normalization, skeleta, the text format, disjoint unions."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,13 +12,24 @@ from kzero.simplicial import (
     disjoint_union,
     full_simplex,
 )
-from util import random_complex
+from util import brute_force_facets, facet_list_cases, random_complex
 
 
 def test_facets_are_filtered_to_maximal_faces():
     K = SimplicialComplex(4, [[1, 2, 3], [1, 2], [3], [3, 4], [4, 3]])
     assert K.facets == ((3, 4), (1, 2, 3))
     assert K.dim == 2
+
+
+def test_facet_filter_matches_brute_force():
+    for n, faces in facet_list_cases():
+        assert SimplicialComplex(n, faces).facets == brute_force_facets(faces)
+
+
+@pytest.mark.parametrize("n, d", [(8, 2), (9, 3)])
+def test_skeleton_facets_match_brute_force(n, d):
+    faces = [list(f) for f in combinations(range(1, n + 1), d + 1)]
+    assert full_simplex(n).skeleton(d).facets == brute_force_facets(faces)
 
 
 def test_vertices_deduplicated_and_sorted_within_a_face():

@@ -13,6 +13,7 @@ from itertools import permutations, product
 
 from kzero.classpoly import ClassPoly
 from kzero.permgroups import PermGroup, Permutation
+from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
 from kzero.simplicial import SimplicialComplex
 
@@ -35,6 +36,62 @@ def random_complex(rng: random.Random, n_min: int = 1, n_max: int = 7) -> Simpli
         size = rng.randint(1, n)
         facets.append(rng.sample(range(1, n + 1), size))
     return SimplicialComplex(n, facets)
+
+
+def random_facet_list(rng: random.Random) -> tuple[int, list[list[int]]]:
+    """A vertex count and a facet list that may repeat faces, nest them or hold the empty face."""
+    n = rng.randint(0, 8)
+    faces = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 8))]
+    if rng.random() < 0.5:
+        faces.append(list(reversed(rng.choice(faces))))
+    if rng.random() < 0.5:
+        f = rng.choice(faces)
+        faces.append(f[: rng.randint(0, len(f))])
+    rng.shuffle(faces)
+    return n, faces
+
+
+def facet_list_cases() -> list[tuple[int, list[list[int]]]]:
+    """Fixed edge cases (a single facet, the empty simplex alone, empty meets,
+    repeated and nested faces) followed by random facet lists."""
+    cases = [
+        (5, [[1, 2, 3]]),
+        (0, [[]]),
+        (3, [[]]),
+        (6, [[1, 2], [3, 4], [5, 6]]),
+        (4, [[1, 2], [2, 1], [1], [1, 2, 3], [3, 4]]),
+    ]
+    rng = random.Random(11)
+    cases.extend(random_facet_list(rng) for _ in range(300 - len(cases)))
+    return cases
+
+
+def brute_force_facets(faces: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The inclusion-maximal faces, by testing every pair of distinct faces as sets."""
+    candidates = {tuple(sorted(set(f))) for f in faces}
+    kept = [f for f in candidates if not any(set(f) < set(g) for g in candidates)]
+    return tuple(sorted(kept, key=lambda s: (len(s), s)))
+
+
+def brute_force_poset(K: SimplicialComplex) -> IntersectionPoset:
+    """The intersection poset by meeting every pair of found sets, with the
+    Möbius recursion over every earlier node tested by set inclusion."""
+    sets = {frozenset(f) for f in K.facets}
+    frontier = list(sets)
+    while frontier:
+        fresh = []
+        for s in frontier:
+            for t in list(sets):
+                if s & t not in sets:
+                    sets.add(s & t)
+                    fresh.append(s & t)
+        frontier = fresh
+    ordered = [None] + sorted((tuple(sorted(s)) for s in sets), key=lambda s: (-len(s), s))
+    mobius = [1]
+    for i in range(1, len(ordered)):
+        below = sum(mobius[j] for j in range(1, i) if set(ordered[j]) > set(ordered[i]))
+        mobius.append(-(mobius[0] + below))
+    return IntersectionPoset(tuple(PosetNode(vs, mu) for vs, mu in zip(ordered, mobius)))
 
 
 def random_small_facet_complex(rng: random.Random, n_min: int = 5, n_max: int = 9) -> SimplicialComplex:
