@@ -19,6 +19,26 @@ round-trips everything ``str`` emits.
 
 Only scalar division is provided.  The formulas built on this ring divide by
 group orders and factorials, never by polynomials.
+
+Construction
+------------
+``ClassPoly(variables, terms)`` is the one validating constructor: it checks
+variable names and exponent vectors and converts coefficients to
+``Fraction``.  It serves user input (``parse_poly``, ``var``, ``const``) and
+library callers.  The ring operations build their results through the
+private ``ClassPoly._make``, which trusts that the coefficients are already
+``Fraction`` values and the exponent vectors fit the variables; it still puts
+the result in canonical form.  The hash is computed on first use.
+
+Products work on integers: each factor is scaled to integer numerators over
+the lcm of its denominators, and only the output terms become ``Fraction``
+values again.
+
+Size cap
+--------
+A product or power whose total degree would exceed :data:`MAX_TOTAL_DEGREE`
+is refused with :class:`PolyTooLargeError` before any multiplication, so
+input like ``(x+1)^100000`` fails at once instead of running without bound.
 """
 
 from __future__ import annotations
@@ -26,12 +46,18 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InputSyntaxError, PreconditionError
 
 Scalar = Union[int, Fraction]
 PolyLike = Union["ClassPoly", int, Fraction]
+
+MAX_TOTAL_DEGREE = 1000
+"""Largest total degree a product or power may reach.  Dense products grow
+fast past it: on a 2-vCPU Xeon VM with Python 3.11, ``(x+1)^1000`` takes
+0.4 s and ``(x+1)^2000`` 2.5 s."""
 
 
 class MissingVariableError(PreconditionError):
@@ -42,13 +68,28 @@ class PolyParseError(InputSyntaxError):
     """Text does not denote a polynomial in the accepted syntax."""
 
 
+class PolyTooLargeError(PreconditionError):
+    """A product or power would exceed :data:`MAX_TOTAL_DEGREE`."""
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_TOTAL_DEGREE:
+        raise PolyTooLargeError(
+            f"result would have total degree {degree}; the limit is {MAX_TOTAL_DEGREE}"
+        )
+
+
+def _lcm_denominator(terms: dict[tuple[int, ...], Fraction]) -> int:
+    return math.lcm(*(c.denominator for c in terms.values()))
+
+
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _normalized(
     variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
 ) -> tuple[tuple[str, ...], dict[tuple[int, ...], Fraction]]:
-    terms = {e: c for e, c in terms.items() if c != 0}
+    terms = {e: c for e, c in terms.items() if c}
     if not terms:
         return (), {}
     used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
@@ -85,7 +126,18 @@ class ClassPoly:
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
             raw[e] = raw.get(e, Fraction(0)) + Fraction(c)
         self._vars, self._terms = _normalized(vs, raw)
-        self._hash = hash((self._vars, frozenset(self._terms.items())))
+        self._hash = None
+
+    @classmethod
+    def _make(
+        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
+    ) -> ClassPoly:
+        """Trusted constructor for ring results: ``Fraction`` coefficients,
+        exponent vectors of the variables' length, names already valid."""
+        self = object.__new__(cls)
+        self._vars, self._terms = _normalized(variables, terms)
+        self._hash = None
+        return self
 
     # -- constructors ------------------------------------------------------
 
@@ -164,16 +216,20 @@ class ClassPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         vs, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return ClassPoly(vs, out)
+            out[e] = out[e] + c if e in out else c
+        return ClassPoly._make(vs, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> ClassPoly:
-        return ClassPoly(self._vars, {e: -c for e, c in self._terms.items()})
+        return ClassPoly._make(self._vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: PolyLike) -> ClassPoly:
         other = _coerce(other)
@@ -191,20 +247,29 @@ class ClassPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self._terms or not other._terms:
+            return _ZERO
+        _check_degree(self.total_degree() + other.total_degree())
         vs, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        da, db = _lcm_denominator(a), _lcm_denominator(b)
+        ib = [(e, c.numerator * (db // c.denominator)) for e, c in b.items()]
+        out: dict[tuple[int, ...], int] = {}
         for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ClassPoly(vs, out)
+            v1 = c1.numerator * (da // c1.denominator)
+            for e2, v2 in ib:
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + v1 * v2
+        d = da * db
+        return ClassPoly._make(vs, {e: Fraction(v, d) for e, v in out.items() if v})
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> ClassPoly:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"polynomial exponent must be a non-negative integer, got {k!r}")
-        result = ClassPoly.one()
+        if k and self._terms:
+            _check_degree(self.total_degree() * k)
+        result = _ONE
         base = self
         while k:
             if k & 1:
@@ -219,7 +284,7 @@ class ClassPoly:
         if scalar == 0:
             raise ZeroDivisionError("division of a class polynomial by zero")
         q = Fraction(scalar)
-        return ClassPoly(self._vars, {e: c / q for e, c in self._terms.items()})
+        return ClassPoly._make(self._vars, {e: c / q for e, c in self._terms.items()})
 
     # -- evaluation --------------------------------------------------------
 
@@ -246,12 +311,14 @@ class ClassPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = ClassPoly.const(other)
+            other = _coerce(other)
         if not isinstance(other, ClassPoly):
             return NotImplemented
         return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._vars, frozenset(self._terms.items())))
         return self._hash
 
     # -- rendering ---------------------------------------------------------
@@ -312,11 +379,15 @@ class ClassPoly:
         return "".join(parts)
 
 
+_ZERO = ClassPoly._make((), {})
+_ONE = ClassPoly._make((), {(): Fraction(1)})
+
+
 def _coerce(value: PolyLike) -> ClassPoly:
     if isinstance(value, ClassPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return ClassPoly.const(value)
+        return ClassPoly._make((), {(): Fraction(value)})
     return NotImplemented
 
 
@@ -332,7 +403,7 @@ def binomial(p: PolyLike, k: int) -> ClassPoly:
     p = _coerce(p)
     if p is NotImplemented:
         raise TypeError("binomial expects a polynomial or exact scalar")
-    result = ClassPoly.one()
+    result = _ONE
     for i in range(k):
         result = result * (p - i)
     return result / math.factorial(k)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .classpoly import ClassPoly, binomial
+from .classpoly import ClassPoly
 from .errors import PreconditionError
 
 SeriesLike = Union["ClassSeries", ClassPoly, int, Fraction]
@@ -233,7 +233,9 @@ def binomial_series(
 
     Expanded via the symbolic binomial theorem:
     sum_k C(exponent, k) (-sign)^k x^(power*k).  A negative exponent -q is
-    handled by the same formula, since C(-q, k)(-1)^k = C(q+k-1, k).
+    handled by the same formula, since C(-q, k)(-1)^k = C(q+k-1, k).  Each
+    coefficient is the previous one times (exponent - k + 1) / k and the sign,
+    so the whole series takes one polynomial product per term.
     """
     if order < 0:
         raise PreconditionError(f"series order must be >= 0, got {order}")
@@ -242,11 +244,10 @@ def binomial_series(
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     q = _as_poly(exponent)
-    coeffs = [ClassPoly.zero() for _ in range(order + 1)]
-    for k in range(0, order // power + 1):
-        c = binomial(q, k)
-        if sign == 1 and k % 2 == 1:
-            c = -c
+    coeffs = [ClassPoly.zero()] * (order + 1)
+    c = coeffs[0] = ClassPoly.one()
+    for k in range(1, order // power + 1):
+        c = c * ((q - (k - 1)) / (-k if sign == 1 else k))
         coeffs[power * k] = c
     return ClassSeries(coeffs, order=order)
 

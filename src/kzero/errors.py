@@ -15,5 +15,9 @@ class PreconditionError(ValueError):
     """Raised when an operation's documented precondition is violated."""
 
 
+class DOutOfRangeError(PreconditionError):
+    """Raised when a fatness index or a degree-vector coordinate is out of range."""
+
+
 class RouteDisagreementError(RuntimeError):
     """Raised when independent routes to the same result give different values."""

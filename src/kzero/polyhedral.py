@@ -42,13 +42,9 @@ from math import comb
 from typing import Sequence
 
 from .classpoly import ClassPoly, PolyLike, _coerce
-from .errors import PreconditionError
+from .errors import DOutOfRangeError, PreconditionError
 from .posets import inclusion_exclusion, intersection_poset
 from .simplicial import SimplicialComplex, full_simplex
-
-
-class DOutOfRangeError(PreconditionError):
-    """A fatness index d lies outside 0..n."""
 
 
 class DimensionConditionError(PreconditionError):

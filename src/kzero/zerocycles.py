@@ -28,14 +28,10 @@ from typing import Iterator, Sequence
 
 from .classpoly import ClassPoly, PolyLike
 from .classseries import ClassSeries, binomial_series, macdonald_series
-from .errors import PreconditionError
+from .errors import DOutOfRangeError, PreconditionError
 from .permgroups import _coerce_class, symmetric_product_class
 
 DegreeVector = tuple[int, ...]
-
-
-class DOutOfRangeError(PreconditionError):
-    """A degree vector has a negative coordinate."""
 
 
 class OrderExceedsTableError(PreconditionError):
@@ -78,14 +74,15 @@ class ZeroCycleTable:
         self._x_class = _coerce_class(x_class)
         self._max_total = max_total
         self._values: dict[DegreeVector, ClassPoly] = {}
-        sp_cache = {
-            k: symmetric_product_class(self._x_class, k)
-            for k in range(max_total // (m * n) + 1)
-        }
+        # [SP^k(X)] for every coordinate k <= max_total: the coefficients of
+        # the symmetric-product series, one polynomial product each.
+        sp_cache = macdonald_series(self._x_class, max_total).coefficients
         for total in range(max_total + 1):
             for d in _compositions(total, m):
                 cap = min(d) // n
-                value = sp_vector_class(d, self._x_class)
+                value = sp_cache[d[0]]
+                for di in d[1:]:
+                    value = value * sp_cache[di]
                 for k in range(1, cap + 1):
                     lower = tuple(di - k * n for di in d)
                     value = value - sp_cache[k] * self._values[lower]
@@ -155,4 +152,5 @@ def ratio_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
         raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     p = _coerce_class(x_class)
     denominator = macdonald_series(p, order) ** m
-    return closed_series(m, n, p, order) * denominator.inverse()
+    numerator = binomial_series(p, m * n, 1, order=order) * denominator
+    return numerator * denominator.inverse()

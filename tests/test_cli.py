@@ -3,11 +3,12 @@
 import importlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from kzero.classpoly import ClassPoly
+from kzero.classpoly import MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero.cli import main
 from kzero.permgroups import PermGroup
 
@@ -153,6 +154,18 @@ def test_crystal(tmp_path, capsys):
     assert (code, out) == (0, "2\n")
 
 
+def test_crystal_non_integer_sum_prints_without_warning(tmp_path):
+    path = tmp_path / "classes.txt"
+    path.write_text("c0 c=2\nc1 c=3\n")
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "kzero.cli", "crystal", "--descriptor", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5/6\n", "")
+
+
 def test_fixed_point(tmp_path, capsys):
     rotation = tmp_path / "rot.txt"
     rotation.write_text("dim=2\nrow 0 -1\nrow 1 0\nt 1 0\n")
@@ -233,6 +246,22 @@ def test_negative_order_exits_3(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_runaway_power_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "(x+1)^100000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(MAX_TOTAL_DEGREE) in err
+
+
+def test_power_under_the_size_cap_still_evaluates(capsys):
+    code, out, err = run(capsys, "eval", "(x+1)^200")
+    assert (code, err) == (0, "")
+    assert parse_poly(out) == (ClassPoly.var("x") + 1) ** 200
+    assert out.startswith("x^200 + 200*x^199 + 19900*x^198 + ")
 
 
 def test_console_script_entry_point():

@@ -11,7 +11,8 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from kzero.classpoly import ClassPoly
+from kzero.classpoly import ClassPoly, binomial
+from kzero.classseries import ClassSeries
 from kzero.permgroups import PermGroup, Permutation
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
@@ -27,6 +28,16 @@ def random_poly(rng: random.Random, variables: tuple[str, ...] = ("x",), max_deg
             term = term * ClassPoly.var(v) ** rng.randint(0, max_degree)
         p = p + term
     return p
+
+
+def brute_force_binomial_series(exponent, power: int, sign: int, order: int) -> ClassSeries:
+    """(1 - sign*x^power)^exponent with every coefficient C(exponent, k) built afresh."""
+    q = exponent if isinstance(exponent, ClassPoly) else ClassPoly.const(exponent)
+    coeffs = [ClassPoly.zero()] * (order + 1)
+    for k in range(order // power + 1):
+        c = binomial(q, k)
+        coeffs[power * k] = -c if sign == 1 and k % 2 else c
+    return ClassSeries(coeffs, order=order)
 
 
 def random_complex(rng: random.Random, n_min: int = 1, n_max: int = 7) -> SimplicialComplex:
