@@ -8,12 +8,17 @@ different quotients: where the transposition sits matters, not just the
 abstract group.
 """
 
+from math import factorial
+
 from kzero.classpoly import ClassPoly
 from kzero.permgroups import (
     PermGroup,
     Permutation,
     burnside_quotient_class,
+    coset_chi,
     cyclic_product_class,
+    partitions_with_weights,
+    permutation_of_cycle_type,
     permutation_product_class,
     symmetric_product_class,
 )
@@ -30,11 +35,14 @@ swap_pairs = PermGroup.generate(4, [Permutation.from_cycles("(1 2)(3 4)", 4)])
 print("[X^4 / <(1 2)>]      =", burnside_quotient_class(swap_two, x))
 print("[X^4 / <(1 2)(3 4)>] =", burnside_quotient_class(swap_pairs, x))
 
-# The cycle-type route only needs the coset fixed-point counts chi^G, yet it
-# reproduces the element-by-element average exactly.
+# The paper sums by cycle type instead, weighting each type by the number
+# chi^G of G-stable cosets; term by term this is the element average.
 for G in (swap_two, swap_pairs, PermGroup.cyclic(4)):
-    assert permutation_product_class(G, x) == burnside_quotient_class(G, x)
-print("cycle-type route agrees with the element average on all three groups")
+    by_type = ClassPoly.zero()
+    for lam, weight in partitions_with_weights(4):
+        by_type += weight * coset_chi(G, permutation_of_cycle_type(lam)) * x ** len(lam)
+    assert by_type / factorial(4) == permutation_product_class(G, x)
+print("cycle-type sum agrees with the element average on all three groups")
 
 # Full symmetric products count multisets; their classes are binomials.
 for d in range(5):

@@ -12,7 +12,7 @@ and dividing out the full symmetric-product series leaves a binomial.
 """
 
 from kzero.classpoly import ClassPoly
-from kzero.classseries import binomial_series
+from kzero.classseries import macdonald_series
 from kzero.zerocycles import ZeroCycleTable, closed_series, ratio_series
 
 x = ClassPoly.var("x")
@@ -29,7 +29,8 @@ assert table.series(4) == closed_series(m, n, x, 4)
 
 ratio = ratio_series(m, n, x, 8)
 print("ratio:        ", ratio)
-assert ratio == binomial_series(x, m * n, 1, order=8)
+# the table's series over the symmetric-product series, as a series quotient
+assert ratio == ZeroCycleTable(m, n, x, 8).series(8) * (macdonald_series(x, 8) ** m).inverse()
 
 # Over a single point the two-color series is 1 + 2t + 2t^2 + ...: one
 # empty cycle, then two ways to pile multiplicities with one color short.

@@ -34,11 +34,14 @@ Products work on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, and only the output terms become ``Fraction``
 values again.
 
-Size cap
---------
+Size caps
+---------
 A product or power whose total degree would exceed :data:`MAX_TOTAL_DEGREE`
 is refused with :class:`PolyTooLargeError` before any multiplication, so
 input like ``(x+1)^100000`` fails at once instead of running without bound.
+A number with more than :data:`MAX_DIGITS` decimal digits is refused with
+the same error where it is read (``parse_poly``) or rendered (``str``,
+``latex``), instead of ending in the interpreter's ``ValueError``.
 """
 
 from __future__ import annotations
@@ -59,6 +62,12 @@ MAX_TOTAL_DEGREE = 1000
 fast past it: on a 2-vCPU Xeon VM with Python 3.11, ``(x+1)^1000`` takes
 0.4 s and ``(x+1)^2000`` 2.5 s."""
 
+MAX_DIGITS = 4300
+"""Most decimal digits a number may have where it is parsed or rendered:
+Python's default limit on converting between int and str."""
+
+_DIGIT_BOUND = 10 ** MAX_DIGITS
+
 
 class MissingVariableError(PreconditionError):
     """An evaluation assignment does not cover every occurring variable."""
@@ -69,7 +78,8 @@ class PolyParseError(InputSyntaxError):
 
 
 class PolyTooLargeError(PreconditionError):
-    """A product or power would exceed :data:`MAX_TOTAL_DEGREE`."""
+    """A product or power would exceed :data:`MAX_TOTAL_DEGREE`, or a number
+    has more than :data:`MAX_DIGITS` digits."""
 
 
 def _check_degree(degree: int) -> None:
@@ -77,6 +87,20 @@ def _check_degree(degree: int) -> None:
         raise PolyTooLargeError(
             f"result would have total degree {degree}; the limit is {MAX_TOTAL_DEGREE}"
         )
+
+
+def check_digits(value: Scalar) -> Scalar:
+    """Return ``value``, or refuse it with :class:`PolyTooLargeError` if its
+    numerator or denominator has more than :data:`MAX_DIGITS` digits."""
+    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND:
+        raise PolyTooLargeError(f"cannot print a number of more than {MAX_DIGITS} digits")
+    return value
+
+
+def _literal(token: str) -> int:
+    if len(token) > MAX_DIGITS:
+        raise PolyTooLargeError(f"literal of {len(token)} digits; the limit is {MAX_DIGITS}")
+    return int(token)
 
 
 def _lcm_denominator(terms: dict[tuple[int, ...], Fraction]) -> int:
@@ -182,6 +206,10 @@ class ClassPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def term_count(self) -> int:
+        """Number of nonzero terms."""
+        return len(self._terms)
 
     def is_constant(self) -> bool:
         return not self._vars
@@ -318,7 +346,11 @@ class ClassPoly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._vars, frozenset(self._terms.items())))
+            if self._vars:
+                self._hash = hash((self._vars, frozenset(self._terms.items())))
+            else:
+                # a constant equals its scalar, so it hashes like it
+                self._hash = hash(self.constant_term())
         return self._hash
 
     # -- rendering ---------------------------------------------------------
@@ -330,42 +362,27 @@ class ClassPoly:
         )
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in self._sorted_terms():
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}" for v, k in zip(self._vars, e) if k
-            )
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return self._render(latex=False)
 
     def __repr__(self) -> str:
         return f"ClassPoly({self})"
 
     def latex(self) -> str:
         """Render for LaTeX: exponents in braces, fractional coefficients as \\frac."""
+        return self._render(latex=True)
+
+    def _render(self, latex: bool) -> str:
         if not self._terms:
             return "0"
         parts: list[str] = []
         for e, c in self._sorted_terms():
-            mono = "".join(
-                v if k == 1 else f"{v}^{{{k}}}" for v, k in zip(self._vars, e) if k
-            )
-            a = abs(c)
-            if a.denominator == 1:
-                coeff = str(a.numerator)
+            a = check_digits(abs(c))
+            if latex:
+                mono = "".join(v if k == 1 else f"{v}^{{{k}}}" for v, k in zip(self._vars, e) if k)
+                coeff = str(a) if a.denominator == 1 else f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
             else:
-                coeff = f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
+                mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self._vars, e) if k)
+                coeff = f"{a}*" if mono else str(a)
             if not mono:
                 body = coeff
             elif a == 1:
@@ -481,7 +498,7 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise PolyParseError(f"exponent must be a non-negative integer, got {tok!r}")
-            p = p ** int(tok)
+            p = p ** _literal(tok)
         return p
 
     def atom(self) -> ClassPoly:
@@ -492,15 +509,16 @@ class _Parser:
                 raise PolyParseError(f"unbalanced parentheses in polynomial {self.text!r}")
             return p
         if tok.isdigit():
+            num = _literal(tok)
             if self.peek() == "/":
                 self.take()
                 den = self.take()
                 if not den.isdigit():
                     raise PolyParseError(f"rational literal needs an integer denominator, got {den!r}")
-                if int(den) == 0:
+                if _literal(den) == 0:
                     raise PolyParseError("rational literal with zero denominator")
-                return ClassPoly.const(Fraction(int(tok), int(den)))
-            return ClassPoly.const(int(tok))
+                return ClassPoly.const(Fraction(num, int(den)))
+            return ClassPoly.const(num)
         if _VAR_RE.match(tok):
             return ClassPoly.var(tok)
         raise PolyParseError(f"unexpected token {tok!r} in polynomial {self.text!r}")

@@ -175,33 +175,29 @@ class ClassSeries:
         return hash((self._order, self._coeffs))
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
-            if c.is_zero():
-                continue
-            parts.append(_render_term(c, k, latex=False, first=not parts))
-        body = "".join(parts) if parts else "0"
-        return f"{body} + O(x^{self._order + 1})"
+        return self._render(latex=False)
 
     def latex(self) -> str:
-        parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
-            if c.is_zero():
-                continue
-            parts.append(_render_term(c, k, latex=True, first=not parts))
-        body = "".join(parts) if parts else "0"
-        exp = self._order + 1
-        return f"{body} + O(x^{{{exp}}})"
+        return self._render(latex=True)
 
     def __repr__(self) -> str:
         return f"ClassSeries({self})"
+
+    def _render(self, latex: bool) -> str:
+        parts: list[str] = []
+        for k, c in enumerate(self._coeffs):
+            if not c.is_zero():
+                parts.append(_render_term(c, k, latex, first=not parts))
+        body = "".join(parts) if parts else "0"
+        exp = self._order + 1
+        return f"{body} + O(x^{{{exp}}})" if latex else f"{body} + O(x^{exp})"
 
 
 def _render_term(c: ClassPoly, k: int, latex: bool, first: bool) -> str:
     """One series term, pulling a leading minus sign out of constant coefficients."""
     text = c.latex() if latex else str(c)
     negate = False
-    single = len(list(c.terms())) == 1
+    single = c.term_count() == 1
     if single and text.startswith("-"):
         negate = True
         text = text[1:]

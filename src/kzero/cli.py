@@ -13,7 +13,7 @@ import argparse
 import sys
 import warnings
 
-from .classpoly import ClassPoly, parse_poly
+from .classpoly import ClassPoly, check_digits, parse_poly
 from .classseries import ClassSeries, macdonald_series
 from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError
 from .permgroups import (
@@ -144,7 +144,7 @@ def cmd_quotient_descriptor(args: argparse.Namespace) -> None:
 
 def cmd_orbifold_euler(args: argparse.Namespace) -> None:
     cells = parse_cells_text(_read_file(args.cells))
-    print(orbifold_euler(cells))
+    print(check_digits(orbifold_euler(cells)))
 
 
 def cmd_crystal(args: argparse.Namespace) -> None:
@@ -154,7 +154,7 @@ def cmd_crystal(args: argparse.Namespace) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         chi = crystal_chi(classes)
-    print(chi)
+    print(check_digits(chi))
 
 
 def cmd_fixed_point(args: argparse.Namespace) -> None:
@@ -176,7 +176,7 @@ def cmd_eval(args: argparse.Namespace) -> None:
             assignment[name.strip()] = int(value.strip())
         except ValueError:
             raise InputSyntaxError(f"expected an integer value in {item!r}") from None
-    print(poly.evaluate(assignment))
+    print(check_digits(poly.evaluate(assignment)))
 
 
 def _add_latex(p: argparse.ArgumentParser) -> None:

@@ -4,16 +4,18 @@ The class formulas here are all averages over a group:
 
 * quotient of the n-th power by a subgroup G of S_n (Burnside form):
       [X^n / G] = (1/|G|) sum over g in G of x^(number of cycles of g),
-  because the fixed set of g acting on X^n is a copy of X^(cycles of g);
-
-* the same quotient summed by cycle type (the form that only needs the
-  numbers chi^G(sigma) of G-stable cosets):
+  because the fixed set of g acting on X^n is a copy of X^(cycles of g).
+  The paper writes the same class summed by cycle type,
       [X^n / G] = (1/n!) sum over cycle types lambda of
                   h_lambda * chi^G(sigma_lambda) * x^(parts of lambda),
   where h_lambda counts permutations of type lambda and chi^G(sigma) counts
   left cosets tG with t^-1 sigma t in G.  That count is read off G alone:
   chi^G(sigma_lambda) = z_lambda * |G meet C_lambda| / |G|, with C_lambda the
-  S_n-class of type lambda and z_lambda = n! / h_lambda its centralizer order;
+  S_n-class of type lambda and z_lambda = n! / h_lambda its centralizer order.
+  So each term h_lambda * chi^G / n! is |G meet C_lambda| / |G|, and the two
+  sums agree term by term: ``permutation_product_class`` is
+  ``burnside_quotient_class`` under the paper's name, and the cycle-type sum
+  over brute-force coset counts is a test oracle;
 
 * cyclic products: [X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d);
 
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import lru_cache
-from itertools import permutations as _itertools_permutations
 from math import factorial, gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -37,7 +37,8 @@ from .errors import InputSyntaxError, PreconditionError
 
 
 MAX_DEGREE = 8
-"""Largest degree accepted by the cycle-type route (``coset_chi``, ``permutation_product_class``)."""
+"""Largest degree accepted by ``coset_chi`` and by the ``permprod`` verb, which
+checks it before generating the group."""
 
 
 class DegreeTooLargeError(PreconditionError):
@@ -232,6 +233,7 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> PermGroup:
+        """The symmetric group S_n, generated by (1 2) and (1 2 ... n)."""
         if n < 1:
             raise ValueError("symmetric group needs n >= 1")
         gens: list[Permutation] = []
@@ -239,7 +241,7 @@ class PermGroup:
             gens.append(Permutation([2, 1] + list(range(3, n + 1))))
         if n >= 3:
             gens.append(Permutation([i % n + 1 for i in range(1, n + 1)]))
-        return cls(n, tuple(gens), _symmetric_elements(n))
+        return cls.generate(n, gens)
 
     @property
     def degree(self) -> int:
@@ -284,11 +286,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self._degree}, order={self.order})"
-
-
-@lru_cache(maxsize=None)
-def _symmetric_elements(n: int) -> tuple[Permutation, ...]:
-    return tuple(Permutation(p) for p in _itertools_permutations(range(1, n + 1)))
 
 
 # -- group file format -------------------------------------------------------
@@ -393,7 +390,8 @@ def coset_chi(G: PermGroup, sigma: Permutation) -> int:
 
 
 def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
-    """[X^n / G] = (1/|G|) sum over g of x^(cycles of g)."""
+    """[X^n / G] = (1/|G|) sum over g of x^(cycles of g); also exported as
+    ``permutation_product_class``."""
     p = _coerce_class(x_class)
     total = ClassPoly.zero()
     for k, count in Counter(g.cycle_count() for g in G).items():
@@ -401,25 +399,7 @@ def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
     return total / G.order
 
 
-def permutation_product_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
-    """[X^n / G] summed by cycle type, using G-stable coset counts.
-
-    (1/n!) sum over partitions lambda of n of
-        h_lambda * chi^G(sigma_lambda) * x^(number of parts of lambda),
-    with every chi read from one cycle-type histogram of G.
-
-    Agrees with ``burnside_quotient_class`` for every subgroup of S_n.
-    """
-    p = _coerce_class(x_class)
-    n = G.degree
-    check_degree(n)
-    histogram = Counter(g.cycle_type() for g in G)
-    total = ClassPoly.zero()
-    for lam, weight in partitions_with_weights(n):
-        chi = _centralizer_order(lam) * histogram[lam] // G.order
-        if chi:
-            total = total + weight * chi * p ** len(lam)
-    return total / factorial(n)
+permutation_product_class = burnside_quotient_class
 
 
 def cyclic_product_class(n: int, x_class: PolyLike) -> ClassPoly:

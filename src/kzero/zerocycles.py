@@ -17,8 +17,10 @@ the table into a series whose closed form is
     sum_d [Z_n^d(X)] t^|d| = (1 - t^(mn))^x * (1 - t)^(-mx),
 
 and dividing by the symmetric-product series (1 - t)^(-mx) leaves the
-binomial series (1 - t^(mn))^x.  Both identities are checked in the test
-suite; the table is the authoritative computation.
+binomial series (1 - t^(mn))^x.  ``closed_series`` and ``ratio_series``
+build these closed forms from binomial series, one product at most; the
+test suite checks both identities against the table, which is the
+authoritative computation.
 """
 
 from __future__ import annotations
@@ -139,18 +141,11 @@ def closed_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
     if m < 1 or n < 1:
         raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     p = _coerce_class(x_class)
-    return binomial_series(p, m * n, 1, order=order) * macdonald_series(p, order) ** m
+    return binomial_series(p, m * n, 1, order=order) * binomial_series(-m * p, 1, 1, order=order)
 
 
 def ratio_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
-    """The 0-cycle series divided by the symmetric-product series (1 - t)^(-mx).
-
-    Computed as an actual series quotient; it must collapse to the binomial
-    series (1 - t^(mn))^x.
-    """
+    """(1 - t^(mn))^x: the 0-cycle series divided by the symmetric-product series (1 - t)^(-mx)."""
     if m < 1 or n < 1:
         raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    p = _coerce_class(x_class)
-    denominator = macdonald_series(p, order) ** m
-    numerator = binomial_series(p, m * n, 1, order=order) * denominator
-    return numerator * denominator.inverse()
+    return binomial_series(_coerce_class(x_class), m * n, 1, order=order)

@@ -41,6 +41,15 @@ def test_equality_is_structural():
     assert x - 1 != x + 1
 
 
+def test_constants_hash_like_their_scalars():
+    for value in (2, Fraction(1, 2), 0):
+        c = ClassPoly.const(value)
+        assert c == value and hash(c) == hash(value)
+        assert value in {c}
+        assert c in {value}
+    assert ClassPoly.zero() in {0}
+
+
 def test_ring_axioms_random_sweep():
     rng = random.Random(101)
     for _ in range(1000):

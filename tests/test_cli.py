@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kzero.classpoly import MAX_TOTAL_DEGREE, ClassPoly, parse_poly
+from kzero.classpoly import MAX_DIGITS, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero.cli import main
 from kzero.permgroups import PermGroup
 
@@ -262,6 +262,25 @@ def test_power_under_the_size_cap_still_evaluates(capsys):
     assert (code, err) == (0, "")
     assert parse_poly(out) == (ClassPoly.var("x") + 1) ** 200
     assert out.startswith("x^200 + 200*x^199 + 19900*x^198 + ")
+
+
+def test_numbers_over_the_digit_limit_exit_3(capsys):
+    for argv in (
+        ["eval", "7^10000"],
+        ["eval", "1" * (MAX_DIGITS + 1)],
+        ["eval", "x^2", "--at", "x=" + "7" * 3000],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1, argv[:2]
+        assert str(MAX_DIGITS) in err
+
+
+def test_numbers_at_the_digit_limit_still_print(capsys):
+    code, out, err = run(capsys, "eval", "9" * MAX_DIGITS)
+    assert (code, out, err) == (0, "9" * MAX_DIGITS + "\n", "")
+    code, out, err = run(capsys, "eval", "1/" + "9" * MAX_DIGITS, "--latex")
+    assert (code, out, err) == (0, "\\frac{1}{" + "9" * MAX_DIGITS + "}\n", "")
 
 
 def test_console_script_entry_point():

@@ -22,7 +22,7 @@ from kzero.permgroups import (
     permutation_product_class,
     symmetric_product_class,
 )
-from util import brute_force_coset_chi, left_cosets, random_subgroup
+from util import brute_force_coset_chi, cycle_type_quotient_class, left_cosets, random_subgroup
 
 X = ClassPoly.var("x")
 
@@ -250,6 +250,13 @@ def test_permutation_product_matches_burnside_on_random_subgroups():
         n = rng.randint(2, 6)
         G = random_subgroup(rng, n)
         assert permutation_product_class(G, X) == burnside_quotient_class(G, X)
+
+
+def test_permutation_product_matches_the_cycle_type_sum_over_coset_counts():
+    rng = random.Random(37)
+    for _ in range(25):
+        G = random_subgroup(rng, rng.randint(1, 6))
+        assert permutation_product_class(G, X) == cycle_type_quotient_class(G, X), G.generators
 
 
 def test_burnside_counts_orbits_on_finite_models():

@@ -57,9 +57,10 @@ def corpus():
         yield f"{text} | binomial_series -1 pow 3 {order}", binomial_series(c, 3, -1, order=order)
         yield f"{text} | binomial 5", binomial(c, 5)
         yield f"{text} | power {power}", c ** power
-        for m, n in ((1, 2), (2, 1), (2, 2)):
+        for m, n in ((1, 2), (2, 1), (2, 2), (3, 1), (3, 2)):
             yield f"{text} | closed {m},{n} {order}", closed_series(m, n, c, order)
-        yield f"{text} | ratio 2,1 {order}", ratio_series(2, 1, c, order)
+        for m, n in ((2, 1), (1, 3), (3, 2)):
+            yield f"{text} | ratio {m},{n} {order}", ratio_series(m, n, c, order)
         yield f"{text} | table 2,1 {bound}", _Table(ZeroCycleTable(2, 1, c, bound))
 
 

@@ -1,5 +1,6 @@
 """Spaces of 0-cycles with bounded multiplicities: table, series, ratio."""
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from kzero.zerocycles import (
     ratio_series,
     sp_vector_class,
 )
-from util import count_zero_cycle_points
+from util import count_zero_cycle_points, power_route_closed_series
 
 X = ClassPoly.var("x")
 
@@ -67,6 +68,21 @@ def test_series_matches_closed_form():
     for m, n in product((1, 2, 3), repeat=2):
         table = ZeroCycleTable(m, n, X, 6)
         assert table.series(6) == closed_series(m, n, X, 6)
+
+
+def test_closed_series_matches_the_power_route():
+    y = ClassPoly.var("y")
+    for m, n in product((1, 2, 3), repeat=2):
+        for p in (X, X - 1, ClassPoly.const(2), X * y - Fraction(1, 3)):
+            assert closed_series(m, n, p, 8) == power_route_closed_series(m, n, p, 8), (m, n, p)
+
+
+def test_ratio_is_the_table_series_over_the_symmetric_product_series():
+    # the theorem: sum_d [Z_n^d] t^|d| / (1 - t)^(-mx) = (1 - t^(mn))^x
+    for m, n in product((1, 2, 3), repeat=2):
+        for p in (X, X + 2, ClassPoly.const(3)):
+            quotient = ZeroCycleTable(m, n, p, 7).series(7) * (macdonald_series(p, 7) ** m).inverse()
+            assert ratio_series(m, n, p, 7) == quotient, (m, n, p)
 
 
 def test_ratio_collapses_to_binomial_series():

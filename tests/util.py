@@ -10,10 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 from kzero.classpoly import ClassPoly, binomial
-from kzero.classseries import ClassSeries
-from kzero.permgroups import PermGroup, Permutation
+from kzero.classseries import ClassSeries, binomial_series, macdonald_series
+from kzero.permgroups import PermGroup, Permutation, partitions_with_weights, permutation_of_cycle_type
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
 from kzero.simplicial import SimplicialComplex
@@ -38,6 +39,11 @@ def brute_force_binomial_series(exponent, power: int, sign: int, order: int) -> 
         c = binomial(q, k)
         coeffs[power * k] = -c if sign == 1 and k % 2 else c
     return ClassSeries(coeffs, order=order)
+
+
+def power_route_closed_series(m: int, n: int, p: ClassPoly, order: int) -> ClassSeries:
+    """(1 - x^(mn))^p * ((1 - x)^(-p))^m, the m-th power taken by repeated series products."""
+    return binomial_series(p, m * n, 1, order=order) * macdonald_series(p, order) ** m
 
 
 def random_complex(rng: random.Random, n_min: int = 1, n_max: int = 7) -> SimplicialComplex:
@@ -137,6 +143,17 @@ def brute_force_coset_chi(G: PermGroup, sigma: Permutation) -> int:
         if t.inverse() * sigma * t in G:
             hits += 1
     return hits // G.order
+
+
+def cycle_type_quotient_class(G: PermGroup, p: ClassPoly) -> ClassPoly:
+    """[X^n / G] = (1/n!) sum over cycle types lambda of h_lambda * chi^G(sigma_lambda) * p^(parts),
+    with every chi^G counted by ``brute_force_coset_chi``."""
+    n = G.degree
+    total = ClassPoly.zero()
+    for lam, weight in partitions_with_weights(n):
+        chi = brute_force_coset_chi(G, permutation_of_cycle_type(lam))
+        total = total + weight * chi * p ** len(lam)
+    return total / factorial(n)
 
 
 def left_cosets(G: PermGroup, subgroup_elements: list[Permutation]) -> list[frozenset[Permutation]]:
