@@ -41,7 +41,9 @@ is refused with :class:`PolyTooLargeError` before any multiplication, so
 input like ``(x+1)^100000`` fails at once instead of running without bound.
 A number with more than :data:`MAX_DIGITS` decimal digits is refused with
 the same error where it is read (``parse_poly``) or rendered (``str``,
-``latex``), instead of ending in the interpreter's ``ValueError``.
+``latex``), and a power is refused before multiplying once its leading
+coefficient alone must pass that limit.  ``parse_poly`` refuses parentheses
+nested deeper than :data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ MAX_DIGITS = 4300
 Python's default limit on converting between int and str."""
 
 _DIGIT_BOUND = 10 ** MAX_DIGITS
+_DIGIT_BITS = _DIGIT_BOUND.bit_length()
+
+MAX_NESTING = 100
+"""Deepest nesting of parentheses ``parse_poly`` reads; each level is a few
+interpreter frames, and about 200 levels reach Python's recursion limit."""
 
 
 class MissingVariableError(PreconditionError):
@@ -78,8 +85,8 @@ class PolyParseError(InputSyntaxError):
 
 
 class PolyTooLargeError(PreconditionError):
-    """A product or power would exceed :data:`MAX_TOTAL_DEGREE`, or a number
-    has more than :data:`MAX_DIGITS` digits."""
+    """A degree, digit count or nesting depth would pass :data:`MAX_TOTAL_DEGREE`,
+    :data:`MAX_DIGITS` or :data:`MAX_NESTING`."""
 
 
 def _check_degree(degree: int) -> None:
@@ -297,6 +304,10 @@ class ClassPoly:
             raise ValueError(f"polynomial exponent must be a non-negative integer, got {k!r}")
         if k and self._terms:
             _check_degree(self.total_degree() * k)
+            # c^k is the power's lex-leading coefficient, and each part a of c is >= 2^(bits-1)
+            c = self._terms[max(self._terms)]
+            if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) >= _DIGIT_BITS:
+                raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
         result = _ONE
         base = self
         while k:
@@ -451,6 +462,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -504,9 +516,13 @@ class _Parser:
     def atom(self) -> ClassPoly:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolyTooLargeError(f"parentheses nested deeper than {MAX_NESTING}")
             p = self.expr()
             if self.take() != ")":
                 raise PolyParseError(f"unbalanced parentheses in polynomial {self.text!r}")
+            self.depth -= 1
             return p
         if tok.isdigit():
             num = _literal(tok)

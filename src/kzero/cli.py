@@ -15,7 +15,7 @@ import warnings
 
 from .classpoly import ClassPoly, check_digits, parse_poly
 from .classseries import ClassSeries, macdonald_series
-from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError
+from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError, read_field
 from .permgroups import (
     PermGroup,
     check_degree,
@@ -169,13 +169,8 @@ def cmd_eval(args: argparse.Namespace) -> None:
         return
     assignment: dict[str, int] = {}
     for item in args.at:
-        if "=" not in item:
-            raise InputSyntaxError(f"expected NAME=INT, got {item!r}")
         name, _, value = item.partition("=")
-        try:
-            assignment[name.strip()] = int(value.strip())
-        except ValueError:
-            raise InputSyntaxError(f"expected an integer value in {item!r}") from None
+        assignment[name.strip()] = read_field(int, value, InputSyntaxError, f"bad --at {item!r}")
     print(check_digits(poly.evaluate(assignment)))
 
 
@@ -294,17 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    exit_codes = {InputSyntaxError: 2, PreconditionError: 3, RouteDisagreementError: 4}
     try:
         args.run(args)
-    except InputSyntaxError as e:
+    except tuple(exit_codes) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except RouteDisagreementError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return next(code for kind, code in exit_codes.items() if isinstance(e, kind))
     return 0
 
 

@@ -17,7 +17,8 @@ The class formulas here are all averages over a group:
   ``burnside_quotient_class`` under the paper's name, and the cycle-type sum
   over brute-force coset counts is a test oracle;
 
-* cyclic products: [X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d);
+* cyclic products: [X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d),
+  with the divisors and phi read from n's prime factorization;
 
 * symmetric products: [SP^d(X)] = C(x + d - 1, d) symbolically.
 
@@ -29,11 +30,11 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from math import factorial, gcd
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .classpoly import ClassPoly, PolyLike, _coerce, binomial
-from .errors import InputSyntaxError, PreconditionError
+from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
 
 MAX_DEGREE = 8
@@ -162,10 +163,8 @@ def _parse_cycles(text: str, degree: int) -> Permutation:
         parts = [p for p in re.split(r"[,\s]+", m.group(1).strip()) if p]
         if not parts:
             continue
-        try:
-            entries = [int(p) for p in parts]
-        except ValueError:
-            raise PermParseError(f"non-integer entry in cycle {m.group(0)!r}") from None
+        message = f"bad entry in cycle {m.group(0)!r}"
+        entries = [read_field(int, p, PermParseError, message) for p in parts]
         for v in entries:
             if not 1 <= v <= degree:
                 raise PermParseError(f"entry {v} outside 1..{degree} in {text!r}")
@@ -300,26 +299,31 @@ def parse_group_generators(text: str) -> tuple[int, list[Permutation]]:
     """Read a group file: a line ``degree=<int>`` then one ``gen <cycles>`` line per generator."""
     degree: int | None = None
     gens: list[Permutation] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if degree is None:
-            if not line.startswith("degree="):
-                raise InputSyntaxError(f"line {lineno}: expected 'degree=<int>' first, got {raw!r}")
-            try:
-                degree = int(line[len("degree="):].strip())
-            except ValueError:
-                raise InputSyntaxError(f"line {lineno}: bad degree {raw!r}") from None
-            if degree < 1:
-                raise InputSyntaxError(f"line {lineno}: degree must be >= 1")
-            continue
-        if not line.startswith("gen "):
-            raise InputSyntaxError(f"line {lineno}: expected 'gen <cycles>', got {raw!r}")
-        gens.append(_parse_cycles(line[4:], degree))
+    for lineno, line in data_lines(text):
+        degree = read_group_line(lineno, line, degree, gens, InputSyntaxError)
     if degree is None:
         raise InputSyntaxError("missing 'degree=<int>' line")
     return degree, gens
+
+
+def read_group_line(
+    lineno: int, line: str, degree: int | None, gens: list[Permutation],
+    error: type[InputSyntaxError],
+) -> int:
+    """Read one line of the group section of a group or G-space file and return the degree:
+    first ``degree=<int>`` (at least 1), then ``gen <cycles>`` lines, appended to ``gens``."""
+    if degree is None:
+        if not line.startswith("degree="):
+            raise error(f"line {lineno}: expected 'degree=<int>' first, got {line!r}")
+        degree = read_field(int, line[7:], error, f"line {lineno}: bad degree")
+        if degree < 1:
+            raise error(f"line {lineno}: degree must be >= 1, got {degree}")
+    elif line.startswith("gen "):
+        message = f"line {lineno}: bad gen"
+        gens.append(read_field(lambda t: _parse_cycles(t, degree), line[4:], error, message))
+    else:
+        raise error(f"line {lineno}: expected 'gen <cycles>', got {line!r}")
+    return degree
 
 
 # -- partitions --------------------------------------------------------------
@@ -407,11 +411,7 @@ def cyclic_product_class(n: int, x_class: PolyLike) -> ClassPoly:
     if n < 1:
         raise PreconditionError(f"cyclic product needs n >= 1, got {n}")
     p = _coerce_class(x_class)
-    total = ClassPoly.zero()
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total = total + _euler_phi(d) * p ** (n // d)
-    return total / n
+    return sum((phi * p ** (n // d) for d, phi in _divisors_with_phi(n)), ClassPoly.zero()) / n
 
 
 def symmetric_product_class(x_class: PolyLike, d: int) -> ClassPoly:
@@ -422,8 +422,22 @@ def symmetric_product_class(x_class: PolyLike, d: int) -> ClassPoly:
     return binomial(p + d - 1, d)
 
 
-def _euler_phi(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+def _divisors_with_phi(n: int) -> list[tuple[int, int]]:
+    """(d, phi(d)) for every divisor d of n, built prime by prime while n is factored by
+    trial division up to its square root; phi(q^i) = q^i - q^(i-1) for a prime q."""
+    pairs = [(1, 1)]
+    q = 2
+    while n > 1:
+        if q * q > n:
+            q = n  # what is left is prime
+        qi, powers = 1, []
+        while n % q == 0:
+            n //= q
+            qi *= q
+            powers += [(d * qi, phi * (qi - qi // q)) for d, phi in pairs]
+        pairs += powers
+        q += 1
+    return pairs
 
 
 def _coerce_class(x_class: PolyLike) -> ClassPoly:

@@ -42,8 +42,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .classpoly import ClassPoly, parse_poly
-from .errors import InputSyntaxError, PreconditionError
-from .permgroups import PermGroup, Permutation
+from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
+from .permgroups import PermGroup, Permutation, read_group_line
 
 
 class DimensionMismatchError(PreconditionError):
@@ -351,80 +351,48 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
     """Read a stratified G-space file.
 
     Sections, in order: ``stratum <label> class=<poly>`` lines; a
-    ``group degree=<int>`` line followed by ``gen <cycles>`` lines; one
-    ``action <k> [<label>-><label> ...]`` line per generator (k is the
-    1-based generator number; unmentioned labels stay fixed).
+    ``group degree=<int>`` line followed by ``gen <cycles>`` lines, read as in
+    a group file; one ``action <k> [<label>-><label> ...]`` line per generator
+    (k is the 1-based generator number; unmentioned labels stay fixed).
     """
     strata: list[tuple[str, ClassPoly]] = []
     degree: int | None = None
     gens: list[Permutation] = []
     action_lines: dict[int, dict[str, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         if line.startswith("stratum "):
-            rest = line[len("stratum "):].strip()
-            try:
-                label, clause = rest.split(None, 1)
-            except ValueError:
-                raise GSpaceFormatError(f"line {lineno}: expected 'stratum <label> class=<poly>'") from None
-            if not clause.startswith("class="):
-                raise GSpaceFormatError(f"line {lineno}: missing 'class=' in {raw!r}")
-            try:
-                cls = parse_poly(clause[len("class="):])
-            except InputSyntaxError as e:
-                raise GSpaceFormatError(f"line {lineno}: {e}") from None
-            strata.append((label, cls))
+            parts = line.split(None, 2)
+            if len(parts) != 3 or not parts[2].startswith("class="):
+                raise GSpaceFormatError(f"line {lineno}: expected 'stratum <label> class=<poly>'")
+            message = f"line {lineno}: bad class"
+            cls = read_field(parse_poly, parts[2][6:], GSpaceFormatError, message)
+            strata.append((parts[1], cls))
         elif line.startswith("group "):
-            rest = line[len("group "):].strip()
-            if not rest.startswith("degree="):
-                raise GSpaceFormatError(f"line {lineno}: expected 'group degree=<int>'")
-            try:
-                degree = int(rest[len("degree="):].strip())
-            except ValueError:
-                raise GSpaceFormatError(f"line {lineno}: bad degree in {raw!r}") from None
+            degree = read_group_line(lineno, line[6:].strip(), degree, gens, GSpaceFormatError)
         elif line.startswith("gen "):
-            if degree is None:
-                raise GSpaceFormatError(f"line {lineno}: 'gen' before 'group degree=<int>'")
-            try:
-                gens.append(Permutation.from_cycles(line[4:], degree))
-            except InputSyntaxError as e:
-                raise GSpaceFormatError(f"line {lineno}: {e}") from None
+            degree = read_group_line(lineno, line, degree, gens, GSpaceFormatError)
         elif line.startswith("action "):
             parts = line.split()
-            if len(parts) < 2 or not parts[1].isdigit():
-                raise GSpaceFormatError(f"line {lineno}: expected 'action <gen number> ...'")
-            k = int(parts[1])
-            mapping: dict[str, str] = {}
-            for piece in parts[2:]:
-                if "->" not in piece:
-                    raise GSpaceFormatError(f"line {lineno}: bad mapping {piece!r}")
-                src, dst = piece.split("->", 1)
-                if src in mapping:
-                    raise GSpaceFormatError(f"line {lineno}: label {src!r} mapped twice")
-                mapping[src] = dst
-            action_lines[k] = mapping
+            k = read_field(int, parts[1], GSpaceFormatError, f"line {lineno}: bad gen number")
+            pairs = [piece.split("->", 1) for piece in parts[2:]]
+            message = f"line {lineno}: bad mapping"
+            action_lines[k] = read_field(dict, pairs, GSpaceFormatError, message)
+            if len(action_lines[k]) != len(pairs):
+                raise GSpaceFormatError(f"line {lineno}: a label is mapped twice")
         else:
-            raise GSpaceFormatError(f"line {lineno}: unrecognized line {raw!r}")
+            raise GSpaceFormatError(f"line {lineno}: unrecognized line {line!r}")
     if degree is None:
         raise GSpaceFormatError("missing 'group degree=<int>' line")
-    if not strata:
-        raise GSpaceFormatError("no strata given")
-    labels = [label for label, _ in strata]
-    index = {label: i + 1 for i, label in enumerate(labels)}
+    index = {label: i + 1 for i, (label, _) in enumerate(strata)}
     gen_action: list[Permutation] = []
     for k in range(1, len(gens) + 1):
-        mapping = action_lines.pop(k, {})
-        images = list(range(1, len(labels) + 1))
-        for src, dst in mapping.items():
+        images = list(range(1, len(strata) + 1))
+        for src, dst in action_lines.pop(k, {}).items():
             if src not in index or dst not in index:
                 raise GSpaceFormatError(f"action {k}: unknown stratum label in {src}->{dst}")
             images[index[src] - 1] = index[dst]
-        try:
-            gen_action.append(Permutation(images))
-        except ValueError:
-            raise GSpaceFormatError(f"action {k}: mapping is not a permutation of the strata") from None
+        message = f"action {k}: mapping is not a permutation of the strata"
+        gen_action.append(read_field(Permutation, images, GSpaceFormatError, message))
     if action_lines:
         raise GSpaceFormatError(f"action lines for nonexistent generators: {sorted(action_lines)}")
     group = PermGroup.generate(degree, gens)
@@ -439,48 +407,25 @@ def parse_descriptor_text(text: str) -> ActionDescriptor:
 
     Rows with one label aggregate into one entry, in order of first appearance.
     """
-    order: list[str] = []
     rows: dict[str, list[tuple[ClassPoly, int]]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split(None, 2)
         if len(parts) != 3 or not parts[1].startswith("c=") or not parts[2].startswith("class="):
-            raise GSpaceFormatError(
-                f"line {lineno}: expected '<label> c=<int> class=<poly>', got {raw!r}"
-            )
-        label = parts[0]
-        try:
-            c = int(parts[1][2:])
-        except ValueError:
-            raise GSpaceFormatError(f"line {lineno}: bad stabilizer order in {raw!r}") from None
-        try:
-            cls = parse_poly(parts[2][len("class="):])
-        except InputSyntaxError as e:
-            raise GSpaceFormatError(f"line {lineno}: {e}") from None
-        if label not in rows:
-            order.append(label)
-            rows[label] = []
-        rows[label].append((cls, c))
-    entries = tuple(DescriptorEntry(label, tuple(rows[label])) for label in order)
-    return ActionDescriptor(entries)
+            raise GSpaceFormatError(f"line {lineno}: expected '<label> c=<int> class=<poly>'")
+        c = read_field(int, parts[1][2:], GSpaceFormatError, f"line {lineno}: bad stabilizer order")
+        cls = read_field(parse_poly, parts[2][6:], GSpaceFormatError, f"line {lineno}: bad class")
+        rows.setdefault(parts[0], []).append((cls, c))
+    return ActionDescriptor(tuple(DescriptorEntry(label, tuple(r)) for label, r in rows.items()))
 
 
 def parse_isometry_classes_text(text: str) -> list[CentralIsometryClass]:
     """Read central isometry classes: one ``<label> c=<int>`` line per class."""
     out: list[CentralIsometryClass] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) != 2 or not parts[1].startswith("c="):
-            raise GSpaceFormatError(f"line {lineno}: expected '<label> c=<int>', got {raw!r}")
-        try:
-            c = int(parts[1][2:])
-        except ValueError:
-            raise GSpaceFormatError(f"line {lineno}: bad centralizer order in {raw!r}") from None
+            raise GSpaceFormatError(f"line {lineno}: expected '<label> c=<int>', got {line!r}")
+        c = read_field(int, parts[1][2:], GSpaceFormatError, f"line {lineno}: bad order")
         out.append(CentralIsometryClass(parts[0], c))
     return out
 
@@ -488,58 +433,35 @@ def parse_isometry_classes_text(text: str) -> list[CentralIsometryClass]:
 def parse_cells_text(text: str) -> list[tuple[int, int]]:
     """Read orbifold cell data: one ``<dim> <stabilizer order>`` line per cell orbit."""
     out: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) != 2:
-            raise GSpaceFormatError(f"line {lineno}: expected '<dim> <stab order>', got {raw!r}")
-        try:
-            out.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GSpaceFormatError(f"line {lineno}: bad integers in {raw!r}") from None
+            raise GSpaceFormatError(f"line {lineno}: expected '<dim> <stab order>', got {line!r}")
+        message = f"line {lineno}: bad integer"
+        out.append(tuple(read_field(int, p, GSpaceFormatError, message) for p in parts))
     return out
 
 
 def parse_affine_map_text(text: str) -> AffineMap:
     """Read an affine map: ``dim=<n>``, n ``row <q> ...`` lines, one ``t <q> ...`` line."""
     dim: int | None = None
-    rows: list[tuple[Fraction, ...]] = []
-    translation: tuple[Fraction, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    by_kind: dict[str, list[tuple[Fraction, ...]]] = {"row": [], "t": []}
+    for lineno, line in data_lines(text):
         if dim is None:
             if not line.startswith("dim="):
                 raise GSpaceFormatError(f"line {lineno}: expected 'dim=<int>' first")
-            try:
-                dim = int(line[4:].strip())
-            except ValueError:
-                raise GSpaceFormatError(f"line {lineno}: bad dimension {raw!r}") from None
+            dim = read_field(int, line[4:], GSpaceFormatError, f"line {lineno}: bad dimension")
             if dim < 1:
                 raise GSpaceFormatError(f"line {lineno}: dimension must be >= 1")
             continue
-        parts = line.split()
-        kind, entries = parts[0], parts[1:]
-        if kind not in ("row", "t"):
-            raise GSpaceFormatError(f"line {lineno}: expected 'row' or 't', got {raw!r}")
-        try:
-            values = tuple(Fraction(p) for p in entries)
-        except (ValueError, ZeroDivisionError):
-            raise GSpaceFormatError(f"line {lineno}: bad rational entry in {raw!r}") from None
+        kind, *entries = line.split()
+        if kind not in by_kind:
+            raise GSpaceFormatError(f"line {lineno}: expected 'row' or 't', got {line!r}")
+        message = f"line {lineno}: bad rational entry"
+        values = tuple(read_field(Fraction, p, GSpaceFormatError, message) for p in entries)
         if len(values) != dim:
             raise GSpaceFormatError(f"line {lineno}: expected {dim} entries, got {len(values)}")
-        if kind == "row":
-            rows.append(values)
-        else:
-            if translation is not None:
-                raise GSpaceFormatError(f"line {lineno}: duplicate translation line")
-            translation = values
-    if dim is None or translation is None or len(rows) != dim:
+        by_kind[kind].append(values)
+    if dim is None or len(by_kind["row"]) != dim or len(by_kind["t"]) != 1:
         raise GSpaceFormatError("affine map needs dim=<n>, n row lines, and one t line")
-    try:
-        return AffineMap(tuple(rows), translation)
-    except DimensionMismatchError as e:
-        raise GSpaceFormatError(str(e)) from None
+    return AffineMap(tuple(by_kind["row"]), by_kind["t"][0])

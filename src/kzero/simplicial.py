@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from typing import Iterable, Sequence
 
-from .errors import InputSyntaxError, PreconditionError
+from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
 Simplex = tuple[int, ...]
 
@@ -158,25 +158,17 @@ class SimplicialComplex:
     def from_text(cls, text: str) -> SimplicialComplex:
         n: int | None = None
         facets: list[tuple[int, ...]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in data_lines(text):
             if n is None:
                 if not line.startswith("n="):
-                    raise ComplexFormatError(f"line {lineno}: expected 'n=<int>' first, got {raw!r}")
-                try:
-                    n = int(line[2:].strip())
-                except ValueError:
-                    raise ComplexFormatError(f"line {lineno}: bad vertex count {raw!r}") from None
+                    raise ComplexFormatError(f"line {lineno}: expected 'n=<int>' first")
+                n = read_field(int, line[2:], ComplexFormatError, f"line {lineno}: bad n")
                 if n < 0:
                     raise ComplexFormatError(f"line {lineno}: vertex count must be >= 0")
-                continue
-            try:
-                face = tuple(int(part) for part in line.split(","))
-            except ValueError:
-                raise ComplexFormatError(f"line {lineno}: bad facet {raw!r}") from None
-            facets.append(face)
+            else:
+                message = f"line {lineno}: bad facet"
+                face = line.split(",")
+                facets.append(tuple(read_field(int, v, ComplexFormatError, message) for v in face))
         if n is None:
             raise ComplexFormatError("missing 'n=<int>' line")
         try:

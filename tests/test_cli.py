@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kzero.classpoly import MAX_DIGITS, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
+from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero.cli import main
 from kzero.permgroups import PermGroup
 
@@ -281,6 +281,46 @@ def test_numbers_at_the_digit_limit_still_print(capsys):
     assert (code, out, err) == (0, "9" * MAX_DIGITS + "\n", "")
     code, out, err = run(capsys, "eval", "1/" + "9" * MAX_DIGITS, "--latex")
     assert (code, out, err) == (0, "\\frac{1}{" + "9" * MAX_DIGITS + "}\n", "")
+
+
+def nested(depth: int, inner: str = "x") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def assert_refused(code: int, out: str, err: str) -> None:
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parentheses_at_the_nesting_limit_still_parse(capsys):
+    assert run(capsys, "eval", nested(MAX_NESTING)) == (0, "x\n", "")
+
+
+def test_parentheses_past_the_nesting_limit_exit_3(tmp_path, capsys):
+    assert_refused(*run(capsys, "eval", nested(MAX_NESTING + 1)))
+    space = tmp_path / "space.txt"
+    space.write_text(f"stratum p class={nested(MAX_NESTING + 1, '1')}\ngroup degree=1\n")
+    assert_refused(*run(capsys, "quotient", "--space", str(space)))
+
+
+def test_power_past_the_digit_limit_exits_3_before_multiplying(capsys):
+    start = time.perf_counter()
+    assert_refused(*run(capsys, "eval", "7^10000000"))
+    assert time.perf_counter() - start < 2.0
+    # the check looks at the power, not at the printed result
+    assert_refused(*run(capsys, "eval", "7^10000 - 7^10000"))
+
+
+def test_power_at_the_digit_limit_still_prints(capsys):
+    code, out, err = run(capsys, "eval", "7^5088")
+    assert (code, err) == (0, "")
+    assert out == f"{7 ** 5088}\n" and len(out) == MAX_DIGITS + 1
+
+
+def test_cyclic_product_of_a_large_order_is_quick(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "cycprod", "--n", "100000000", "--X", "1") == (0, "1\n", "")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_console_script_entry_point():

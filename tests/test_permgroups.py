@@ -22,7 +22,14 @@ from kzero.permgroups import (
     permutation_product_class,
     symmetric_product_class,
 )
-from util import brute_force_coset_chi, cycle_type_quotient_class, left_cosets, random_subgroup
+from util import (
+    brute_force_coset_chi,
+    count_coloring_orbits,
+    cycle_type_quotient_class,
+    gcd_count_cyclic_product_class,
+    left_cosets,
+    random_subgroup,
+)
 
 X = ClassPoly.var("x")
 
@@ -249,7 +256,9 @@ def test_permutation_product_matches_burnside_on_random_subgroups():
     for _ in range(30):
         n = rng.randint(2, 6)
         G = random_subgroup(rng, n)
-        assert permutation_product_class(G, X) == burnside_quotient_class(G, X)
+        p = permutation_product_class(G, X)
+        for c in (2, 3):
+            assert p.evaluate({"x": c}) == count_coloring_orbits(G, c), G.generators
 
 
 def test_permutation_product_matches_the_cycle_type_sum_over_coset_counts():
@@ -294,6 +303,11 @@ def test_symmetric_product_is_multiset_count():
             expected = 1 if d == 0 else math.comb(c + d - 1, d)
             assert p.evaluate({"x": c}) == expected
     assert str(symmetric_product_class(X, 2)) == "1/2*x^2 + 1/2*x"
+
+
+def test_cyclic_product_matches_the_gcd_count():
+    for n in range(1, 61):
+        assert cyclic_product_class(n, X) == gcd_count_cyclic_product_class(n, X), n
 
 
 def test_cyclic_product_matches_burnside():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
 from kzero.classpoly import ClassPoly, binomial
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
@@ -154,6 +154,34 @@ def cycle_type_quotient_class(G: PermGroup, p: ClassPoly) -> ClassPoly:
         chi = brute_force_coset_chi(G, permutation_of_cycle_type(lam))
         total = total + weight * chi * p ** len(lam)
     return total / factorial(n)
+
+
+def count_coloring_orbits(G: PermGroup, c: int) -> int:
+    """Orbits of G on {1..c}^n, the tuples permuted by position, closed under the generators."""
+    n = G.degree
+    unseen = set(product(range(c), repeat=n))
+    orbits = 0
+    while unseen:
+        frontier = [unseen.pop()]
+        orbits += 1
+        while frontier:
+            t = frontier.pop()
+            for g in G.generators:
+                image = tuple(t[g(i) - 1] for i in range(1, n + 1))
+                if image in unseen:
+                    unseen.remove(image)
+                    frontier.append(image)
+    return orbits
+
+
+def gcd_count_cyclic_product_class(n: int, p: ClassPoly) -> ClassPoly:
+    """(1/n) sum over d | n of phi(d) p^(n/d), every divisor tried and phi(d) counted by gcds."""
+    total = ClassPoly.zero()
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
+            total = total + phi * p ** (n // d)
+    return total / n
 
 
 def left_cosets(G: PermGroup, subgroup_elements: list[Permutation]) -> list[frozenset[Permutation]]:
