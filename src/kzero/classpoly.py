@@ -24,11 +24,14 @@ Construction
 ------------
 ``ClassPoly(variables, terms)`` is the one validating constructor: it checks
 variable names and exponent vectors and converts coefficients to
-``Fraction``.  It serves user input (``parse_poly``, ``var``, ``const``) and
-library callers.  The ring operations build their results through the
-private ``ClassPoly._make``, which trusts that the coefficients are already
-``Fraction`` values and the exponent vectors fit the variables; it still puts
-the result in canonical form.  The hash is computed on first use.
+``Fraction``.  Every function that takes a class reads it through
+:func:`as_class`: a ``ClassPoly``, or an ``int`` or ``Fraction`` made a constant;
+anything else, a float or a string too, is a ``TypeError``, and so is a
+coefficient, evaluation value or divisor that is not an ``int`` or ``Fraction``.
+The ring operations build their results through the private ``ClassPoly._make``,
+which trusts that the coefficients are already ``Fraction`` values and the
+exponent vectors fit the variables; it still puts the result in canonical form.
+The hash is computed on first use.
 
 Products work on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, and only the output terms become ``Fraction``
@@ -56,7 +59,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InputSyntaxError, PreconditionError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 PolyLike = Union["ClassPoly", int, Fraction]
 
 MAX_TOTAL_DEGREE = 1000
@@ -87,6 +90,13 @@ class PolyParseError(InputSyntaxError):
 class PolyTooLargeError(PreconditionError):
     """A degree, digit count or nesting depth would pass :data:`MAX_TOTAL_DEGREE`,
     :data:`MAX_DIGITS` or :data:`MAX_NESTING`."""
+
+
+def _scalar(value: object, role: str) -> Fraction:
+    """An ``int`` or ``Fraction`` as a ``Fraction``; anything else is a ``TypeError``."""
+    if not isinstance(value, Scalar):
+        raise TypeError(f"{role} must be an int or Fraction, got {type(value).__name__}")
+    return Fraction(value)
 
 
 def _check_degree(degree: int) -> None:
@@ -155,7 +165,7 @@ class ClassPoly:
             e = tuple(e)
             if len(e) != len(vs) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
-            raw[e] = raw.get(e, Fraction(0)) + Fraction(c)
+            raw[e] = raw.get(e, Fraction(0)) + _scalar(c, "a coefficient")
         self._vars, self._terms = _normalized(vs, raw)
         self._hash = None
 
@@ -182,7 +192,7 @@ class ClassPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> ClassPoly:
-        return cls((), {(): Fraction(value)})
+        return cls((), {(): value})
 
     @classmethod
     def var(cls, name: str) -> ClassPoly:
@@ -318,11 +328,9 @@ class ClassPoly:
         return result
 
     def __truediv__(self, scalar: Scalar) -> ClassPoly:
-        if not isinstance(scalar, (int, Fraction)):
-            raise TypeError("only division by an exact scalar is defined")
-        if scalar == 0:
+        q = _scalar(scalar, "a divisor")
+        if not q:
             raise ZeroDivisionError("division of a class polynomial by zero")
-        q = Fraction(scalar)
         return ClassPoly._make(self._vars, {e: c / q for e, c in self._terms.items()})
 
     # -- evaluation --------------------------------------------------------
@@ -337,21 +345,21 @@ class ClassPoly:
         missing = [v for v in self._vars if v not in assignment]
         if missing:
             raise MissingVariableError(f"no value assigned to {', '.join(missing)}")
+        values = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
         total = Fraction(0)
         for e, c in self._terms.items():
             t = c
-            for v, k in zip(self._vars, e):
+            for value, k in zip(values, e):
                 if k:
-                    t *= Fraction(assignment[v]) ** k
+                    t *= value ** k
             total += t
         return total
 
     # -- comparison --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
-        if not isinstance(other, ClassPoly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self._vars == other._vars and self._terms == other._terms
 
@@ -411,12 +419,22 @@ _ZERO = ClassPoly._make((), {})
 _ONE = ClassPoly._make((), {(): Fraction(1)})
 
 
-def _coerce(value: PolyLike) -> ClassPoly:
+def _coerce(value: object) -> ClassPoly:
+    """An operand by the rule of :func:`as_class`, or ``NotImplemented``."""
     if isinstance(value, ClassPoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Scalar):
         return ClassPoly._make((), {(): Fraction(value)})
     return NotImplemented
+
+
+def as_class(value: PolyLike) -> ClassPoly:
+    """A class argument as a ``ClassPoly``: a ``ClassPoly`` unchanged, an ``int`` or
+    ``Fraction`` as a constant.  Anything else raises ``TypeError``."""
+    p = _coerce(value)
+    if p is NotImplemented:
+        raise TypeError(f"a class must be a ClassPoly, int or Fraction, got {type(value).__name__}")
+    return p
 
 
 def binomial(p: PolyLike, k: int) -> ClassPoly:
@@ -428,9 +446,7 @@ def binomial(p: PolyLike, k: int) -> ClassPoly:
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"binomial index must be a non-negative integer, got {k!r}")
-    p = _coerce(p)
-    if p is NotImplemented:
-        raise TypeError("binomial expects a polynomial or exact scalar")
+    p = as_class(p)
     result = _ONE
     for i in range(k):
         result = result * (p - i)

@@ -14,23 +14,16 @@ equal coefficients; to compare two series through a common order use
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Union
 
-from .classpoly import ClassPoly
+from .classpoly import ClassPoly, PolyLike, as_class
 from .errors import PreconditionError
 
-SeriesLike = Union["ClassSeries", ClassPoly, int, Fraction]
+SeriesLike = Union["ClassSeries", PolyLike]
 
 
 class NonUnitConstantTermError(PreconditionError):
     """Series inversion needs constant coefficient exactly 1."""
-
-
-def _as_poly(value: ClassPoly | int | Fraction) -> ClassPoly:
-    if isinstance(value, ClassPoly):
-        return value
-    return ClassPoly.const(value)
 
 
 class ClassSeries:
@@ -38,8 +31,8 @@ class ClassSeries:
 
     __slots__ = ("_order", "_coeffs")
 
-    def __init__(self, coeffs: Iterable[ClassPoly | int | Fraction], order: int | None = None):
-        cs = [_as_poly(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable[PolyLike], order: int | None = None):
+        cs = [as_class(c) for c in coeffs]
         if order is None:
             if not cs:
                 raise ValueError("series needs at least the constant coefficient")
@@ -62,8 +55,8 @@ class ClassSeries:
         return cls([ClassPoly.one()], order=order)
 
     @classmethod
-    def constant(cls, value: ClassPoly | int | Fraction, order: int) -> ClassSeries:
-        return cls([_as_poly(value)], order=order)
+    def constant(cls, value: PolyLike, order: int) -> ClassSeries:
+        return cls([value], order=order)
 
     # -- structure ---------------------------------------------------------
 
@@ -91,9 +84,10 @@ class ClassSeries:
     def _coerced(self, other: SeriesLike) -> ClassSeries | None:
         if isinstance(other, ClassSeries):
             return other
-        if isinstance(other, (ClassPoly, int, Fraction)):
+        try:
             return ClassSeries.constant(other, self._order)
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other: SeriesLike) -> ClassSeries:
         o = self._coerced(other)
@@ -223,7 +217,7 @@ def _render_term(c: ClassPoly, k: int, latex: bool, first: bool) -> str:
 
 
 def binomial_series(
-    exponent: ClassPoly | int | Fraction, power: int = 1, sign: int = 1, *, order: int
+    exponent: PolyLike, power: int = 1, sign: int = 1, *, order: int
 ) -> ClassSeries:
     """The series (1 - sign*x^power)^exponent, truncated at ``order``.
 
@@ -239,7 +233,7 @@ def binomial_series(
         raise ValueError("power of x must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    q = _as_poly(exponent)
+    q = as_class(exponent)
     coeffs = [ClassPoly.zero()] * (order + 1)
     c = coeffs[0] = ClassPoly.one()
     for k in range(1, order // power + 1):
@@ -248,13 +242,13 @@ def binomial_series(
     return ClassSeries(coeffs, order=order)
 
 
-def macdonald_series(p: ClassPoly | int | Fraction, order: int) -> ClassSeries:
+def macdonald_series(p: PolyLike, order: int) -> ClassSeries:
     """The symmetric product series (1 - x)^(-p) = sum_d C(p+d-1, d) x^d.
 
     Coefficient of x^d is the class of the d-th symmetric product of a space
     of class p.
     """
-    return binomial_series(-_as_poly(p), 1, 1, order=order)
+    return binomial_series(-as_class(p), 1, 1, order=order)
 
 
 def geometric_series(order: int) -> ClassSeries:

@@ -33,21 +33,24 @@ from collections import Counter
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .classpoly import ClassPoly, PolyLike, _coerce, binomial
+from .classpoly import ClassPoly, PolyLike, as_class, binomial
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
 
 MAX_DEGREE = 8
-"""Largest degree accepted by ``coset_chi`` and by the ``permprod`` verb, which
-checks it before generating the group."""
+"""Largest degree accepted by ``coset_chi``, ``partitions_with_weights`` and the
+``permprod`` verb, which checks it before generating the group."""
+
+MAX_ORDER = factorial(MAX_DEGREE)
+"""Most elements ``PermGroup.generate`` builds: 40320 = |S_8|, so any degree up to 8 fits."""
 
 
 class DegreeTooLargeError(PreconditionError):
-    """A degree is above ``MAX_DEGREE`` or the partition enumeration cap."""
+    """A degree is above ``MAX_DEGREE``."""
 
 
 class OrderCapExceededError(PreconditionError):
-    """Generating a group exceeded the element cap."""
+    """Generating a group passed ``MAX_ORDER`` elements."""
 
 
 class PermParseError(InputSyntaxError):
@@ -190,10 +193,8 @@ class PermGroup:
             raise ValueError("group must contain the identity")
 
     @classmethod
-    def generate(
-        cls, degree: int, generators: Iterable[Permutation], cap: int = 1_000_000
-    ) -> PermGroup:
-        """Close the generators under composition; error beyond ``cap`` elements."""
+    def generate(cls, degree: int, generators: Iterable[Permutation]) -> PermGroup:
+        """Close the generators under composition; error beyond ``MAX_ORDER`` elements."""
         gens = tuple(generators)
         for g in gens:
             if g.degree != degree:
@@ -208,10 +209,8 @@ class PermGroup:
                     if h not in elements:
                         elements.add(h)
                         fresh.append(h)
-                        if len(elements) > cap:
-                            raise OrderCapExceededError(
-                                f"group generation passed the cap of {cap} elements"
-                            )
+                        if len(elements) > MAX_ORDER:
+                            raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
             frontier = fresh
         return cls(degree, gens, elements)
 
@@ -329,16 +328,15 @@ def read_group_line(
 # -- partitions --------------------------------------------------------------
 
 
-def partitions_with_weights(n: int, cap: int = 12) -> list[tuple[tuple[int, ...], int]]:
+def partitions_with_weights(n: int) -> list[tuple[tuple[int, ...], int]]:
     """All partitions of n (decreasing) with the count of permutations of that cycle type.
 
     The count is h_lambda = n! / (product of parts * product of multiplicity
-    factorials).  Guarded by a cap since the output grows quickly.
+    factorials).  n is checked against ``MAX_DEGREE``.
     """
     if n < 1:
         raise ValueError("partitions need n >= 1")
-    if n > cap:
-        raise DegreeTooLargeError(f"partition enumeration capped at n = {cap}, got {n}")
+    check_degree(n)
     return [(lam, factorial(n) // _centralizer_order(lam)) for lam in _partitions(n, n)]
 
 
@@ -396,7 +394,7 @@ def coset_chi(G: PermGroup, sigma: Permutation) -> int:
 def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
     """[X^n / G] = (1/|G|) sum over g of x^(cycles of g); also exported as
     ``permutation_product_class``."""
-    p = _coerce_class(x_class)
+    p = as_class(x_class)
     total = ClassPoly.zero()
     for k, count in Counter(g.cycle_count() for g in G).items():
         total = total + count * p ** k
@@ -410,7 +408,7 @@ def cyclic_product_class(n: int, x_class: PolyLike) -> ClassPoly:
     """[X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d)."""
     if n < 1:
         raise PreconditionError(f"cyclic product needs n >= 1, got {n}")
-    p = _coerce_class(x_class)
+    p = as_class(x_class)
     return sum((phi * p ** (n // d) for d, phi in _divisors_with_phi(n)), ClassPoly.zero()) / n
 
 
@@ -418,8 +416,7 @@ def symmetric_product_class(x_class: PolyLike, d: int) -> ClassPoly:
     """[SP^d(X)] = C(x + d - 1, d)."""
     if d < 0:
         raise PreconditionError(f"symmetric product needs d >= 0, got {d}")
-    p = _coerce_class(x_class)
-    return binomial(p + d - 1, d)
+    return binomial(as_class(x_class) + d - 1, d)
 
 
 def _divisors_with_phi(n: int) -> list[tuple[int, int]]:
@@ -438,10 +435,3 @@ def _divisors_with_phi(n: int) -> list[tuple[int, int]]:
         pairs += powers
         q += 1
     return pairs
-
-
-def _coerce_class(x_class: PolyLike) -> ClassPoly:
-    p = _coerce(x_class)
-    if p is NotImplemented:
-        raise TypeError("class argument must be a polynomial or exact scalar")
-    return p

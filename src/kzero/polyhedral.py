@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .classpoly import ClassPoly, PolyLike, _coerce
+from .classpoly import ClassPoly, PolyLike, as_class
 from .errors import DOutOfRangeError, PreconditionError
 from .posets import inclusion_exclusion, intersection_poset
 from .simplicial import SimplicialComplex, full_simplex
@@ -65,18 +65,14 @@ class ComponentIsSingleSimplexError(PreconditionError):
 
 @dataclass(frozen=True)
 class PolyPair:
-    """Classes (x, a) of a pair of spaces A inside X."""
+    """Classes (x, a) of a pair of spaces A inside X, each stored through ``as_class``."""
 
     x_class: ClassPoly
     a_class: ClassPoly
 
-
-def _pair(x_class: PolyLike, a_class: PolyLike) -> PolyPair:
-    x = _coerce(x_class)
-    a = _coerce(a_class)
-    if x is NotImplemented or a is NotImplemented:
-        raise TypeError("pair classes must be polynomials or exact scalars")
-    return PolyPair(x, a)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "x_class", as_class(self.x_class))
+        object.__setattr__(self, "a_class", as_class(self.a_class))
 
 
 def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
@@ -120,7 +116,7 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
         raise PreconditionError(f"fat wedge needs n >= 1, got {n}")
     if not 0 <= d <= n:
         raise DOutOfRangeError(f"fatness index d={d} outside 0..{n}")
-    x = ClassPoly.var("x") if x_class is None else _coerce(x_class)
+    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     total = ClassPoly.zero()
     for j in range(d + 1):
         total = total + comb(n, j) * (x - 1) ** j
@@ -137,16 +133,15 @@ def fat_wedge_as_polyhedral_product(n: int, d: int, x_class: PolyLike | None = N
         raise PreconditionError(f"fat wedge needs n >= 1, got {n}")
     if not 0 <= d <= n:
         raise DOutOfRangeError(f"fatness index d={d} outside 0..{n}")
-    x = ClassPoly.var("x") if x_class is None else _coerce(x_class)
-    K = full_simplex(n).skeleton(d - 1)
-    return polyhedral_product_class(K, _pair(x, 1))
+    x = ClassPoly.var("x") if x_class is None else x_class
+    return polyhedral_product_class(full_simplex(n).skeleton(d - 1), PolyPair(x, 1))
 
 
 def w_class(n: int, x_class: PolyLike | None = None) -> ClassPoly:
     """[W_n(X)] = x (x-1)^(n-1): tuples whose last n-1 coordinates each differ from the first."""
     if n < 1:
         raise PreconditionError(f"w_class needs n >= 1, got {n}")
-    x = ClassPoly.var("x") if x_class is None else _coerce(x_class)
+    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     return x * (x - 1) ** (n - 1)
 
 
@@ -159,7 +154,7 @@ def _check_dimension_condition(K: SimplicialComplex) -> None:
 
 def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) -> ClassPoly:
     """[Delta_K(X)] = x * sum over faces of (x-1)^|sigma|, under 2(dim K + 1) < n."""
-    x = ClassPoly.var("x") if x_class is None else _coerce(x_class)
+    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if K.is_empty():
         return ClassPoly.zero()
     _check_dimension_condition(K)
@@ -172,7 +167,7 @@ def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
 def delta_config_class_disjoint(
     components: Sequence[SimplicialComplex],
     x_class: PolyLike | None = None,
-    component_classes: Sequence[ClassPoly] | None = None,
+    component_classes: Sequence[PolyLike] | None = None,
 ) -> ClassPoly:
     """[Delta_K(X)] when K is a disjoint union of N >= 3 components.
 
@@ -186,7 +181,7 @@ def delta_config_class_disjoint(
     ``component_classes``.  Every component must have at least two facets,
     and no face may exhaust its component's vertex set.
     """
-    x = ClassPoly.var("x") if x_class is None else _coerce(x_class)
+    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if len(components) < 3:
         raise TooFewComponentsError(
             f"disjoint-union arrangement formula needs >= 3 components, got {len(components)}"
@@ -205,7 +200,7 @@ def delta_config_class_disjoint(
     if component_classes is None:
         pieces = [delta_config_class(K, x) for K in components]
     else:
-        pieces = list(component_classes)
+        pieces = [as_class(c) for c in component_classes]
     total = ClassPoly.zero()
     for p in pieces:
         total = total + p
@@ -220,7 +215,7 @@ def m_complement_class(
     Node sigma contributes mu(sigma) * x^(|sigma| + 1); the bottom carries
     x^n.  Needs at least two facets and the dimension condition.
     """
-    x = ClassPoly.var("x") if x_class is None else _coerce(x_class)
+    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if len(K.facets) < 2:
         raise SingleSimplexError("complement of an arrangement needs at least two facets")
     _check_dimension_condition(K)

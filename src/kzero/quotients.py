@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .classpoly import ClassPoly, parse_poly
+from .classpoly import ClassPoly, PolyLike, as_class, parse_poly
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 from .permgroups import PermGroup, Permutation, read_group_line
 
@@ -68,12 +68,12 @@ class StratifiedGSpace:
 
     def __init__(
         self,
-        strata: Sequence[tuple[str, ClassPoly]],
+        strata: Sequence[tuple[str, PolyLike]],
         group: PermGroup,
         generator_action: Sequence[Permutation],
     ):
         self._labels = tuple(label for label, _ in strata)
-        self._classes = tuple(cls for _, cls in strata)
+        self._classes = tuple(as_class(cls) for _, cls in strata)
         if len(set(self._labels)) != len(self._labels):
             raise ValueError("stratum labels must be distinct")
         if not strata:
@@ -215,7 +215,7 @@ class DescriptorEntry:
     intersection dividing it."""
 
     label: str
-    strata: tuple[tuple[ClassPoly, int], ...]
+    strata: tuple[tuple[PolyLike, int], ...]
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def descriptor_class(descriptor: ActionDescriptor) -> ClassPoly:
                 raise PreconditionError(
                     f"stabilizer order must be >= 1, got {order} in entry {entry.label!r}"
                 )
-            total = total + cls / order
+            total = total + as_class(cls) / order
     return total
 
 
@@ -458,10 +458,12 @@ def parse_affine_map_text(text: str) -> AffineMap:
         if kind not in by_kind:
             raise GSpaceFormatError(f"line {lineno}: expected 'row' or 't', got {line!r}")
         message = f"line {lineno}: bad rational entry"
-        values = tuple(read_field(Fraction, p, GSpaceFormatError, message) for p in entries)
+        values = [read_field(parse_poly, p, GSpaceFormatError, message) for p in entries]
+        if not all(v.is_constant() for v in values):
+            raise GSpaceFormatError(f"{message}: an entry is an integer or p/q")
         if len(values) != dim:
             raise GSpaceFormatError(f"line {lineno}: expected {dim} entries, got {len(values)}")
-        by_kind[kind].append(values)
+        by_kind[kind].append(tuple(v.constant_term() for v in values))
     if dim is None or len(by_kind["row"]) != dim or len(by_kind["t"]) != 1:
         raise GSpaceFormatError("affine map needs dim=<n>, n row lines, and one t line")
     return AffineMap(tuple(by_kind["row"]), by_kind["t"][0])

@@ -28,10 +28,10 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
-from .classpoly import ClassPoly, PolyLike
+from .classpoly import ClassPoly, PolyLike, as_class
 from .classseries import ClassSeries, binomial_series, macdonald_series
 from .errors import DOutOfRangeError, PreconditionError
-from .permgroups import _coerce_class, symmetric_product_class
+from .permgroups import symmetric_product_class
 
 DegreeVector = tuple[int, ...]
 
@@ -42,7 +42,7 @@ class OrderExceedsTableError(PreconditionError):
 
 def sp_vector_class(d: Sequence[int], x_class: PolyLike) -> ClassPoly:
     """[SP^d(X)] = product over i of C(x + d_i - 1, d_i)."""
-    p = _coerce_class(x_class)
+    p = as_class(x_class)
     total = ClassPoly.one()
     for di in d:
         if di < 0:
@@ -73,7 +73,7 @@ class ZeroCycleTable:
             raise PreconditionError(f"table bound must be >= 0, got {max_total}")
         self._m = m
         self._n = n
-        self._x_class = _coerce_class(x_class)
+        self._x_class = as_class(x_class)
         self._max_total = max_total
         self._values: dict[DegreeVector, ClassPoly] = {}
         # [SP^k(X)] for every coordinate k <= max_total: the coefficients of
@@ -140,7 +140,7 @@ def closed_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
     """(1 - t^(mn))^x * (1 - t)^(-mx): the closed form of the 0-cycle series."""
     if m < 1 or n < 1:
         raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    p = _coerce_class(x_class)
+    p = as_class(x_class)
     return binomial_series(p, m * n, 1, order=order) * binomial_series(-m * p, 1, 1, order=order)
 
 
@@ -148,4 +148,4 @@ def ratio_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
     """(1 - t^(mn))^x: the 0-cycle series divided by the symmetric-product series (1 - t)^(-mx)."""
     if m < 1 or n < 1:
         raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    return binomial_series(_coerce_class(x_class), m * n, 1, order=order)
+    return binomial_series(as_class(x_class), m * n, 1, order=order)

@@ -323,6 +323,31 @@ def test_cyclic_product_of_a_large_order_is_quick(capsys):
     assert time.perf_counter() - start < 2.0
 
 
+def test_quotient_on_a_group_past_the_order_cap_exits_3_at_once(tmp_path, capsys):
+    space = tmp_path / "S11.txt"
+    space.write_text("stratum a class=1\ngroup degree=11\ngen (1 2)\ngen (1 2 3 4 5 6 7 8 9 10 11)\n")
+    start = time.perf_counter()
+    assert_refused(*run(capsys, "quotient", "--space", str(space)))
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "1.5"])
+def test_affine_entries_are_integers_or_fractions(tmp_path, capsys, entry):
+    path = tmp_path / "map.txt"
+    path.write_text(f"dim=1\nrow {entry}\nt 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fixed-point", "--map", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
+def test_an_affine_entry_over_the_digit_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "map.txt"
+    path.write_text(f"dim=1\nrow {'7' * (MAX_DIGITS + 1)}\nt 0\n")
+    assert_refused(*run(capsys, "fixed-point", "--map", str(path)))
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         ["kzero", "eval", "x + 1"], capture_output=True, text=True, timeout=60

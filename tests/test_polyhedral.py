@@ -84,6 +84,11 @@ def test_product_over_degenerate_complexes():
     assert polyhedral_product_class(full_simplex(3), PAIR) == X ** 3
 
 
+def test_product_over_no_faces_with_int_classes_is_a_class():
+    got = polyhedral_product_class(SimplicialComplex(3), PolyPair(2, 1))
+    assert isinstance(got, ClassPoly) and got == 1
+
+
 def test_fat_wedge_small_cases():
     assert fat_wedge_class(4, 0) == ClassPoly.one()
     assert fat_wedge_class(4, 4) == X ** 4

@@ -72,6 +72,14 @@ def test_circle_half_turn_quotient_is_an_interval():
     assert centralizer_sum_class(space) == ONE
 
 
+def test_int_classes_give_one_class_on_every_route():
+    strata = [("p1", 1), ("p2", 1), ("arc1", -1), ("arc2", -1)]
+    G = PermGroup.generate(2, [Permutation.from_cycles("(1 2)", 2)])
+    space = StratifiedGSpace(strata, G, [Permutation.from_cycles("(3 4)", 4)])
+    assert space.classes == (ONE, ONE, -ONE, -ONE)
+    assert centralizer_sum_class(space) == burnside_class(space) == orbit_sum_class(space) == ONE
+
+
 def test_three_routes_agree_on_random_spaces():
     rng = random.Random(2024)
     for _ in range(40):
@@ -171,6 +179,11 @@ def test_descriptor_file_and_class():
     assert [e.label for e in desc.entries] == ["id", "t1", "t2"]
     assert len(desc.entries[0].strata) == 3
     assert descriptor_class(desc) == ONE
+
+
+def test_descriptor_with_an_int_class_divides_exactly():
+    got = descriptor_class(ActionDescriptor((DescriptorEntry("id", ((1, 2),)),)))
+    assert isinstance(got, ClassPoly) and got == Fraction(1, 2)
 
 
 def test_descriptor_rejects_bad_orders():
