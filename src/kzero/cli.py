@@ -11,42 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
+from typing import TYPE_CHECKING
 
-from .classpoly import ClassPoly, check_digits, parse_poly
-from .classseries import ClassSeries, macdonald_series
 from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError, read_field
-from .permgroups import (
-    PermGroup,
-    check_degree,
-    cyclic_product_class,
-    parse_group_generators,
-    permutation_product_class,
-)
-from .polyhedral import (
-    PolyPair,
-    delta_config_class,
-    fat_wedge_class,
-    m_complement_class,
-    polyhedral_product_class,
-    polyhedral_product_complement_class,
-)
-from .quotients import (
-    burnside_class,
-    centralizer_sum_class,
-    crystal_chi,
-    descriptor_class,
-    has_unique_fixed_point,
-    orbifold_euler,
-    orbit_sum_class,
-    parse_affine_map_text,
-    parse_cells_text,
-    parse_descriptor_text,
-    parse_gspace_text,
-    parse_isometry_classes_text,
-)
-from .simplicial import SimplicialComplex
-from .zerocycles import ZeroCycleTable, closed_series, ratio_series
+
+if TYPE_CHECKING:
+    from .classpoly import ClassPoly
+    from .classseries import ClassSeries
 
 
 def _read_file(path: str) -> str:
@@ -71,32 +42,54 @@ def _print_complement(result: ClassPoly | tuple[ClassPoly, str], args: argparse.
 
 
 def cmd_polyprod(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .polyhedral import PolyPair, polyhedral_product_class
+    from .simplicial import SimplicialComplex
+
     K = SimplicialComplex.from_text(_read_file(args.complex))
     pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
     print(_render(polyhedral_product_class(K, pair), args.latex))
 
 
 def cmd_complement(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .polyhedral import PolyPair, polyhedral_product_complement_class
+    from .simplicial import SimplicialComplex
+
     K = SimplicialComplex.from_text(_read_file(args.complex))
     pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
     _print_complement(polyhedral_product_complement_class(K, pair, show_poset=args.show_poset), args)
 
 
 def cmd_fatwedge(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .polyhedral import fat_wedge_class
+
     print(_render(fat_wedge_class(args.n, args.d, parse_poly(args.X)), args.latex))
 
 
 def cmd_config(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .polyhedral import delta_config_class
+    from .simplicial import SimplicialComplex
+
     K = SimplicialComplex.from_text(_read_file(args.complex))
     print(_render(delta_config_class(K, parse_poly(args.X)), args.latex))
 
 
 def cmd_config_complement(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .polyhedral import m_complement_class
+    from .simplicial import SimplicialComplex
+
     K = SimplicialComplex.from_text(_read_file(args.complex))
     _print_complement(m_complement_class(K, parse_poly(args.X), show_poset=args.show_poset), args)
 
 
 def cmd_permprod(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .permgroups import PermGroup, check_degree, parse_group_generators, permutation_product_class
+
     degree, gens = parse_group_generators(_read_file(args.group))
     check_degree(degree)
     G = PermGroup.generate(degree, gens)
@@ -104,14 +97,23 @@ def cmd_permprod(args: argparse.Namespace) -> None:
 
 
 def cmd_cycprod(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .permgroups import cyclic_product_class
+
     print(_render(cyclic_product_class(args.n, parse_poly(args.X)), args.latex))
 
 
 def cmd_symprod_series(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .classseries import macdonald_series
+
     print(_render(macdonald_series(parse_poly(args.X), args.order), args.latex))
 
 
 def cmd_zerocycles(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .zerocycles import ZeroCycleTable, closed_series
+
     if args.table:
         table = ZeroCycleTable(args.m, args.n, parse_poly(args.X), args.order)
         for d, value in table.entries():
@@ -121,10 +123,15 @@ def cmd_zerocycles(args: argparse.Namespace) -> None:
 
 
 def cmd_ratio(args: argparse.Namespace) -> None:
+    from .classpoly import parse_poly
+    from .zerocycles import ratio_series
+
     print(_render(ratio_series(args.m, args.n, parse_poly(args.X), args.order), args.latex))
 
 
 def cmd_quotient(args: argparse.Namespace) -> None:
+    from .quotients import burnside_class, centralizer_sum_class, orbit_sum_class, parse_gspace_text
+
     space = parse_gspace_text(_read_file(args.space))
     result = centralizer_sum_class(space)
     check = burnside_class(space)
@@ -138,16 +145,26 @@ def cmd_quotient(args: argparse.Namespace) -> None:
 
 
 def cmd_quotient_descriptor(args: argparse.Namespace) -> None:
+    from .quotients import descriptor_class, parse_descriptor_text
+
     descriptor = parse_descriptor_text(_read_file(args.descriptor))
     print(_render(descriptor_class(descriptor), args.latex))
 
 
 def cmd_orbifold_euler(args: argparse.Namespace) -> None:
+    from .classpoly import check_digits
+    from .quotients import orbifold_euler, parse_cells_text
+
     cells = parse_cells_text(_read_file(args.cells))
     print(check_digits(orbifold_euler(cells)))
 
 
 def cmd_crystal(args: argparse.Namespace) -> None:
+    import warnings
+
+    from .classpoly import check_digits
+    from .quotients import crystal_chi, parse_isometry_classes_text
+
     classes = parse_isometry_classes_text(_read_file(args.descriptor))
     # A non-integral sum is still the answer to print; the library's warning
     # about it would be an extra stderr line outside the exit-code contract.
@@ -158,11 +175,15 @@ def cmd_crystal(args: argparse.Namespace) -> None:
 
 
 def cmd_fixed_point(args: argparse.Namespace) -> None:
+    from .quotients import has_unique_fixed_point, parse_affine_map_text
+
     affine = parse_affine_map_text(_read_file(args.map))
     print("yes" if has_unique_fixed_point(affine) else "no")
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
+    from .classpoly import check_digits, parse_poly
+
     poly = parse_poly(args.expr)
     if not args.at:
         print(_render(poly, args.latex))

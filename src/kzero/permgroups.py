@@ -42,11 +42,17 @@ MAX_DEGREE = 8
 ``permprod`` verb, which checks it before generating the group."""
 
 MAX_ORDER = factorial(MAX_DEGREE)
-"""Most elements ``PermGroup.generate`` builds: 40320 = |S_8|, so any degree up to 8 fits."""
+"""Most elements ``PermGroup.generate`` builds: 40320 = |S_8|, so any degree up to 8 fits.
+Also the largest ``degree=`` a group or G-space file may give: a group of at most this
+order acts faithfully on at most this many points (Cayley)."""
+
+MAX_CYCLIC_ORDER = 10**12
+"""Largest n accepted by ``cyclic_product_class``, which factors n by trial division
+up to its square root: at most 10**6 steps."""
 
 
 class DegreeTooLargeError(PreconditionError):
-    """A degree is above ``MAX_DEGREE``."""
+    """A degree is above ``MAX_DEGREE``, or a file's group degree is above ``MAX_ORDER``."""
 
 
 class OrderCapExceededError(PreconditionError):
@@ -310,13 +316,17 @@ def read_group_line(
     error: type[InputSyntaxError],
 ) -> int:
     """Read one line of the group section of a group or G-space file and return the degree:
-    first ``degree=<int>`` (at least 1), then ``gen <cycles>`` lines, appended to ``gens``."""
+    first ``degree=<int>`` (at least 1, at most ``MAX_ORDER``), then ``gen <cycles>`` lines,
+    appended to ``gens``."""
     if degree is None:
         if not line.startswith("degree="):
             raise error(f"line {lineno}: expected 'degree=<int>' first, got {line!r}")
         degree = read_field(int, line[7:], error, f"line {lineno}: bad degree")
         if degree < 1:
             raise error(f"line {lineno}: degree must be >= 1, got {degree}")
+        if degree > MAX_ORDER:
+            message = f"line {lineno}: group degree is capped at {MAX_ORDER}, got {degree}"
+            raise DegreeTooLargeError(message)
     elif line.startswith("gen "):
         message = f"line {lineno}: bad gen"
         gens.append(read_field(lambda t: _parse_cycles(t, degree), line[4:], error, message))
@@ -408,6 +418,8 @@ def cyclic_product_class(n: int, x_class: PolyLike) -> ClassPoly:
     """[X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d)."""
     if n < 1:
         raise PreconditionError(f"cyclic product needs n >= 1, got {n}")
+    if n > MAX_CYCLIC_ORDER:
+        raise PreconditionError(f"cyclic product is capped at n = {MAX_CYCLIC_ORDER}, got {n}")
     p = as_class(x_class)
     return sum((phi * p ** (n // d) for d, phi in _divisors_with_phi(n)), ClassPoly.zero()) / n
 

@@ -10,7 +10,7 @@ import pytest
 
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero.cli import main
-from kzero.permgroups import PermGroup
+from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_ORDER, PermGroup
 
 EXAMPLE_COMPLEX = "n=5\n1,2,3\n3,4\n3,5\n"
 LINE_GRAPH = "n=5\n1,2\n2,3\n3,4\n4,5\n"
@@ -123,9 +123,9 @@ def test_quotient(tmp_path, capsys):
 
 
 def test_quotient_route_disagreement_exits_4_with_every_value(tmp_path, capsys, monkeypatch):
-    import kzero.cli
+    import kzero.quotients
 
-    monkeypatch.setattr(kzero.cli, "burnside_class", lambda space: ClassPoly.const(7))
+    monkeypatch.setattr(kzero.quotients, "burnside_class", lambda space: ClassPoly.const(7))
     path = tmp_path / "space.txt"
     path.write_text(CIRCLE_SPACE)
     code, out, err = run(capsys, "quotient", "--space", str(path))
@@ -329,6 +329,36 @@ def test_quotient_on_a_group_past_the_order_cap_exits_3_at_once(tmp_path, capsys
     start = time.perf_counter()
     assert_refused(*run(capsys, "quotient", "--space", str(space)))
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("verb, option, text", [
+    ("quotient", "--space", "stratum a class=1\ngroup degree=3000000\ngen (1 2)\n"),
+    ("permprod", "--group", "degree=3000000\ngen (1 2)\n"),
+])
+def test_a_group_degree_past_the_order_cap_exits_3_at_once(tmp_path, capsys, verb, option, text):
+    path = tmp_path / "group.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert_refused(*run(capsys, verb, option, str(path), *(["--X", "x"] if verb == "permprod" else [])))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_group_degree_at_the_order_cap_still_reads(tmp_path, capsys):
+    space = tmp_path / "space.txt"
+    space.write_text(f"stratum a class=x\ngroup degree={MAX_ORDER}\n")
+    assert run(capsys, "quotient", "--space", str(space)) == (0, "x\n", "")
+
+
+def test_a_cyclic_product_past_the_order_cap_exits_3_at_once(capsys):
+    n = 1000000000039  # the least prime past the cap
+    assert n > MAX_CYCLIC_ORDER
+    start = time.perf_counter()
+    assert_refused(*run(capsys, "cycprod", "--n", str(n), "--X", "1"))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_prime_cyclic_order_under_the_cap_still_prints(capsys):
+    assert run(capsys, "cycprod", "--n", "999999999989", "--X", "1") == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("entry", ["1e10000000", "1.5"])

@@ -1,5 +1,6 @@
-"""Each module keeps its private names to itself: no module of the package
-imports an underscore name from a sibling module."""
+"""Import rules read from the source: no module of the package imports an
+underscore name from a sibling module, and the package and its CLI import no
+calculator module at start-up."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 import kzero
 
-MODULES = sorted(Path(kzero.__file__).parent.glob("*.py"))
+PACKAGE = Path(kzero.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def private_imports(path: Path) -> list[str]:
@@ -23,3 +25,31 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_imports_a_private_name_from_a_sibling(path):
     assert private_imports(path) == []
+
+
+def start_up_imports(body: list[ast.stmt]) -> list[str]:
+    """Package modules imported by ``body`` when it runs, relative ones by their bare name:
+    function and class bodies and ``if TYPE_CHECKING:`` blocks do not run at import time
+    and are skipped."""
+    found = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            found += start_up_imports(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "kzero":
+            found.append(node.module)
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "kzero"]
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            found += start_up_imports(getattr(node, field, []))
+    return found
+
+
+@pytest.mark.parametrize("name", ["__init__", "cli"])
+def test_start_up_imports_no_sibling_but_errors(name):
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    assert set(start_up_imports(tree.body)) <= {"errors"}
