@@ -16,6 +16,7 @@ from kzero.polyhedral import (
     delta_config_class_disjoint,
     m_complement_class,
 )
+from kzero.posets import intersection_poset
 from kzero.simplicial import SimplicialComplex
 
 x = ClassPoly.var("x")
@@ -29,12 +30,12 @@ n=5
 """)
 
 delta = delta_config_class(K)
-m, poset = m_complement_class(K, show_poset=True)
+m = m_complement_class(K)
 print("[Delta_K(X)] =", delta)
 print("[M(K, X)]    =", m)
 print("sum          =", delta + m)
 print("intersection poset:")
-print(poset)
+print(intersection_poset(K).render())
 
 # For a closed surface of Euler characteristic 2 the complement class
 # evaluates to an honest Euler characteristic.

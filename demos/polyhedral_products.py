@@ -16,6 +16,7 @@ from kzero.polyhedral import (
     polyhedral_product_class,
     polyhedral_product_complement_class,
 )
+from kzero.posets import intersection_poset
 from kzero.simplicial import SimplicialComplex
 
 x = ClassPoly.var("x")
@@ -31,13 +32,13 @@ print("faces by size:", K.face_count_by_size())
 
 pair = PolyPair(x, a)
 product = polyhedral_product_class(K, pair)
-complement, poset = polyhedral_product_complement_class(K, pair, show_poset=True)
+complement = polyhedral_product_complement_class(K, pair)
 
 print("[(X, A)^K]      =", product)
 print("[X^5 - (X, A)^K] =", complement)
 print("sum             =", product + complement)
 print("intersection poset:")
-print(poset)
+print(intersection_poset(K).render())
 
 # Fat wedges are the polyhedral products of (X, point) over skeleta of the
 # full simplex: at most d coordinates stray from the basepoint.

@@ -32,10 +32,10 @@ _EXPORTS = {
     ),
     "posets": ("IntersectionPoset", "inclusion_exclusion", "intersection_poset"),
     "quotients": (
-        "ActionDescriptor", "AffineMap", "CentralIsometryClass", "DescriptorEntry",
-        "StratifiedGSpace", "burnside_class", "centralizer_sum_class", "crystal_chi",
-        "crystal_quotient_class", "descriptor_class", "has_unique_fixed_point", "orbifold_euler",
-        "orbit_sum_class", "quotient_euler_from_fixed_data",
+        "AffineMap", "CentralIsometryClass", "StratifiedGSpace", "burnside_class",
+        "centralizer_sum_class", "crystal_chi", "crystal_quotient_class", "descriptor_class",
+        "has_unique_fixed_point", "orbifold_euler", "orbit_sum_class",
+        "quotient_euler_from_fixed_data",
     ),
     "simplicial": ("SimplicialComplex", "disjoint_union", "full_simplex"),
     "zerocycles": ("ZeroCycleTable", "closed_series", "ratio_series", "sp_vector_class"),

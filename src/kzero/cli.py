@@ -18,6 +18,7 @@ from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError,
 if TYPE_CHECKING:
     from .classpoly import ClassPoly
     from .classseries import ClassSeries
+    from .simplicial import SimplicialComplex
 
 
 def _read_file(path: str) -> str:
@@ -32,11 +33,13 @@ def _render(value: ClassPoly | ClassSeries, latex: bool) -> str:
     return value.latex() if latex else str(value)
 
 
-def _print_complement(result: ClassPoly | tuple[ClassPoly, str], args: argparse.Namespace) -> None:
-    """Print a complement class, below its poset when ``--show-poset`` asked for one."""
+def _print_complement(K: SimplicialComplex, result: ClassPoly, args: argparse.Namespace) -> None:
+    """Print a complement class of K, below K's intersection poset when ``--show-poset``
+    asked for one; the class is computed first, so a refused input prints nothing."""
     if args.show_poset:
-        result, rendered = result
-        for line in rendered.splitlines():
+        from .posets import intersection_poset
+
+        for line in intersection_poset(K).render().splitlines():
             print(f"# {line}")
     print(_render(result, args.latex))
 
@@ -58,7 +61,7 @@ def cmd_complement(args: argparse.Namespace) -> None:
 
     K = SimplicialComplex.from_text(_read_file(args.complex))
     pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
-    _print_complement(polyhedral_product_complement_class(K, pair, show_poset=args.show_poset), args)
+    _print_complement(K, polyhedral_product_complement_class(K, pair), args)
 
 
 def cmd_fatwedge(args: argparse.Namespace) -> None:
@@ -83,7 +86,7 @@ def cmd_config_complement(args: argparse.Namespace) -> None:
     from .simplicial import SimplicialComplex
 
     K = SimplicialComplex.from_text(_read_file(args.complex))
-    _print_complement(m_complement_class(K, parse_poly(args.X), show_poset=args.show_poset), args)
+    _print_complement(K, m_complement_class(K, parse_poly(args.X)), args)
 
 
 def cmd_permprod(args: argparse.Namespace) -> None:

@@ -37,9 +37,8 @@ mu(sigma) * x^(|sigma| + 1).  The two must sum to x^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classpoly import ClassPoly, PolyLike, as_class
 from .errors import DOutOfRangeError, PreconditionError
@@ -63,16 +62,18 @@ class ComponentIsSingleSimplexError(PreconditionError):
     """A disjoint-union component has fewer than two facets."""
 
 
-@dataclass(frozen=True)
-class PolyPair:
-    """Classes (x, a) of a pair of spaces A inside X, each stored through ``as_class``."""
-
+class _Pair(NamedTuple):
     x_class: ClassPoly
     a_class: ClassPoly
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_class", as_class(self.x_class))
-        object.__setattr__(self, "a_class", as_class(self.a_class))
+
+class PolyPair(_Pair):
+    """Classes (x, a) of a pair of spaces A inside X, each stored through ``as_class``."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_class: PolyLike, a_class: PolyLike) -> PolyPair:
+        return super().__new__(cls, as_class(x_class), as_class(a_class))
 
 
 def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
@@ -87,23 +88,16 @@ def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
     return total
 
 
-def polyhedral_product_complement_class(
-    K: SimplicialComplex, pair: PolyPair, *, show_poset: bool = False
-) -> ClassPoly | tuple[ClassPoly, str]:
+def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
     """[X^n - (X, A)^K] by Möbius inclusion-exclusion over the intersection poset.
 
     Node sigma carries the stratum class x^|sigma| a^(n-|sigma|); the
-    artificial bottom carries the ambient x^n.  With ``show_poset`` the
-    rendered poset is returned alongside the class.
+    artificial bottom carries the ambient x^n.
     """
     x, a = pair.x_class, pair.a_class
-    poset = intersection_poset(K)
-    result = inclusion_exclusion(
-        poset, lambda vs: x ** len(vs) * a ** (K.n - len(vs)), x ** K.n
+    return inclusion_exclusion(
+        intersection_poset(K), lambda vs: x ** len(vs) * a ** (K.n - len(vs)), x ** K.n
     )
-    if show_poset:
-        return result, poset.render()
-    return result
 
 
 def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPoly:
@@ -165,9 +159,7 @@ def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
 
 
 def delta_config_class_disjoint(
-    components: Sequence[SimplicialComplex],
-    x_class: PolyLike | None = None,
-    component_classes: Sequence[PolyLike] | None = None,
+    components: Sequence[SimplicialComplex], x_class: PolyLike | None = None
 ) -> ClassPoly:
     """[Delta_K(X)] when K is a disjoint union of N >= 3 components.
 
@@ -176,18 +168,15 @@ def delta_config_class_disjoint(
 
         sum_i [Delta_{K_i}(X)] - (N - 1) x.
 
-    Per-component classes are computed by ``delta_config_class`` (each
-    component then needs its own dimension condition) unless supplied in
-    ``component_classes``.  Every component must have at least two facets,
-    and no face may exhaust its component's vertex set.
+    Per-component classes are computed by ``delta_config_class``, so each
+    component needs its own dimension condition.  Every component must have
+    at least two facets, and no face may exhaust its component's vertex set.
     """
     x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if len(components) < 3:
         raise TooFewComponentsError(
             f"disjoint-union arrangement formula needs >= 3 components, got {len(components)}"
         )
-    if component_classes is not None and len(component_classes) != len(components):
-        raise ValueError("one supplied class per component required")
     for i, K in enumerate(components):
         if len(K.facets) < 2:
             raise ComponentIsSingleSimplexError(
@@ -197,19 +186,13 @@ def delta_config_class_disjoint(
             raise ComponentIsSingleSimplexError(
                 f"component {i} has a facet exhausting its vertex set"
             )
-    if component_classes is None:
-        pieces = [delta_config_class(K, x) for K in components]
-    else:
-        pieces = [as_class(c) for c in component_classes]
     total = ClassPoly.zero()
-    for p in pieces:
-        total = total + p
+    for K in components:
+        total = total + delta_config_class(K, x)
     return total - (len(components) - 1) * x
 
 
-def m_complement_class(
-    K: SimplicialComplex, x_class: PolyLike | None = None, *, show_poset: bool = False
-) -> ClassPoly | tuple[ClassPoly, str]:
+def m_complement_class(K: SimplicialComplex, x_class: PolyLike | None = None) -> ClassPoly:
     """[M(K, X)] = [X^n - Delta_K(X)] via the intersection poset.
 
     Node sigma contributes mu(sigma) * x^(|sigma| + 1); the bottom carries
@@ -219,11 +202,7 @@ def m_complement_class(
     if len(K.facets) < 2:
         raise SingleSimplexError("complement of an arrangement needs at least two facets")
     _check_dimension_condition(K)
-    poset = intersection_poset(K)
-    result = inclusion_exclusion(poset, lambda vs: x ** (len(vs) + 1), x ** K.n)
-    if show_poset:
-        return result, poset.render()
-    return result
+    return inclusion_exclusion(intersection_poset(K), lambda vs: x ** (len(vs) + 1), x ** K.n)
 
 
 def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:

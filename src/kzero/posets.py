@@ -33,9 +33,8 @@ which is the contract ``class_of`` must meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classpoly import ClassPoly
 from .errors import PreconditionError
@@ -46,8 +45,7 @@ class EmptyComplexError(PreconditionError):
     """An operation needing at least one facet was given a complex without any."""
 
 
-@dataclass(frozen=True)
-class PosetNode:
+class PosetNode(NamedTuple):
     """One node: its vertex set (None for the artificial bottom) and Möbius value."""
 
     vertex_set: Simplex | None

@@ -19,9 +19,10 @@ they must agree:
   [S] / |{h in C(g) : h S = S}|.
 
 The centralizer sum is the form that extends to infinite discrete groups:
-an ActionDescriptor records, for finitely many element labels, the strata
-fixed by that element together with the orders of the corresponding
-stabilizer intersections, and its class is the same double sum.
+an action descriptor is a list of (label, class, order) rows, one per
+stratum orbit fixed by a finite-order conjugacy representative, giving the
+representative's label, the stratum class and the order of the stabilizer
+intersection; its class is the same double sum taken over the rows.
 
 Independently, the orbifold Euler characteristic of a cocompact action on a
 cell complex is e(Gamma, X) = sum over cell orbit representatives of
@@ -37,13 +38,14 @@ fixed point.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .classpoly import ClassPoly, PolyLike, as_class, parse_poly
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
-from .permgroups import PermGroup, Permutation, read_group_line
+
+if TYPE_CHECKING:
+    from .permgroups import PermGroup, Permutation
 
 
 class DimensionMismatchError(PreconditionError):
@@ -102,6 +104,8 @@ class StratifiedGSpace:
     def _extend(
         self, gens: tuple[Permutation, ...], gen_action: Sequence[Permutation], m: int
     ) -> dict[Permutation, Permutation]:
+        from .permgroups import Permutation
+
         e = Permutation.identity(self._group.degree)
         action = {e: Permutation.identity(m)}
         frontier = [e]
@@ -208,31 +212,13 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
 # -- descriptors for infinite discrete groups --------------------------------
 
 
-@dataclass(frozen=True)
-class DescriptorEntry:
-    """One finite-order conjugacy representative: its label and, per stratum
-    orbit of its fixed set, the stratum class and the order of the stabilizer
-    intersection dividing it."""
-
-    label: str
-    strata: tuple[tuple[PolyLike, int], ...]
-
-
-@dataclass(frozen=True)
-class ActionDescriptor:
-    entries: tuple[DescriptorEntry, ...]
-
-
-def descriptor_class(descriptor: ActionDescriptor) -> ClassPoly:
-    """Sum of stratum class / stabilizer order over every entry row."""
+def descriptor_class(rows: Iterable[tuple[str, PolyLike, int]]) -> ClassPoly:
+    """Sum of stratum class / stabilizer order over the (label, class, order) rows."""
     total = ClassPoly.zero()
-    for entry in descriptor.entries:
-        for cls, order in entry.strata:
-            if order < 1:
-                raise PreconditionError(
-                    f"stabilizer order must be >= 1, got {order} in entry {entry.label!r}"
-                )
-            total = total + as_class(cls) / order
+    for label, cls, order in rows:
+        if order < 1:
+            raise PreconditionError(f"stabilizer order must be >= 1, got {order} in entry {label!r}")
+        total = total + as_class(cls) / order
     return total
 
 
@@ -243,6 +229,8 @@ def orbifold_euler(cells: Iterable[tuple[int, int]]) -> Fraction:
     """e(Gamma, X) = sum over cell orbit representatives of (-1)^dim / |stabilizer|."""
     total = Fraction(0)
     for dim, stabilizer_order in cells:
+        if dim < 0:
+            raise PreconditionError(f"cell dimension must be >= 0, got {dim}")
         if stabilizer_order < 1:
             raise PreconditionError(f"stabilizer order must be >= 1, got {stabilizer_order}")
         total += Fraction((-1) ** dim, stabilizer_order)
@@ -260,8 +248,7 @@ def quotient_euler_from_fixed_data(
 # -- crystallographic groups --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralIsometryClass:
+class CentralIsometryClass(NamedTuple):
     """A conjugacy class of central isometries and its centralizer order."""
 
     label: str
@@ -294,19 +281,25 @@ def crystal_quotient_class(classes: Sequence[CentralIsometryClass]) -> ClassPoly
 # -- affine maps ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> linear @ x + translation with exact rational entries."""
-
+class _Affine(NamedTuple):
     linear: tuple[tuple[Fraction, ...], ...]
     translation: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.translation)
-        if len(self.linear) != n or any(len(row) != n for row in self.linear):
+
+class AffineMap(_Affine):
+    """x -> linear @ x + translation with exact rational entries."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, linear: tuple[tuple[Fraction, ...], ...], translation: tuple[Fraction, ...]
+    ) -> AffineMap:
+        n = len(translation)
+        if len(linear) != n or any(len(row) != n for row in linear):
             raise DimensionMismatchError(
                 f"linear part must be {n}x{n} to match a translation of length {n}"
             )
+        return super().__new__(cls, linear, translation)
 
     @property
     def dimension(self) -> int:
@@ -355,6 +348,8 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
     a group file; one ``action <k> [<label>-><label> ...]`` line per generator
     (k is the 1-based generator number; unmentioned labels stay fixed).
     """
+    from .permgroups import PermGroup, Permutation, read_group_line
+
     strata: list[tuple[str, ClassPoly]] = []
     degree: int | None = None
     gens: list[Permutation] = []
@@ -402,20 +397,20 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
         raise GSpaceFormatError(str(e)) from None
 
 
-def parse_descriptor_text(text: str) -> ActionDescriptor:
+def parse_descriptor_text(text: str) -> list[tuple[str, ClassPoly, int]]:
     """Read an action descriptor: one ``<label> c=<int> class=<poly>`` line per row.
 
-    Rows with one label aggregate into one entry, in order of first appearance.
+    Returns the (label, class, order) rows in file order.
     """
-    rows: dict[str, list[tuple[ClassPoly, int]]] = {}
+    rows: list[tuple[str, ClassPoly, int]] = []
     for lineno, line in data_lines(text):
         parts = line.split(None, 2)
         if len(parts) != 3 or not parts[1].startswith("c=") or not parts[2].startswith("class="):
             raise GSpaceFormatError(f"line {lineno}: expected '<label> c=<int> class=<poly>'")
         c = read_field(int, parts[1][2:], GSpaceFormatError, f"line {lineno}: bad stabilizer order")
         cls = read_field(parse_poly, parts[2][6:], GSpaceFormatError, f"line {lineno}: bad class")
-        rows.setdefault(parts[0], []).append((cls, c))
-    return ActionDescriptor(tuple(DescriptorEntry(label, tuple(r)) for label, r in rows.items()))
+        rows.append((parts[0], cls, c))
+    return rows
 
 
 def parse_isometry_classes_text(text: str) -> list[CentralIsometryClass]:

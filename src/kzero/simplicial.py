@@ -24,9 +24,8 @@ representation (an empty line reads as a blank, not a facet).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, groupby
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
@@ -184,8 +183,7 @@ def full_simplex(n: int) -> SimplicialComplex:
     return SimplicialComplex(n, [tuple(range(1, n + 1))])
 
 
-@dataclass(frozen=True)
-class DisjointUnion:
+class DisjointUnion(NamedTuple):
     """A disjoint union of complexes with its component bookkeeping.
 
     ``spans[i]`` is the (first, last) vertex range, inclusive, occupied by

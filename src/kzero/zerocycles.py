@@ -31,7 +31,6 @@ from typing import Iterator, Sequence
 from .classpoly import ClassPoly, PolyLike, as_class
 from .classseries import ClassSeries, binomial_series, macdonald_series
 from .errors import DOutOfRangeError, PreconditionError
-from .permgroups import symmetric_product_class
 
 DegreeVector = tuple[int, ...]
 
@@ -42,6 +41,8 @@ class OrderExceedsTableError(PreconditionError):
 
 def sp_vector_class(d: Sequence[int], x_class: PolyLike) -> ClassPoly:
     """[SP^d(X)] = product over i of C(x + d_i - 1, d_i)."""
+    from .permgroups import symmetric_product_class
+
     p = as_class(x_class)
     total = ClassPoly.one()
     for di in d:

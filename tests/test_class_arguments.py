@@ -21,12 +21,7 @@ from kzero.polyhedral import (
     m_complement_class,
     w_class,
 )
-from kzero.quotients import (
-    ActionDescriptor,
-    DescriptorEntry,
-    StratifiedGSpace,
-    descriptor_class,
-)
+from kzero.quotients import StratifiedGSpace, descriptor_class
 from kzero.simplicial import SimplicialComplex
 from kzero.zerocycles import ZeroCycleTable, closed_series, ratio_series, sp_vector_class
 
@@ -56,9 +51,7 @@ ENTRY_POINTS = {
     "closed_series": lambda c: closed_series(2, 1, c, 4),
     "ratio_series": lambda c: ratio_series(2, 1, c, 4),
     "StratifiedGSpace": lambda c: StratifiedGSpace([("p", c)], PermGroup.trivial(1), []).classes,
-    "descriptor_class": lambda c: descriptor_class(
-        ActionDescriptor((DescriptorEntry("id", ((c, 2),)),))
-    ),
+    "descriptor_class": lambda c: descriptor_class([("id", c, 2)]),
 }
 
 

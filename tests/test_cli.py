@@ -292,6 +292,20 @@ def assert_refused(code: int, out: str, err: str) -> None:
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_show_poset_on_a_refused_complex_prints_nothing(tmp_path, capsys):
+    single = tmp_path / "single.txt"
+    single.write_text("n=5\n1,2\n")
+    assert_refused(
+        *run(capsys, "config-complement", "--complex", str(single), "--X", "x", "--show-poset")
+    )
+
+
+def test_a_negative_cell_dimension_exits_3(tmp_path, capsys):
+    path = tmp_path / "cells.txt"
+    path.write_text("0 2\n-1 2\n")
+    assert_refused(*run(capsys, "orbifold-euler", "--cells", str(path)))
+
+
 def test_parentheses_at_the_nesting_limit_still_parse(capsys):
     assert run(capsys, "eval", nested(MAX_NESTING)) == (0, "x\n", "")
 

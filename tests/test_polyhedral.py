@@ -50,13 +50,6 @@ def test_example_complement_class():
     assert str(got) == "x^5 - x^3*a^2 - 2*x^2*a^3 + 2*x*a^4"
 
 
-def test_show_poset_returns_rendering():
-    got, rendered = polyhedral_product_complement_class(EXAMPLE, PAIR, show_poset=True)
-    assert got == polyhedral_product_complement_class(EXAMPLE, PAIR)
-    assert rendered.splitlines()[0] == "ambient  mu=1"
-    assert "{3}      mu=2" in rendered
-
-
 def test_product_plus_complement_is_ambient_power():
     rng = random.Random(123)
     for _ in range(200):
@@ -185,13 +178,6 @@ def test_m_complement_needs_two_facets():
         m_complement_class(SimplicialComplex(5, [[1, 2]]))
 
 
-def test_m_complement_show_poset():
-    K = SimplicialComplex(5, [[1], [2], [3]])
-    m, rendered = m_complement_class(K, show_poset=True)
-    assert m == m_complement_class(K)
-    assert rendered.splitlines()[0] == "ambient  mu=1"
-
-
 def test_disjoint_arrangement_matches_direct_formula():
     rng = random.Random(999)
     for _ in range(60):
@@ -200,15 +186,6 @@ def test_disjoint_arrangement_matches_direct_formula():
             continue
         U = disjoint_union(parts)
         assert delta_config_class_disjoint(parts) == delta_config_class(U.complex)
-
-
-def test_disjoint_arrangement_accepts_supplied_classes():
-    parts = [SimplicialComplex(5, [[1], [2]]) for _ in range(3)]
-    direct = delta_config_class_disjoint(parts)
-    supplied = delta_config_class_disjoint(
-        parts, component_classes=[delta_config_class(K) for K in parts]
-    )
-    assert direct == supplied
 
 
 def test_disjoint_arrangement_errors():

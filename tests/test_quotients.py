@@ -7,13 +7,11 @@ from fractions import Fraction
 import pytest
 
 from kzero.classpoly import ClassPoly
-from kzero.errors import InputSyntaxError
+from kzero.errors import InputSyntaxError, PreconditionError
 from kzero.permgroups import PermGroup, Permutation
 from kzero.quotients import (
-    ActionDescriptor,
     AffineMap,
     CentralIsometryClass,
-    DescriptorEntry,
     DimensionMismatchError,
     GSpaceFormatError,
     StratifiedGSpace,
@@ -175,21 +173,22 @@ t2 c=2 class=1
 
 
 def test_descriptor_file_and_class():
-    desc = parse_descriptor_text(DIHEDRAL_DESCRIPTOR)
-    assert [e.label for e in desc.entries] == ["id", "t1", "t2"]
-    assert len(desc.entries[0].strata) == 3
-    assert descriptor_class(desc) == ONE
+    rows = parse_descriptor_text(DIHEDRAL_DESCRIPTOR)
+    assert [(label, order) for label, _, order in rows] == [
+        ("id", 2), ("id", 1), ("id", 2), ("t1", 2), ("t2", 2)
+    ]
+    assert [str(cls) for _, cls, _ in rows] == ["1", "-1", "1", "1", "1"]
+    assert descriptor_class(rows) == ONE
 
 
 def test_descriptor_with_an_int_class_divides_exactly():
-    got = descriptor_class(ActionDescriptor((DescriptorEntry("id", ((1, 2),)),)))
+    got = descriptor_class([("id", 1, 2)])
     assert isinstance(got, ClassPoly) and got == Fraction(1, 2)
 
 
 def test_descriptor_rejects_bad_orders():
-    bad = ActionDescriptor((DescriptorEntry("g", ((ONE, 0),)),))
-    with pytest.raises(ValueError):
-        descriptor_class(bad)
+    with pytest.raises(PreconditionError, match="in entry 'g'"):
+        descriptor_class([("id", ONE, 1), ("g", ONE, 0)])
     with pytest.raises(GSpaceFormatError):
         parse_descriptor_text("id c=x class=1\n")
     with pytest.raises(GSpaceFormatError):
@@ -203,24 +202,21 @@ def test_descriptor_matches_finite_centralizer_sum():
     rng = random.Random(77)
     for _ in range(20):
         space = random_gspace(rng)
-        entries = []
+        rows = []
         for g, _ in space.group.conjugacy_classes():
             fixed = space.fixed_strata(g)
             if not fixed:
                 continue
             centralizer = space.group.centralizer(g)
             seen: set[int] = set()
-            rows = []
             for i in fixed:
                 if i in seen:
                     continue
                 orbit = {space.action_of(h)(i + 1) - 1 for h in centralizer}
                 seen.update(orbit)
                 stab = sum(1 for h in centralizer if space.action_of(h)(i + 1) == i + 1)
-                rows.append((space.classes[i], stab))
-            entries.append(DescriptorEntry(str(g), tuple(rows)))
-        desc = ActionDescriptor(tuple(entries))
-        assert descriptor_class(desc) == orbit_sum_class(space)
+                rows.append((str(g), space.classes[i], stab))
+        assert descriptor_class(rows) == orbit_sum_class(space)
 
 
 # -- orbifold and crystallographic sums ----------------------------------------
@@ -232,6 +228,13 @@ def test_orbifold_euler_values():
     assert orbifold_euler([(0, 3)]) == Fraction(1, 3)
     with pytest.raises(ValueError):
         orbifold_euler([(0, 0)])
+
+
+def test_a_negative_cell_dimension_is_refused():
+    with pytest.raises(PreconditionError, match="cell dimension must be >= 0, got -1"):
+        orbifold_euler([(0, 2), (-1, 2)])
+    with pytest.raises(PreconditionError, match="cell dimension"):
+        quotient_euler_from_fixed_data([[(0, 2)], [(-1, 2)]])
 
 
 def test_quotient_euler_from_fixed_data():
