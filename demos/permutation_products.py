@@ -8,6 +8,7 @@ different quotients: where the transposition sits matters, not just the
 abstract group.
 """
 
+from collections import Counter
 from math import factorial
 
 from kzero.classpoly import ClassPoly
@@ -17,8 +18,6 @@ from kzero.permgroups import (
     burnside_quotient_class,
     coset_chi,
     cyclic_product_class,
-    partitions_with_weights,
-    permutation_of_cycle_type,
     permutation_product_class,
     symmetric_product_class,
 )
@@ -35,12 +34,15 @@ swap_pairs = PermGroup.generate(4, [Permutation.from_cycles("(1 2)(3 4)", 4)])
 print("[X^4 / <(1 2)>]      =", burnside_quotient_class(swap_two, x))
 print("[X^4 / <(1 2)(3 4)>] =", burnside_quotient_class(swap_pairs, x))
 
-# The paper sums by cycle type instead, weighting each type by the number
-# chi^G of G-stable cosets; term by term this is the element average.
+# The paper sums by cycle type instead, weighting each type lambda by the
+# number h_lambda of its permutations in S_4 and the number chi^G of G-stable
+# cosets; term by term this is the element average.  chi^G vanishes on the
+# types G does not meet, so the sum runs over one element of G per type.
+h = Counter(s.cycle_type() for s in PermGroup.symmetric(4))
 for G in (swap_two, swap_pairs, PermGroup.cyclic(4)):
     by_type = ClassPoly.zero()
-    for lam, weight in partitions_with_weights(4):
-        by_type += weight * coset_chi(G, permutation_of_cycle_type(lam)) * x ** len(lam)
+    for lam, sigma in {g.cycle_type(): g for g in G}.items():
+        by_type += h[lam] * coset_chi(G, sigma) * x ** len(lam)
     assert by_type / factorial(4) == permutation_product_class(G, x)
 print("cycle-type sum agrees with the element average on all three groups")
 

@@ -24,6 +24,11 @@ The class formulas here are all averages over a group:
 
 Composition is (p * q)(i) = p(q(i)).  Cycle notation reads and prints as
 "(1 2)(3 4)" with fixed points omitted and "()" for the identity.
+
+Every set the group layer builds is a breadth-first ``closure``: a group is the
+identity closed under left multiplication by its generators, a conjugacy class
+a member closed under conjugation by them, and ``quotients`` closes stratum
+indices and (element, action) pairs the same way.
 """
 
 from __future__ import annotations
@@ -31,15 +36,15 @@ from __future__ import annotations
 import re
 from collections import Counter
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .classpoly import ClassPoly, PolyLike, as_class, binomial
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
 
 MAX_DEGREE = 8
-"""Largest degree accepted by ``coset_chi``, ``partitions_with_weights`` and the
-``permprod`` verb, which checks it before generating the group."""
+"""Largest degree accepted by ``coset_chi`` and the ``permprod`` verb, which checks it
+before generating the group."""
 
 MAX_ORDER = factorial(MAX_DEGREE)
 """Most elements ``PermGroup.generate`` builds: 40320 = |S_8|, so any degree up to 8 fits.
@@ -63,8 +68,44 @@ class PermParseError(InputSyntaxError):
     """Text is not valid cycle notation."""
 
 
+T = TypeVar("T")
+
+
+def closure(start: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) -> set[T]:
+    """Everything reached from ``start`` by applying ``moves`` again and again, found
+    breadth first.  Stops as soon as more than ``limit`` items are found and returns
+    those, so a result longer than ``limit`` means the closure overflowed."""
+    found = set(start)
+    frontier = list(found)
+    while frontier:
+        fresh: list[T] = []
+        for item in frontier:
+            for move in moves:
+                image = move(item)
+                if image not in found:
+                    found.add(image)
+                    if len(found) > limit:
+                        return found
+                    fresh.append(image)
+        frontier = fresh
+    return found
+
+
+def closures(items: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) -> list[tuple[T, ...]]:
+    """The distinct closures of ``items``, each sorted, in the order of their first item."""
+    seen: set[T] = set()
+    out: list[tuple[T, ...]] = []
+    for item in items:
+        if item not in seen:
+            found = closure([item], moves, limit)
+            seen |= found
+            out.append(tuple(sorted(found)))
+    return out
+
+
 class Permutation:
-    """A permutation of 1..n, stored by its image tuple."""
+    """A permutation of 1..n, stored by its image tuple.  The constructor checks its
+    input; products and inverses are built through the trusted ``_make``."""
 
     __slots__ = ("_images",)
 
@@ -74,6 +115,13 @@ class Permutation:
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {imgs!r}")
         self._images = imgs
+
+    @classmethod
+    def _make(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple known to be a permutation of 1..n, unchecked."""
+        p = object.__new__(cls)
+        p._images = images
+        return p
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
@@ -96,13 +144,14 @@ class Permutation:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(self._images[j - 1] for j in other._images)
+        images = self._images
+        return Permutation._make(tuple([images[j - 1] for j in other._images]))
 
     def inverse(self) -> Permutation:
         inv = [0] * self.degree
         for i, j in enumerate(self._images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._make(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least element, sorted by that element."""
@@ -186,7 +235,11 @@ def _parse_cycles(text: str, degree: int) -> Permutation:
 
 
 class PermGroup:
-    """A finite group of permutations of 1..n, with its full element list."""
+    """A finite group of permutations of 1..n, with its full element list.
+
+    Contract: the elements are the closure of the generators, as ``generate`` builds
+    them; ``conjugacy_classes`` relies on it and ``StratifiedGSpace`` checks it.
+    """
 
     __slots__ = ("_degree", "_generators", "_elements", "_element_set")
 
@@ -200,24 +253,15 @@ class PermGroup:
 
     @classmethod
     def generate(cls, degree: int, generators: Iterable[Permutation]) -> PermGroup:
-        """Close the generators under composition; error beyond ``MAX_ORDER`` elements."""
+        """Close the identity under left multiplication by the generators; error beyond
+        ``MAX_ORDER`` elements."""
         gens = tuple(generators)
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} does not match {degree}")
-        elements = {Permutation.identity(degree)}
-        frontier = list(elements)
-        while frontier:
-            fresh: list[Permutation] = []
-            for g in frontier:
-                for s in gens:
-                    h = s * g
-                    if h not in elements:
-                        elements.add(h)
-                        fresh.append(h)
-                        if len(elements) > MAX_ORDER:
-                            raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
-            frontier = fresh
+        elements = closure([Permutation.identity(degree)], [s.__mul__ for s in gens], MAX_ORDER)
+        if len(elements) > MAX_ORDER:
+            raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
         return cls(degree, gens, elements)
 
     @classmethod
@@ -273,16 +317,10 @@ class PermGroup:
         return len(self._elements)
 
     def conjugacy_classes(self) -> list[tuple[Permutation, tuple[Permutation, ...]]]:
-        """(representative, members) per class; representatives are the least unvisited elements."""
-        seen: set[Permutation] = set()
-        out: list[tuple[Permutation, tuple[Permutation, ...]]] = []
-        for g in self._elements:
-            if g in seen:
-                continue
-            members = {h * g * h.inverse() for h in self._elements}
-            seen.update(members)
-            out.append((g, tuple(sorted(members))))
-        return out
+        """(representative, members) per class, by least member; each class is a member
+        closed under conjugation by the generators, and its least member represents it."""
+        conjugations = [lambda g, s=s, t=s.inverse(): s * g * t for s in self._generators]
+        return [(c[0], c) for c in closures(self._elements, conjugations, self.order)]
 
     def centralizer(self, g: Permutation) -> PermGroup:
         members = [h for h in self._elements if h * g == g * h]
@@ -335,19 +373,13 @@ def read_group_line(
     return degree
 
 
-# -- partitions --------------------------------------------------------------
+# -- class formulas ----------------------------------------------------------
 
 
-def partitions_with_weights(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All partitions of n (decreasing) with the count of permutations of that cycle type.
-
-    The count is h_lambda = n! / (product of parts * product of multiplicity
-    factorials).  n is checked against ``MAX_DEGREE``.
-    """
-    if n < 1:
-        raise ValueError("partitions need n >= 1")
-    check_degree(n)
-    return [(lam, factorial(n) // _centralizer_order(lam)) for lam in _partitions(n, n)]
+def check_degree(n: int) -> None:
+    """Refuse a degree above ``MAX_DEGREE`` with ``DegreeTooLargeError``."""
+    if n > MAX_DEGREE:
+        raise DegreeTooLargeError(f"permutation products are capped at degree {MAX_DEGREE}, got {n}")
 
 
 def _centralizer_order(lam: Sequence[int]) -> int:
@@ -356,35 +388,6 @@ def _centralizer_order(lam: Sequence[int]) -> int:
     for k, m in Counter(lam).items():
         z *= k ** m * factorial(m)
     return z
-
-
-def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def permutation_of_cycle_type(lam: Sequence[int]) -> Permutation:
-    """A canonical permutation with the given cycle type: consecutive blocks."""
-    images: list[int] = []
-    start = 1
-    for part in lam:
-        block = list(range(start, start + part))
-        images.extend(block[1:] + block[:1])
-        start += part
-    return Permutation(images)
-
-
-# -- class formulas ----------------------------------------------------------
-
-
-def check_degree(n: int) -> None:
-    """Refuse a degree above ``MAX_DEGREE`` with ``DegreeTooLargeError``."""
-    if n > MAX_DEGREE:
-        raise DegreeTooLargeError(f"permutation products are capped at degree {MAX_DEGREE}, got {n}")
 
 
 def coset_chi(G: PermGroup, sigma: Permutation) -> int:

@@ -38,7 +38,7 @@ mu(sigma) * x^(|sigma| + 1).  The two must sum to x^n.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .classpoly import ClassPoly, PolyLike, as_class
 from .errors import DOutOfRangeError, PreconditionError
@@ -74,6 +74,11 @@ class PolyPair(_Pair):
 
     def __new__(cls, x_class: PolyLike, a_class: PolyLike) -> PolyPair:
         return super().__new__(cls, as_class(x_class), as_class(a_class))
+
+    @classmethod
+    def _make(cls, fields: Iterable[PolyLike]) -> PolyPair:
+        """Build through ``__new__``, so ``_replace`` checks its fields too."""
+        return cls(*fields)
 
 
 def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:

@@ -60,12 +60,14 @@ class StratifiedGSpace:
     """Finitely many labeled strata with classes, and a stratum-permuting G-action.
 
     The action is given on the group's generators as permutations of the
-    strata (by index, 1-based) and extended multiplicatively to all of G.
-    Construction checks act(s g) = act(s) act(g) on every edge (s, g) of the
-    Cayley graph, which by induction on word length makes the extension a
-    well-defined homomorphism.  It also checks that strata in one orbit carry
-    equal classes; the model reads "g maps stratum S isomorphically onto
-    stratum gS", so unequal classes in an orbit are inconsistent input.
+    strata (by index, 1-based).  Construction closes the pair (identity,
+    identity) under the (generator, action) pairs; these generate a subgroup of
+    G x S_m, so the action extends to a homomorphism on G exactly when no
+    element is reached with two images, and |G| + 1 pairs are enough to find
+    one.  Every element reached must be one of G's own.  It also checks that
+    strata in one orbit carry equal classes; the model reads "g maps stratum S
+    isomorphically onto stratum gS", so unequal classes in an orbit are
+    inconsistent input.
     """
 
     def __init__(
@@ -74,6 +76,8 @@ class StratifiedGSpace:
         group: PermGroup,
         generator_action: Sequence[Permutation],
     ):
+        from .permgroups import closures
+
         self._labels = tuple(label for label, _ in strata)
         self._classes = tuple(as_class(cls) for _, cls in strata)
         if len(set(self._labels)) != len(self._labels):
@@ -91,7 +95,8 @@ class StratifiedGSpace:
                     f"strata permutation degree {perm.degree} does not match {m} strata"
                 )
         self._action = self._extend(gens, generator_action, m)
-        self._orbits = self._compute_orbits()
+        moves = [lambda i, a=a: a(i + 1) - 1 for a in generator_action]
+        self._orbits = tuple(closures(range(m), moves, m))
         for orbit in self._orbits:
             first = self._classes[orbit[0]]
             for i in orbit[1:]:
@@ -104,41 +109,19 @@ class StratifiedGSpace:
     def _extend(
         self, gens: tuple[Permutation, ...], gen_action: Sequence[Permutation], m: int
     ) -> dict[Permutation, Permutation]:
-        from .permgroups import Permutation
+        from .permgroups import Permutation, closure
 
-        e = Permutation.identity(self._group.degree)
-        action = {e: Permutation.identity(m)}
-        frontier = [e]
-        while frontier:
-            fresh: list[Permutation] = []
-            for g in frontier:
-                for s, s_act in zip(gens, gen_action):
-                    h = s * g
-                    img = s_act * action[g]
-                    if h not in action:
-                        action[h] = img
-                        fresh.append(h)
-                    elif action[h] != img:
-                        raise ValueError(
-                            "generator actions do not extend to a homomorphism "
-                            f"(conflict at {h})"
-                        )
-            frontier = fresh
+        start = (Permutation.identity(self._group.degree), Permutation.identity(m))
+        moves = [lambda pair, s=s, a=a: (s * pair[0], a * pair[1]) for s, a in zip(gens, gen_action)]
+        action: dict[Permutation, Permutation] = {}
+        for g, img in closure([start], moves, self._group.order):
+            if action.setdefault(g, img) != img:
+                raise ValueError(
+                    f"generator actions do not extend to a homomorphism (conflict at {g})"
+                )
         if action.keys() != set(self._group):
             raise ValueError("generators do not generate the given group")
         return action
-
-    def _compute_orbits(self) -> tuple[tuple[int, ...], ...]:
-        m = len(self._labels)
-        seen: set[int] = set()
-        orbits: list[tuple[int, ...]] = []
-        for i in range(m):
-            if i in seen:
-                continue
-            orbit = {self._action[g](i + 1) - 1 for g in self._group}
-            seen.update(orbit)
-            orbits.append(tuple(sorted(orbit)))
-        return tuple(orbits)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -300,6 +283,11 @@ class AffineMap(_Affine):
                 f"linear part must be {n}x{n} to match a translation of length {n}"
             )
         return super().__new__(cls, linear, translation)
+
+    @classmethod
+    def _make(cls, fields: Iterable[tuple]) -> AffineMap:
+        """Build through ``__new__``, so ``_replace`` checks its fields too."""
+        return cls(*fields)
 
     @property
     def dimension(self) -> int:

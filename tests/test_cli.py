@@ -10,7 +10,7 @@ import pytest
 
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero.cli import main
-from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_ORDER, PermGroup
+from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_ORDER, PermGroup, Permutation
 
 EXAMPLE_COMPLEX = "n=5\n1,2,3\n3,4\n3,5\n"
 LINE_GRAPH = "n=5\n1,2\n2,3\n3,4\n4,5\n"
@@ -120,6 +120,22 @@ def test_quotient(tmp_path, capsys):
     path.write_text(CIRCLE_SPACE)
     code, out, _ = run(capsys, "quotient", "--space", str(path))
     assert (code, out) == (0, "1\n")
+
+
+def test_quotient_on_an_action_that_breaks_a_relation_exits_2(tmp_path, capsys):
+    # (1 2) acts trivially and (1 2 3) as a 3-cycle, but (1 2)(1 2 3)(1 2) = (1 2 3)^-1.
+    # The (element, action) pairs then reach each element of S3 with three images.
+    path = tmp_path / "space.txt"
+    path.write_text(
+        "stratum s1 class=1\nstratum s2 class=1\nstratum s3 class=1\n"
+        "group degree=3\ngen (1 2)\ngen (1 2 3)\naction 2 s1->s2 s2->s3 s3->s1\n"
+    )
+    code, out, err = run(capsys, "quotient", "--space", str(path))
+    assert (code, out) == (2, "")
+    prefix = "error: generator actions do not extend to a homomorphism (conflict at "
+    assert err.startswith(prefix) and err.endswith(")\n") and err.count("\n") == 1
+    named = err[len(prefix):-2]
+    assert Permutation.from_cycles(named, 3) in PermGroup.symmetric(3)
 
 
 def test_quotient_route_disagreement_exits_4_with_every_value(tmp_path, capsys, monkeypatch):

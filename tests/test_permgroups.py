@@ -18,17 +18,18 @@ from kzero.permgroups import (
     coset_chi,
     cyclic_product_class,
     parse_group_text,
-    partitions_with_weights,
-    permutation_of_cycle_type,
     permutation_product_class,
     symmetric_product_class,
 )
 from util import (
+    brute_force_conjugacy_classes,
     brute_force_coset_chi,
     count_coloring_orbits,
     cycle_type_quotient_class,
     gcd_count_cyclic_product_class,
     left_cosets,
+    partitions_with_weights,
+    permutation_of_cycle_type,
     random_subgroup,
 )
 
@@ -130,6 +131,14 @@ def test_conjugacy_classes_partition_the_group():
             assert len(cls) * G.centralizer(rep).order == G.order
 
 
+def test_conjugacy_classes_match_conjugating_by_every_element():
+    rng = random.Random(13)
+    groups = [random_subgroup(rng, rng.randint(1, 6)) for _ in range(40)]
+    groups += [PermGroup.symmetric(n) for n in range(1, 7)]
+    for G in groups:
+        assert G.conjugacy_classes() == brute_force_conjugacy_classes(G), G.generators
+
+
 def test_symmetric_group_class_equation():
     sizes = sorted(len(cls) for _, cls in PermGroup.symmetric(4).conjugacy_classes())
     assert sizes == [1, 3, 6, 6, 8]
@@ -181,11 +190,6 @@ def test_partition_weights_count_cycle_types():
             t = g.cycle_type()
             by_type[t] = by_type.get(t, 0) + 1
         assert dict(partitions_with_weights(n)) == by_type
-
-
-def test_partition_cap():
-    with pytest.raises(DegreeTooLargeError):
-        partitions_with_weights(13)
 
 
 def test_permutation_of_cycle_type():

@@ -82,6 +82,14 @@ def test_product_over_no_faces_with_int_classes_is_a_class():
     assert isinstance(got, ClassPoly) and got == 1
 
 
+def test_a_pair_refuses_a_bad_field_on_every_route():
+    assert PAIR._replace(a_class=2) == PolyPair(X, 2) == PolyPair._make([X, 2])
+    with pytest.raises(TypeError):
+        PAIR._replace(a_class=0.5)
+    with pytest.raises(TypeError):
+        PolyPair._make([X, "1/2"])
+
+
 def test_fat_wedge_small_cases():
     assert fat_wedge_class(4, 0) == ClassPoly.one()
     assert fat_wedge_class(4, 4) == X ** 4

@@ -30,7 +30,7 @@ from kzero.quotients import (
     parse_isometry_classes_text,
     quotient_euler_from_fixed_data,
 )
-from util import random_gspace, solve_affine_fixed_points
+from util import brute_force_orbits, random_gspace, solve_affine_fixed_points
 
 ONE = ClassPoly.one()
 
@@ -86,6 +86,13 @@ def test_three_routes_agree_on_random_spaces():
         b = burnside_class(space)
         c = centralizer_sum_class(space)
         assert a == b == c
+
+
+def test_orbits_match_the_images_under_every_element():
+    rng = random.Random(2025)
+    for _ in range(40):
+        space = random_gspace(rng)
+        assert space.orbits() == brute_force_orbits(space)
 
 
 def test_action_must_be_a_homomorphism():
@@ -312,6 +319,12 @@ def test_fixed_point_matches_exact_row_reduction():
 def test_affine_map_dimension_check():
     with pytest.raises(DimensionMismatchError):
         AffineMap(((Fraction(1), Fraction(0)),), (Fraction(0), Fraction(0)))
+    one = AffineMap(((Fraction(1),),), (Fraction(0),))
+    assert one._replace(translation=(Fraction(2),)).translation == (Fraction(2),)
+    with pytest.raises(DimensionMismatchError):
+        one._replace(translation=())
+    with pytest.raises(DimensionMismatchError):
+        AffineMap._make((((Fraction(1),),), ()))
 
 
 def test_affine_map_file():

@@ -8,13 +8,15 @@ test), deliberately avoiding the library code paths they check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
+from typing import Iterator, Sequence
 
 from kzero.classpoly import ClassPoly, binomial
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
-from kzero.permgroups import PermGroup, Permutation, partitions_with_weights, permutation_of_cycle_type
+from kzero.permgroups import PermGroup, Permutation
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
 from kzero.simplicial import SimplicialComplex
@@ -133,6 +135,64 @@ def random_subgroup(rng: random.Random, n: int) -> PermGroup:
         for _ in range(rng.randint(1, 2))
     ]
     return PermGroup.generate(n, gens)
+
+
+def partitions_with_weights(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """All partitions of n (decreasing) with the count of permutations of that cycle type,
+    h_lambda = n! / (product of parts * product of multiplicity factorials)."""
+    if n < 1:
+        raise ValueError("partitions need n >= 1")
+    weights = []
+    for lam in _partitions(n, n):
+        z = 1
+        for k, m in Counter(lam).items():
+            z *= k ** m * factorial(m)
+        weights.append((lam, factorial(n) // z))
+    return weights
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def permutation_of_cycle_type(lam: Sequence[int]) -> Permutation:
+    """A canonical permutation with the given cycle type: consecutive blocks."""
+    images: list[int] = []
+    start = 1
+    for part in lam:
+        block = list(range(start, start + part))
+        images.extend(block[1:] + block[:1])
+        start += part
+    return Permutation(images)
+
+
+def brute_force_conjugacy_classes(G: PermGroup) -> list[tuple[Permutation, tuple[Permutation, ...]]]:
+    """(representative, members) per class, each class the set of h g h^-1 over every h
+    in G; representatives are the least unvisited elements."""
+    seen: set[Permutation] = set()
+    out = []
+    for g in G.elements:
+        if g in seen:
+            continue
+        members = {h * g * h.inverse() for h in G.elements}
+        seen.update(members)
+        out.append((g, tuple(sorted(members))))
+    return out
+
+
+def brute_force_orbits(space: StratifiedGSpace) -> tuple[tuple[int, ...], ...]:
+    """Stratum orbits (0-based, sorted, by least element), each the image of a stratum
+    under the action of every element of G."""
+    orbits = {
+        tuple(sorted({space.action_of(g)(i + 1) - 1 for g in space.group}))
+        for i in range(len(space.labels))
+    }
+    return tuple(sorted(orbits))
 
 
 def brute_force_coset_chi(G: PermGroup, sigma: Permutation) -> int:
