@@ -5,11 +5,14 @@ A :class:`ClassSeries` is a formal power series in one counting variable
 values.  These are the generating functions of the calculator: symmetric
 product series, 0-cycle series, and their ratios.
 
-A series of order ``N`` stores coefficients of ``x^0 .. x^N``.  Arithmetic
+A series of order ``N`` is its tuple of the coefficients of ``x^0 .. x^N``:
+``s[k]`` is the coefficient of ``x^k`` and ``len(s)`` is ``N + 1``.  Arithmetic
 between series of different orders truncates to the smaller order, which is
-the only sound choice for truncated data.  Equality requires equal order and
-equal coefficients; to compare two series through a common order use
-``s.truncate(k) == t.truncate(k)``.
+the only sound choice for truncated data.  Equality and hashing are the
+tuple's, so equal series have equal order and equal coefficients; to compare
+two series through a common order use ``s.truncate(k) == t.truncate(k)``.
+The arithmetic operators are the series', not the tuple's concatenation and
+repetition.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ class NonUnitConstantTermError(PreconditionError):
     """Series inversion needs constant coefficient exactly 1."""
 
 
-class ClassSeries:
-    """Power series truncated at a fixed order, coefficients in ClassPoly."""
+class ClassSeries(tuple):
+    """Power series truncated at a fixed order, as its tuple of ClassPoly coefficients:
+    ``s[k]`` is the coefficient of x^k, and the order is ``len(s) - 1``."""
 
-    __slots__ = ("_order", "_coeffs")
+    __slots__ = ()
 
-    def __init__(self, coeffs: Iterable[PolyLike], order: int | None = None):
+    def __new__(cls, coeffs: Iterable[PolyLike], order: int | None = None) -> ClassSeries:
         cs = [as_class(c) for c in coeffs]
         if order is None:
             if not cs:
@@ -41,8 +45,7 @@ class ClassSeries:
             raise ValueError("series order must be >= 0")
         if len(cs) < order + 1:
             cs.extend([ClassPoly.zero()] * (order + 1 - len(cs)))
-        self._order = order
-        self._coeffs = tuple(cs[: order + 1])
+        return super().__new__(cls, cs[: order + 1])
 
     # -- constructors ------------------------------------------------------
 
@@ -62,22 +65,22 @@ class ClassSeries:
 
     @property
     def order(self) -> int:
-        return self._order
+        return len(self) - 1
 
     @property
     def coefficients(self) -> tuple[ClassPoly, ...]:
-        return self._coeffs
+        return tuple(self)
 
     def coefficient(self, k: int) -> ClassPoly:
-        if not 0 <= k <= self._order:
-            raise IndexError(f"coefficient {k} outside truncation order {self._order}")
-        return self._coeffs[k]
+        if not 0 <= k <= self.order:
+            raise IndexError(f"coefficient {k} outside truncation order {self.order}")
+        return self[k]
 
     def truncate(self, order: int) -> ClassSeries:
         """The same series cut down to a smaller (or equal) order."""
-        if order > self._order:
-            raise ValueError(f"cannot extend a series truncated at {self._order} to {order}")
-        return ClassSeries(self._coeffs[: order + 1], order=order)
+        if order > self.order:
+            raise ValueError(f"cannot extend a series truncated at {self.order} to {order}")
+        return ClassSeries(self[: order + 1], order=order)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -85,7 +88,7 @@ class ClassSeries:
         if isinstance(other, ClassSeries):
             return other
         try:
-            return ClassSeries.constant(other, self._order)
+            return ClassSeries.constant(other, self.order)
         except TypeError:
             return None
 
@@ -93,13 +96,12 @@ class ClassSeries:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        n = min(self._order, o._order)
-        return ClassSeries([self._coeffs[k] + o._coeffs[k] for k in range(n + 1)], order=n)
+        return ClassSeries([a + b for a, b in zip(self, o)])
 
     __radd__ = __add__
 
     def __neg__(self) -> ClassSeries:
-        return ClassSeries([-c for c in self._coeffs], order=self._order)
+        return ClassSeries([-c for c in self])
 
     def __sub__(self, other: SeriesLike) -> ClassSeries:
         o = self._coerced(other)
@@ -117,14 +119,14 @@ class ClassSeries:
         o = self._coerced(other)
         if o is None:
             return NotImplemented
-        n = min(self._order, o._order)
+        n = min(len(self), len(o)) - 1
         out = [ClassPoly.zero() for _ in range(n + 1)]
         for i in range(n + 1):
-            a = self._coeffs[i]
+            a = self[i]
             if a.is_zero():
                 continue
             for j in range(n + 1 - i):
-                b = o._coeffs[j]
+                b = o[j]
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return ClassSeries(out, order=n)
@@ -134,7 +136,7 @@ class ClassSeries:
     def __pow__(self, k: int) -> ClassSeries:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"series exponent must be a non-negative integer, got {k!r}")
-        result = ClassSeries.one(self._order)
+        result = ClassSeries.one(self.order)
         base = self
         while k:
             if k & 1:
@@ -145,28 +147,18 @@ class ClassSeries:
 
     def inverse(self) -> ClassSeries:
         """Multiplicative inverse; requires constant coefficient exactly 1."""
-        if self._coeffs[0] != ClassPoly.one():
-            raise NonUnitConstantTermError(
-                f"cannot invert a series with constant term {self._coeffs[0]}"
-            )
+        if self[0] != ClassPoly.one():
+            raise NonUnitConstantTermError(f"cannot invert a series with constant term {self[0]}")
         inv = [ClassPoly.one()]
-        for k in range(1, self._order + 1):
+        for k in range(1, len(self)):
             acc = ClassPoly.zero()
             for i in range(1, k + 1):
-                if not self._coeffs[i].is_zero():
-                    acc = acc + self._coeffs[i] * inv[k - i]
+                if not self[i].is_zero():
+                    acc = acc + self[i] * inv[k - i]
             inv.append(-acc)
-        return ClassSeries(inv, order=self._order)
+        return ClassSeries(inv)
 
-    # -- comparison and rendering ------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
+    # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
         return self._render(latex=False)
@@ -179,11 +171,11 @@ class ClassSeries:
 
     def _render(self, latex: bool) -> str:
         parts: list[str] = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self):
             if not c.is_zero():
                 parts.append(_render_term(c, k, latex, first=not parts))
         body = "".join(parts) if parts else "0"
-        exp = self._order + 1
+        exp = len(self)
         return f"{body} + O(x^{{{exp}}})" if latex else f"{body} + O(x^{exp})"
 
 

@@ -185,7 +185,7 @@ def cmd_fixed_point(args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    from .classpoly import check_digits, parse_poly
+    from .classpoly import ClassPoly, check_digits, parse_poly
 
     poly = parse_poly(args.expr)
     if not args.at:
@@ -194,7 +194,12 @@ def cmd_eval(args: argparse.Namespace) -> None:
     assignment: dict[str, int] = {}
     for item in args.at:
         name, _, value = item.partition("=")
-        assignment[name.strip()] = read_field(int, value, InputSyntaxError, f"bad --at {item!r}")
+        message = f"bad --at {item!r}"
+        name = name.strip()
+        read_field(ClassPoly.var, name, InputSyntaxError, message)  # checks the name
+        if name in assignment:
+            raise InputSyntaxError(f"{message}: {name} is assigned twice")
+        assignment[name] = read_field(int, value, InputSyntaxError, message)
     print(check_digits(poly.evaluate(assignment)))
 
 

@@ -22,8 +22,11 @@ The class formulas here are all averages over a group:
 
 * symmetric products: [SP^d(X)] = C(x + d - 1, d) symbolically.
 
-Composition is (p * q)(i) = p(q(i)).  Cycle notation reads and prints as
-"(1 2)(3 4)" with fixed points omitted and "()" for the identity.
+A ``Permutation`` is its tuple of images, p = (p(1), ..., p(n)), so equality,
+hashing and order are the tuple's, and every set, dict and sort of the group
+layer runs on them in C.  Composition is (p * q)(i) = p(q(i)).  Cycle notation
+reads and prints as "(1 2)(3 4)" with fixed points omitted and "()" for the
+identity.
 
 Every set the group layer builds is a breadth-first ``closure``: a group is the
 identity closed under left multiplication by its generators, a conjugacy class
@@ -103,25 +106,23 @@ def closures(items: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) 
     return out
 
 
-class Permutation:
-    """A permutation of 1..n, stored by its image tuple.  The constructor checks its
-    input; products and inverses are built through the trusted ``_make``."""
+class Permutation(tuple):
+    """A permutation of 1..n as its tuple of images: ``p[i - 1]`` is ``p(i)``.  The
+    constructor checks its input; the trusted ``_make``, products and inverses do not."""
 
-    __slots__ = ("_images",)
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
+    def __new__(cls, images: Iterable[int]) -> Permutation:
         imgs = tuple(images)
         n = len(imgs)
         if sorted(imgs) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {imgs!r}")
-        self._images = imgs
+        return tuple.__new__(cls, imgs)
 
     @classmethod
-    def _make(cls, images: tuple[int, ...]) -> Permutation:
-        """Wrap an image tuple known to be a permutation of 1..n, unchecked."""
-        p = object.__new__(cls)
-        p._images = images
-        return p
+    def _make(cls, images: Iterable[int]) -> Permutation:
+        """Wrap images known to be a permutation of 1..n, unchecked."""
+        return tuple.__new__(cls, images)
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
@@ -134,24 +135,24 @@ class Permutation:
 
     @property
     def degree(self) -> int:
-        return len(self._images)
+        return len(self)
 
     def __call__(self, i: int) -> int:
-        return self._images[i - 1]
+        return self[i - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
         if not isinstance(other, Permutation):
             return NotImplemented
-        if other.degree != self.degree:
+        if len(other) != len(self):
             raise ValueError("cannot compose permutations of different degrees")
-        images = self._images
-        return Permutation._make(tuple([images[j - 1] for j in other._images]))
+        # ``_make`` inlined: products are the inner loop of every closure
+        return tuple.__new__(Permutation, [self[j - 1] for j in other])
 
     def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for i, j in enumerate(self._images, start=1):
+        inv = [0] * len(self)
+        for i, j in enumerate(self, start=1):
             inv[j - 1] = i
-        return Permutation._make(tuple(inv))
+        return Permutation._make(inv)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least element, sorted by that element."""
@@ -182,18 +183,7 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
     def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.degree + 1))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self._images == other._images
-
-    def __lt__(self, other: Permutation) -> bool:
-        return self._images < other._images
-
-    def __hash__(self) -> int:
-        return hash(self._images)
+        return all(j == i for i, j in enumerate(self, start=1))
 
     def __str__(self) -> str:
         cycs = self.cycles()

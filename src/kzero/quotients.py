@@ -95,7 +95,7 @@ class StratifiedGSpace:
                     f"strata permutation degree {perm.degree} does not match {m} strata"
                 )
         self._action = self._extend(gens, generator_action, m)
-        moves = [lambda i, a=a: a(i + 1) - 1 for a in generator_action]
+        moves = [lambda i, a=a: a[i] - 1 for a in generator_action]
         self._orbits = tuple(closures(range(m), moves, m))
         for orbit in self._orbits:
             first = self._classes[orbit[0]]
@@ -144,8 +144,7 @@ class StratifiedGSpace:
         return self._orbits
 
     def fixed_strata(self, g: Permutation) -> list[int]:
-        act = self._action[g]
-        return [i for i in range(len(self._labels)) if act(i + 1) == i + 1]
+        return [i for i, j in enumerate(self._action[g]) if j == i + 1]
 
 
 def orbit_sum_class(space: StratifiedGSpace) -> ClassPoly:
@@ -183,11 +182,9 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
         for i in fixed:
             if i in seen:
                 continue
-            orbit = {space.action_of(h)(i + 1) - 1 for h in centralizer}
-            seen.update(orbit)
-            stabilizer_order = sum(
-                1 for h in centralizer if space.action_of(h)(i + 1) == i + 1
-            )
+            images = [space.action_of(h)[i] - 1 for h in centralizer]
+            seen.update(images)
+            stabilizer_order = images.count(i)
             total = total + space.classes[i] / stabilizer_order
     return total
 
@@ -357,6 +354,8 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
         elif line.startswith("action "):
             parts = line.split()
             k = read_field(int, parts[1], GSpaceFormatError, f"line {lineno}: bad gen number")
+            if k in action_lines:
+                raise GSpaceFormatError(f"line {lineno}: a second action line for generator {k}")
             pairs = [piece.split("->", 1) for piece in parts[2:]]
             message = f"line {lineno}: bad mapping"
             action_lines[k] = read_field(dict, pairs, GSpaceFormatError, message)

@@ -1,8 +1,11 @@
 """Finite abstract simplicial complexes on vertices 1..n.
 
-A complex is stored by its facets (inclusion-maximal faces).  The empty
-complex (no faces at all) and the complex whose only face is the empty
-simplex are distinct values; the latter arises as the (-1)-skeleton.
+A complex is the pair (n, facets) of its vertex count and its facets
+(inclusion-maximal faces), a ``NamedTuple`` whose constructor, ``_make`` and
+``_replace`` all filter the facets and check the vertices, so equality and
+hashing are the pair's.  The empty complex (no faces at all) and the complex
+whose only face is the empty simplex are distinct values; the latter arises
+as the (-1)-skeleton.
 
 Simplices are plain sorted tuples of vertices.  Vertex numbering is global
 to the complex: two complexes on the same n can share vertices, and
@@ -61,15 +64,20 @@ def _as_simplex(face: Iterable[int], n: int) -> Simplex:
     return s
 
 
-class SimplicialComplex:
-    """Immutable simplicial complex, held by its facets."""
+class _Complex(NamedTuple):
+    n: int
+    facets: tuple[Simplex, ...]
 
-    __slots__ = ("_n", "_facets")
 
-    def __init__(self, n: int, facets: Iterable[Iterable[int]] = ()):
+class SimplicialComplex(_Complex):
+    """Immutable simplicial complex: its vertex count and its facets, sorted by
+    (size, lexicographic)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, facets: Iterable[Iterable[int]] = ()) -> SimplicialComplex:
         if not (isinstance(n, int) and n >= 0):
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
-        self._n = n
         candidates = sorted({_as_simplex(f, n) for f in facets}, key=len, reverse=True)
         kept: list[Simplex] = []
         larger: list[int] = []  # masks of the kept faces larger than the current size
@@ -78,28 +86,25 @@ class SimplicialComplex:
             fresh = [(f, m) for f, m in masks if all(m & ~g for g in larger)]
             kept.extend(f for f, _ in fresh)
             larger.extend(m for _, m in fresh)
-        self._facets = tuple(sorted(kept, key=lambda s: (len(s), s)))
+        return super().__new__(cls, n, tuple(sorted(kept, key=lambda s: (len(s), s))))
 
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def facets(self) -> tuple[Simplex, ...]:
-        return self._facets
+    @classmethod
+    def _make(cls, fields: Iterable) -> SimplicialComplex:
+        """Build through ``__new__``, so ``_replace`` checks and filters its fields too."""
+        return cls(*fields)
 
     @property
     def dim(self) -> int:
         """Dimension: largest facet size minus one; -1 with no facet or only the empty one."""
-        return max((len(f) for f in self._facets), default=0) - 1
+        return max((len(f) for f in self.facets), default=0) - 1
 
     def is_empty(self) -> bool:
         """True for the complex with no faces at all."""
-        return not self._facets
+        return not self.facets
 
     def _faces(self) -> set[Simplex]:
         faces: set[Simplex] = set()
-        for f in self._facets:
+        for f in self.facets:
             for k in range(len(f) + 1):
                 faces.update(combinations(f, k))
         return faces
@@ -117,40 +122,32 @@ class SimplicialComplex:
         """The subcomplex of faces of dimension at most d; d = -1 keeps only the empty face."""
         if d < -1:
             raise ValueError(f"skeleton dimension must be >= -1, got {d}")
-        if not self._facets:
-            return SimplicialComplex(self._n)
+        if not self.facets:
+            return SimplicialComplex(self.n)
         size = d + 1
         pieces: list[Simplex] = []
-        for f in self._facets:
+        for f in self.facets:
             if len(f) <= size:
                 pieces.append(f)
             else:
                 pieces.extend(combinations(f, size))
-        return SimplicialComplex(self._n, pieces)
+        return SimplicialComplex(self.n, pieces)
 
     def __contains__(self, face: Iterable[int]) -> bool:
         s = set(face)
-        return any(s <= set(f) for f in self._facets)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self._n == other._n and self._facets == other._facets
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._facets))
+        return any(s <= set(f) for f in self.facets)
 
     def __repr__(self) -> str:
-        inner = ", ".join("[" + ",".join(map(str, f)) + "]" for f in self._facets)
-        return f"SimplicialComplex(n={self._n}, facets=({inner}))"
+        inner = ", ".join("[" + ",".join(map(str, f)) + "]" for f in self.facets)
+        return f"SimplicialComplex(n={self.n}, facets=({inner}))"
 
     # -- text format ---------------------------------------------------------
 
     def to_text(self) -> str:
-        if self._facets and self._facets[0] == ():
+        if self.facets and self.facets[0] == ():
             raise ValueError("the complex whose only face is the empty simplex has no file form")
-        lines = [f"n={self._n}"]
-        lines.extend(",".join(map(str, f)) for f in self._facets)
+        lines = [f"n={self.n}"]
+        lines.extend(",".join(map(str, f)) for f in self.facets)
         return "\n".join(lines) + "\n"
 
     @classmethod

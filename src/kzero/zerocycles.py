@@ -40,15 +40,15 @@ class OrderExceedsTableError(PreconditionError):
 
 
 def sp_vector_class(d: Sequence[int], x_class: PolyLike) -> ClassPoly:
-    """[SP^d(X)] = product over i of C(x + d_i - 1, d_i)."""
-    from .permgroups import symmetric_product_class
-
-    p = as_class(x_class)
-    total = ClassPoly.one()
+    """[SP^d(X)] = product over i of C(x + d_i - 1, d_i), each factor read off the
+    symmetric-product series, as ``ZeroCycleTable`` does."""
     for di in d:
         if di < 0:
             raise DOutOfRangeError(f"degree vector coordinate {di} is negative")
-        total = total * symmetric_product_class(p, di)
+    sp = macdonald_series(x_class, max(d, default=0))
+    total = ClassPoly.one()
+    for di in d:
+        total = total * sp[di]
     return total
 
 
@@ -79,7 +79,7 @@ class ZeroCycleTable:
         self._values: dict[DegreeVector, ClassPoly] = {}
         # [SP^k(X)] for every coordinate k <= max_total: the coefficients of
         # the symmetric-product series, one polynomial product each.
-        sp_cache = macdonald_series(self._x_class, max_total).coefficients
+        sp_cache = macdonald_series(self._x_class, max_total)
         for total in range(max_total + 1):
             for d in _compositions(total, m):
                 cap = min(d) // n

@@ -137,3 +137,12 @@ def test_rendering():
 
 def test_latex_rendering():
     assert binomial_series(1, 2, 1, order=8).latex() == "1 - x^{2} + O(x^{9})"
+
+
+def test_a_series_is_its_coefficients():
+    s = ClassSeries([1, x, 0])
+    assert len(s) == 3 and s.order == 2
+    assert tuple(s) == s.coefficients == (ClassPoly.one(), x, ClassPoly.zero())
+    assert type(s.coefficients) is tuple
+    assert s[1] == s.coefficient(1) == x
+    assert s != ClassSeries([1, x])

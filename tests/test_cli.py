@@ -1,6 +1,7 @@
 """End-to-end checks of every command line verb, including exit codes."""
 
 import importlib
+import os
 import subprocess
 import sys
 import time
@@ -31,6 +32,13 @@ DIHEDRAL_DESCRIPTOR = (
     "t1 c=2 class=1\n"
     "t2 c=2 class=1\n"
 )
+
+
+def child_env() -> dict[str, str]:
+    """This environment with ``src`` first on PYTHONPATH, so a child interpreter imports kzero."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -122,6 +130,17 @@ def test_quotient(tmp_path, capsys):
     assert (code, out) == (0, "1\n")
 
 
+@pytest.mark.parametrize(
+    "actions", ["action 1 a->b b->a\naction 1\n", "action 1\naction 1 a->b b->a\n"]
+)
+def test_a_second_action_line_for_one_generator_exits_2(tmp_path, capsys, actions):
+    path = tmp_path / "space.txt"
+    path.write_text("stratum a class=x\nstratum b class=x\ngroup degree=2\ngen (1 2)\n" + actions)
+    code, out, err = run(capsys, "quotient", "--space", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 6: ") and err.count("\n") == 1
+
+
 def test_quotient_on_an_action_that_breaks_a_relation_exits_2(tmp_path, capsys):
     # (1 2) acts trivially and (1 2 3) as a 3-cycle, but (1 2)(1 2 3)(1 2) = (1 2 3)^-1.
     # The (element, action) pairs then reach each element of S3 with three images.
@@ -177,6 +196,7 @@ def test_crystal_non_integer_sum_prints_without_warning(tmp_path):
         [sys.executable, "-W", "default", "-m", "kzero.cli", "crystal", "--descriptor", str(path)],
         capture_output=True,
         text=True,
+        env=child_env(),
         timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5/6\n", "")
@@ -202,6 +222,20 @@ def test_eval(capsys):
     assert (code, out) == (0, "3/2\n")
     code, out, _ = run(capsys, "eval", "x*y", "--at", "x=2", "--at", "y=5")
     assert (code, out) == (0, "10\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "5", "--at", "=3"),
+        ("eval", "5", "--at", "1x=3"),
+        ("eval", "x", "--at", "x=1", "--at", "x=2"),
+    ],
+)
+def test_eval_refuses_a_bad_or_repeated_at_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad --at ") and err.count("\n") == 1
 
 
 def test_latex_output(capsys):
@@ -431,6 +465,7 @@ def test_module_invocation():
         [sys.executable, "-m", "kzero.cli", "cycprod", "--n", "3", "--X", "x"],
         capture_output=True,
         text=True,
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0

@@ -326,3 +326,17 @@ def test_quotient_classes_accept_polynomial_inputs():
     fiber = y ** 2 + 1
     assert burnside_quotient_class(PermGroup.cyclic(2), fiber) == (fiber ** 2 + fiber) / 2
     assert permutation_product_class(PermGroup.symmetric(2), 2) == ClassPoly.const(3)
+
+
+def test_a_permutation_is_its_images():
+    p = Permutation([2, 3, 1])
+    assert len(p) == p.degree == 3
+    assert tuple(p) == (2, 3, 1) and p[0] == p(1) == 2
+    assert hash(p) == hash((2, 3, 1))
+    assert sorted([p, Permutation([1, 3, 2]), Permutation.identity(3)]) == [
+        Permutation.identity(3), Permutation([1, 3, 2]), p
+    ]
+    assert p * p.inverse() == Permutation.identity(3)
+    assert p.__mul__((1, 2, 3)) is NotImplemented
+    with pytest.raises(ValueError):
+        p * Permutation.identity(2)

@@ -179,3 +179,20 @@ def test_disjoint_union_face_counts_add():
         if merged.get(0):
             merged[0] = 1  # the empty face is shared
         assert U.complex.face_count_by_size() == merged
+
+
+def test_replace_and_make_go_through_the_constructor():
+    K = SimplicialComplex(2, [(1, 2)])
+    with pytest.raises(VertexOutOfRangeError):
+        K._replace(n=1)
+    assert K._replace(facets=[(1,), (1, 2)]).facets == ((1, 2),)
+    assert SimplicialComplex._make((3, [(3,), (1,), (1, 2)])) == SimplicialComplex(3, [(1, 2), (3,)])
+    with pytest.raises(VertexOutOfRangeError):
+        SimplicialComplex._make((1, [(2,)]))
+
+
+def test_a_complex_is_its_vertex_count_and_facets():
+    K = SimplicialComplex(4, [[3, 4], [1, 2, 3], [2, 3]])
+    n, facets = K
+    assert (n, facets) == (K.n, K.facets) == (4, ((3, 4), (1, 2, 3)))
+    assert hash(K) == hash((4, ((3, 4), (1, 2, 3))))
