@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError, read_field
 
@@ -203,121 +203,84 @@ def cmd_eval(args: argparse.Namespace) -> None:
     print(check_digits(poly.evaluate(assignment)))
 
 
-def _add_latex(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--latex", action="store_true", help="render output for LaTeX")
+_PATH = {"required": True, "metavar": "PATH"}
+_INT = {"required": True, "type": int}
+_COMPLEX = ("--complex", _PATH)
+_X = ("--X", {"required": True})
+_M = ("--m", _INT)
+_N = ("--n", _INT)
+_ORDER = ("--order", _INT)
+_SHOW_POSET = ("--show-poset", {"action": "store_true", "help": "print the intersection poset"})
+_LATEX = ("--latex", {"action": "store_true", "help": "render output for LaTeX"})
+
+VERBS: dict[str, tuple[str, Callable[[argparse.Namespace], None], tuple[tuple[str, dict], ...]]] = {
+    # name: (help, handler, arguments as (flag, add_argument keywords), in usage order)
+    "polyprod": ("class of a polyhedral product (X, A)^K", cmd_polyprod, (
+        _COMPLEX,
+        ("--X", {"required": True, "help": "class of X (polynomial or integer)"}),
+        ("--A", {"required": True, "help": "class of A"}),
+        _LATEX,
+    )),
+    "complement": ("class of X^n minus a polyhedral product", cmd_complement,
+                   (_COMPLEX, _X, ("--A", {"required": True}), _SHOW_POSET, _LATEX)),
+    "fatwedge": ("class of tuples with at most d coordinates off basepoint", cmd_fatwedge,
+                 (_N, ("--d", _INT), _X, _LATEX)),
+    "config": ("class of the diagonal arrangement Delta_K(X)", cmd_config, (_COMPLEX, _X, _LATEX)),
+    "config-complement": ("class of X^n minus Delta_K(X)", cmd_config_complement,
+                          (_COMPLEX, _X, _SHOW_POSET, _LATEX)),
+    "permprod": ("class of X^n / G for a subgroup G of S_n", cmd_permprod,
+                 (("--group", _PATH), _X, _LATEX)),
+    "cycprod": ("class of the cyclic product X^n / (Z/n)", cmd_cycprod, (_N, _X, _LATEX)),
+    "symprod-series": ("symmetric product series (1 - t)^(-x)", cmd_symprod_series, (_X, _ORDER, _LATEX)),
+    "zerocycles": ("0-cycle series, or the full table with --table", cmd_zerocycles, (
+        _M, _N, _X, _ORDER,
+        ("--table", {"action": "store_true", "help": "dump degree vector -> class lines"}),
+        _LATEX,
+    )),
+    "ratio": ("0-cycle series divided by the symmetric product series", cmd_ratio,
+              (_M, _N, _X, _ORDER, _LATEX)),
+    "quotient": ("class of X/G from a stratified G-space file", cmd_quotient, (("--space", _PATH), _LATEX)),
+    "quotient-descriptor": ("class of X/Gamma from an action descriptor", cmd_quotient_descriptor,
+                            (("--descriptor", _PATH), _LATEX)),
+    "orbifold-euler": ("orbifold Euler characteristic from cell data", cmd_orbifold_euler,
+                       (("--cells", _PATH),)),
+    "crystal": ("Euler characteristic of R^n / Gamma from isometry classes", cmd_crystal,
+                (("--descriptor", _PATH),)),
+    "fixed-point": ("does an affine map have a unique fixed point", cmd_fixed_point, (("--map", _PATH),)),
+    "eval": ("parse a polynomial; evaluate it with --at assignments", cmd_eval, (
+        ("expr", {"help": "polynomial text"}),
+        ("--at", {"action": "append", "default": [], "metavar": "NAME=INT"}),
+        _LATEX,
+    )),
+}
+"""Every verb: its help line, its handler and its arguments."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verbs: Iterable[str] = VERBS) -> argparse.ArgumentParser:
+    """The ``kzero`` parser with a subparser for each of ``verbs`` (by default all of them).
+    A parser for fewer verbs still names all of them in its usage line, so an error it
+    reports after the verb reads as the full parser's would."""
     parser = argparse.ArgumentParser(
         prog="kzero",
         description="exact Grothendieck class calculator for stratified spaces",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("polyprod", help="class of a polyhedral product (X, A)^K")
-    p.add_argument("--complex", required=True, metavar="PATH")
-    p.add_argument("--X", required=True, help="class of X (polynomial or integer)")
-    p.add_argument("--A", required=True, help="class of A")
-    _add_latex(p)
-    p.set_defaults(run=cmd_polyprod)
-
-    p = sub.add_parser("complement", help="class of X^n minus a polyhedral product")
-    p.add_argument("--complex", required=True, metavar="PATH")
-    p.add_argument("--X", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--show-poset", action="store_true", help="print the intersection poset")
-    _add_latex(p)
-    p.set_defaults(run=cmd_complement)
-
-    p = sub.add_parser("fatwedge", help="class of tuples with at most d coordinates off basepoint")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
-    p.add_argument("--X", required=True)
-    _add_latex(p)
-    p.set_defaults(run=cmd_fatwedge)
-
-    p = sub.add_parser("config", help="class of the diagonal arrangement Delta_K(X)")
-    p.add_argument("--complex", required=True, metavar="PATH")
-    p.add_argument("--X", required=True)
-    _add_latex(p)
-    p.set_defaults(run=cmd_config)
-
-    p = sub.add_parser("config-complement", help="class of X^n minus Delta_K(X)")
-    p.add_argument("--complex", required=True, metavar="PATH")
-    p.add_argument("--X", required=True)
-    p.add_argument("--show-poset", action="store_true", help="print the intersection poset")
-    _add_latex(p)
-    p.set_defaults(run=cmd_config_complement)
-
-    p = sub.add_parser("permprod", help="class of X^n / G for a subgroup G of S_n")
-    p.add_argument("--group", required=True, metavar="PATH")
-    p.add_argument("--X", required=True)
-    _add_latex(p)
-    p.set_defaults(run=cmd_permprod)
-
-    p = sub.add_parser("cycprod", help="class of the cyclic product X^n / (Z/n)")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--X", required=True)
-    _add_latex(p)
-    p.set_defaults(run=cmd_cycprod)
-
-    p = sub.add_parser("symprod-series", help="symmetric product series (1 - t)^(-x)")
-    p.add_argument("--X", required=True)
-    p.add_argument("--order", required=True, type=int)
-    _add_latex(p)
-    p.set_defaults(run=cmd_symprod_series)
-
-    p = sub.add_parser("zerocycles", help="0-cycle series, or the full table with --table")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--X", required=True)
-    p.add_argument("--order", required=True, type=int)
-    p.add_argument("--table", action="store_true", help="dump degree vector -> class lines")
-    _add_latex(p)
-    p.set_defaults(run=cmd_zerocycles)
-
-    p = sub.add_parser("ratio", help="0-cycle series divided by the symmetric product series")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--X", required=True)
-    p.add_argument("--order", required=True, type=int)
-    _add_latex(p)
-    p.set_defaults(run=cmd_ratio)
-
-    p = sub.add_parser("quotient", help="class of X/G from a stratified G-space file")
-    p.add_argument("--space", required=True, metavar="PATH")
-    _add_latex(p)
-    p.set_defaults(run=cmd_quotient)
-
-    p = sub.add_parser("quotient-descriptor", help="class of X/Gamma from an action descriptor")
-    p.add_argument("--descriptor", required=True, metavar="PATH")
-    _add_latex(p)
-    p.set_defaults(run=cmd_quotient_descriptor)
-
-    p = sub.add_parser("orbifold-euler", help="orbifold Euler characteristic from cell data")
-    p.add_argument("--cells", required=True, metavar="PATH")
-    p.set_defaults(run=cmd_orbifold_euler)
-
-    p = sub.add_parser("crystal", help="Euler characteristic of R^n / Gamma from isometry classes")
-    p.add_argument("--descriptor", required=True, metavar="PATH")
-    p.set_defaults(run=cmd_crystal)
-
-    p = sub.add_parser("fixed-point", help="does an affine map have a unique fixed point")
-    p.add_argument("--map", required=True, metavar="PATH")
-    p.set_defaults(run=cmd_fixed_point)
-
-    p = sub.add_parser("eval", help="parse a polynomial; evaluate it with --at assignments")
-    p.add_argument("expr", help="polynomial text")
-    p.add_argument("--at", action="append", default=[], metavar="NAME=INT")
-    _add_latex(p)
-    p.set_defaults(run=cmd_eval)
-
+    names = list(verbs)
+    every = None if len(names) == len(VERBS) else "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=every)
+    for name in names:
+        help_text, run, arguments = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A verb's run needs only its own subparser; help and bad verbs need them all.
+    args = build_parser(argv[:1] if argv and argv[0] in VERBS else VERBS).parse_args(argv)
     exit_codes = {InputSyntaxError: 2, PreconditionError: 3, RouteDisagreementError: 4}
     try:
         args.run(args)

@@ -138,6 +138,8 @@ class Permutation(tuple):
         return len(self)
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self):
+            raise ValueError(f"point {i} outside 1..{len(self)}")
         return self[i - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
@@ -163,18 +165,27 @@ class Permutation(tuple):
                 continue
             cyc = [start]
             seen.add(start)
-            j = self(start)
+            j = self[start - 1]
             while j != start:
                 cyc.append(j)
                 seen.add(j)
-                j = self(j)
+                j = self[j - 1]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
     def cycle_count(self) -> int:
-        """Number of cycles, fixed points included."""
-        return len(self.cycle_type())
+        """Number of cycles, fixed points included; one walk over the images."""
+        seen = [False] * len(self)
+        count = 0
+        for start in range(len(self)):
+            if not seen[start]:
+                count += 1
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    j = self[j] - 1
+        return count
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths as a partition of n, in decreasing order, 1-cycles included."""
@@ -313,7 +324,8 @@ class PermGroup:
         return [(c[0], c) for c in closures(self._elements, conjugations, self.order)]
 
     def centralizer(self, g: Permutation) -> PermGroup:
-        members = [h for h in self._elements if h * g == g * h]
+        # h(g(1)) == g(h(1)) rejects most h before the two products
+        members = [h for h in self._elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h]
         return PermGroup(self._degree, tuple(members), members)
 
     def __repr__(self) -> str:

@@ -42,7 +42,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .classpoly import ClassPoly, PolyLike, as_class
 from .errors import DOutOfRangeError, PreconditionError
-from .posets import inclusion_exclusion, intersection_poset
 from .simplicial import SimplicialComplex, full_simplex
 
 
@@ -99,6 +98,8 @@ def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) ->
     Node sigma carries the stratum class x^|sigma| a^(n-|sigma|); the
     artificial bottom carries the ambient x^n.
     """
+    from .posets import inclusion_exclusion, intersection_poset
+
     x, a = pair.x_class, pair.a_class
     return inclusion_exclusion(
         intersection_poset(K), lambda vs: x ** len(vs) * a ** (K.n - len(vs)), x ** K.n
@@ -207,6 +208,8 @@ def m_complement_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
     if len(K.facets) < 2:
         raise SingleSimplexError("complement of an arrangement needs at least two facets")
     _check_dimension_condition(K)
+    from .posets import inclusion_exclusion, intersection_poset
+
     return inclusion_exclusion(intersection_poset(K), lambda vs: x ** (len(vs) + 1), x ** K.n)
 
 

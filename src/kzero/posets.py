@@ -15,12 +15,16 @@ mu(x) = -sum of mu(y) over y strictly below x; inclusion-exclusion then
 expresses the class of a complement as sum of mu(sigma) times the class of
 the stratum at sigma.
 
-Vertex sets are handled as int bitmasks.  The closure is built by meeting
-each newly found set with the facets only: every intersection of facets
-F1 & ... & Fk is reached from F1 by meeting with one facet at a time, so no
-pair of found sets needs to be met.  The nodes below sigma are the strict
-supersets of sigma, which all have larger size and so come earlier in the
-node order; the recursion scans only those.
+Vertex sets are handled as int bitmasks.  The closure first meets each
+pair of facets once, then each newly found set with the facets only: every
+intersection of facets F1 & ... & Fk is reached from F1 by meeting with one
+facet at a time, so no pair of found sets needs to be met.  The nodes below
+sigma are the strict supersets of sigma, which all have larger size and so
+come earlier in the node order.  The recursion finds them without a scan:
+each vertex keeps a bitset of the nodes listed so far that contain it, and
+the strict supersets of sigma are the AND of those bitsets over sigma's
+vertices.  One more bitset per Möbius value then gives the sum of mu over
+them as a sum of value times popcount.
 
 Every stratum class the callers use depends on sigma only through its size
 (x^|sigma| a^(n - |sigma|) for polyhedral products, x^(|sigma| + 1) for
@@ -33,7 +37,7 @@ which is the contract ``class_of`` must meet.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Callable, NamedTuple
 
 from .classpoly import ClassPoly
@@ -101,19 +105,25 @@ def intersection_poset(K: SimplicialComplex) -> IntersectionPoset:
         raise EmptyComplexError("intersection poset needs at least one facet")
     facet_masks = [to_mask(f) for f in K.facets]
     masks = set(facet_masks)
-    frontier = set(masks)
+    frontier = {f & g for f, g in combinations(facet_masks, 2)} - masks
     while frontier:
-        frontier = {s & f for s in frontier for f in facet_masks} - masks
         masks |= frontier
-    ordered = sorted(((from_mask(m), m) for m in masks), key=lambda p: (-len(p[0]), p[0]))
+        frontier = {s & f for s in frontier for f in facet_masks} - masks
     nodes = [PosetNode(None, 1)]
-    larger: list[tuple[int, int]] = []  # (mask, mu) of the nodes larger than the current size
-    for _, same_size in groupby(ordered, key=lambda p: len(p[0])):
-        fresh = [
-            (vs, m, -1 - sum(mu for g, mu in larger if not m & ~g)) for vs, m in same_size
-        ]
-        nodes.extend(PosetNode(vs, mu) for vs, _, mu in fresh)
-        larger.extend((m, mu) for _, m, mu in fresh)
+    found = 0  # bit k stands for the k-th vertex set listed, the bottom not counted
+    containing = [0] * (K.n + 1)  # per vertex: the sets listed so far that contain it
+    with_mobius: dict[int, int] = {}  # per Möbius value: the sets listed so far that have it
+    for k, vs in enumerate(sorted(map(from_mask, masks), key=lambda vs: (-len(vs), vs))):
+        supersets = found
+        for v in vs:
+            supersets &= containing[v]
+        mu = -1 - sum(value * (supersets & bits).bit_count() for value, bits in with_mobius.items())
+        nodes.append(PosetNode(vs, mu))
+        bit = 1 << k
+        found |= bit
+        for v in vs:
+            containing[v] |= bit
+        with_mobius[mu] = with_mobius.get(mu, 0) | bit
     return IntersectionPoset(tuple(nodes))
 
 

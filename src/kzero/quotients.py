@@ -38,6 +38,7 @@ fixed point.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
@@ -156,11 +157,10 @@ def orbit_sum_class(space: StratifiedGSpace) -> ClassPoly:
 
 
 def burnside_class(space: StratifiedGSpace) -> ClassPoly:
-    """[X/G] = (1/|G|) sum over g of [X^g], with [X^g] the sum over strata fixed by g."""
-    total = ClassPoly.zero()
-    for g in space.group:
-        for i in space.fixed_strata(g):
-            total = total + space.classes[i]
+    """[X/G] = (1/|G|) sum over g of [X^g], with [X^g] the sum over strata fixed by g;
+    each stratum's class is added once, times the number of elements fixing it."""
+    fixing = Counter(i for g in space.group for i in space.fixed_strata(g))
+    total = sum((count * space.classes[i] for i, count in fixing.items()), ClassPoly.zero())
     return total / space.group.order
 
 

@@ -1,6 +1,9 @@
 """End-to-end checks of every command line verb, including exit codes."""
 
+import argparse
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
@@ -10,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
+from kzero import cli
 from kzero.cli import main
 from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_ORDER, PermGroup, Permutation
 
@@ -476,3 +480,90 @@ def test_missing_verb_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+VALID_ARGV = {
+    "polyprod": ["--complex", "K.txt", "--X", "x", "--A", "a", "--latex"],
+    "complement": ["--complex", "K.txt", "--X", "x", "--A", "a", "--show-poset"],
+    "fatwedge": ["--n", "4", "--d", "1", "--X", "x"],
+    "config": ["--complex", "K.txt", "--X", "x"],
+    "config-complement": ["--complex", "K.txt", "--X", "x", "--show-poset"],
+    "permprod": ["--group", "G.txt", "--X", "x"],
+    "cycprod": ["--n", "4", "--X", "x"],
+    "symprod-series": ["--X", "x", "--order", "4"],
+    "zerocycles": ["--m", "2", "--n", "1", "--X", "x", "--order", "4", "--table"],
+    "ratio": ["--m", "2", "--n", "1", "--X", "x", "--order", "4"],
+    "quotient": ["--space", "space.txt"],
+    "quotient-descriptor": ["--descriptor", "desc.txt"],
+    "orbifold-euler": ["--cells", "cells.txt"],
+    "crystal": ["--descriptor", "classes.txt"],
+    "fixed-point": ["--map", "map.txt"],
+    "eval": ["x^2 + 1", "--at", "x=2"],
+}
+"""Arguments each verb's parser accepts; parsing reads no file, so none need exist."""
+
+INT_OPTIONS = ("--n", "--m", "--d", "--order")
+
+
+def parser_cases():
+    """(argv, exit code) for every verb: valid, help, a required argument missing, an unknown
+    option, a stray extra argument, and a non-integer for its first integer option."""
+    for verb, valid in VALID_ARGV.items():
+        yield [verb, *valid], 0
+        yield [verb, "-h"], 0
+        yield [verb], 2
+        yield [verb, *valid, "--bogus"], 2
+        yield [verb, *valid, "extra"], 2
+        ints = [i for i, token in enumerate(valid) if token in INT_OPTIONS]
+        if ints:
+            yield [verb, *valid[:ints[0] + 1], "abc", *valid[ints[0] + 2:]], 2
+
+
+def parsed(parser: argparse.ArgumentParser, argv: list[str]):
+    """(exit code, parsed arguments, stdout, stderr) of ``parser.parse_args(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, result = 0, vars(parser.parse_args(argv))
+        except SystemExit as e:
+            code, result = e.code, None
+    return code, result, out.getvalue(), err.getvalue()
+
+
+def test_every_verb_has_parser_cases():
+    assert list(VALID_ARGV) == list(cli.VERBS)
+
+
+@pytest.mark.parametrize("argv, code", parser_cases(), ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_a_one_verb_parser_parses_as_the_full_parser(argv, code):
+    one = parsed(cli.build_parser([argv[0]]), argv)
+    assert one[0] == code
+    assert one == parsed(cli.build_parser(), argv)
+
+
+def count_add_parser(monkeypatch) -> list[str]:
+    """The verbs whose subparser is built from now on, in order."""
+    action = type(argparse.ArgumentParser().add_subparsers())
+    built: list[str] = []
+    add_parser = action.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(action, "add_parser", counting)
+    return built
+
+
+def test_main_builds_only_the_named_verbs_parser(monkeypatch, capsys):
+    built = count_add_parser(monkeypatch)
+    assert run(capsys, "cycprod", "--n", "3", "--X", "x") == (0, "1/3*x^3 + 2/3*x\n", "")
+    assert built == ["cycprod"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["nosuch", "x"]])
+def test_help_and_an_unknown_verb_build_every_parser(monkeypatch, capsys, argv):
+    built = count_add_parser(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == list(cli.VERBS) and len(built) == 16

@@ -102,6 +102,12 @@ def test_a_verb_without_permutations_leaves_permgroups_unloaded(verb, tmp_path):
     assert "kzero.permgroups" not in loaded_by(argv, tmp_path)
 
 
+@pytest.mark.parametrize("verb", ("polyprod", "config", "fatwedge"))
+def test_a_verb_without_a_poset_leaves_posets_unloaded(verb, tmp_path):
+    argv = {**FILE_VERBS, "fatwedge": ["fatwedge", "--n", "4", "--d", "1", "--X", "x"]}[verb]
+    assert "kzero.posets" not in loaded_by(argv, tmp_path)
+
+
 def test_every_export_is_the_object_of_its_home_module():
     report = fresh(
         "import json, sys, kzero\n"

@@ -71,6 +71,9 @@ def test_cycle_type_and_count():
     assert p.cycle_count() == 3
     assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
     assert Permutation.identity(4).cycle_count() == 4
+    for n in range(1, 7):
+        for g in PermGroup.symmetric(n):
+            assert g.cycle_count() == len(g.cycle_type())
 
 
 def test_cycle_parse_errors():
@@ -340,3 +343,11 @@ def test_a_permutation_is_its_images():
     assert p.__mul__((1, 2, 3)) is NotImplemented
     with pytest.raises(ValueError):
         p * Permutation.identity(2)
+
+
+def test_a_point_outside_one_to_n_is_refused():
+    p = Permutation([2, 3, 1])
+    assert [p(1), p(2), p(3)] == [2, 3, 1]
+    for i in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"point {i} outside 1..3"):
+            p(i)
