@@ -31,7 +31,6 @@ coefficient, evaluation value or divisor that is not an ``int`` or ``Fraction``.
 The ring operations build their results through the private ``ClassPoly._make``,
 which trusts that the coefficients are already ``Fraction`` values and the
 exponent vectors fit the variables; it still puts the result in canonical form.
-The hash is computed on first use.
 
 Products work on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, and only the output terms become ``Fraction``
@@ -147,7 +146,7 @@ def _normalized(
 class ClassPoly:
     """Immutable exact polynomial in named variables."""
 
-    __slots__ = ("_vars", "_terms", "_hash")
+    __slots__ = ("_vars", "_terms")
 
     def __init__(
         self,
@@ -167,7 +166,6 @@ class ClassPoly:
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
             raw[e] = raw.get(e, Fraction(0)) + _scalar(c, "a coefficient")
         self._vars, self._terms = _normalized(vs, raw)
-        self._hash = None
 
     @classmethod
     def _make(
@@ -177,7 +175,6 @@ class ClassPoly:
         exponent vectors of the variables' length, names already valid."""
         self = object.__new__(cls)
         self._vars, self._terms = _normalized(variables, terms)
-        self._hash = None
         return self
 
     # -- constructors ------------------------------------------------------
@@ -364,13 +361,10 @@ class ClassPoly:
         return self._vars == other._vars and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            if self._vars:
-                self._hash = hash((self._vars, frozenset(self._terms.items())))
-            else:
-                # a constant equals its scalar, so it hashes like it
-                self._hash = hash(self.constant_term())
-        return self._hash
+        if self._vars:
+            return hash((self._vars, frozenset(self._terms.items())))
+        # a constant equals its scalar, so it hashes like it
+        return hash(self.constant_term())
 
     # -- rendering ---------------------------------------------------------
 

@@ -46,11 +46,11 @@ from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
 
 MAX_DEGREE = 8
-"""Largest degree accepted by ``coset_chi`` and the ``permprod`` verb, which checks it
-before generating the group."""
+"""Largest degree accepted by the ``permprod`` verb, which checks it before generating
+the group."""
 
 MAX_ORDER = factorial(MAX_DEGREE)
-"""Most elements ``PermGroup.generate`` builds: 40320 = |S_8|, so any degree up to 8 fits.
+"""Most elements a ``PermGroup`` has: 40320 = |S_8|, so any degree up to 8 fits.
 Also the largest ``degree=`` a group or G-space file may give: a group of at most this
 order acts faithfully on at most this many points (Cayley)."""
 
@@ -238,24 +238,15 @@ def _parse_cycles(text: str, degree: int) -> Permutation:
 class PermGroup:
     """A finite group of permutations of 1..n, with its full element list.
 
-    Contract: the elements are the closure of the generators, as ``generate`` builds
-    them; ``conjugacy_classes`` relies on it and ``StratifiedGSpace`` checks it.
+    A group is the closure of its generators by construction: ``PermGroup(degree,
+    generators)`` closes the identity under left multiplication by the generators and
+    refuses a group past ``MAX_ORDER`` elements, so every group is bounded by its order
+    and no element list can be handed in beside the generators.
     """
 
     __slots__ = ("_degree", "_generators", "_elements", "_element_set")
 
-    def __init__(self, degree: int, generators: Sequence[Permutation], elements: Iterable[Permutation]):
-        self._degree = degree
-        self._generators = tuple(generators)
-        self._elements = tuple(sorted(elements))
-        self._element_set = frozenset(self._elements)
-        if Permutation.identity(degree) not in self._element_set:
-            raise ValueError("group must contain the identity")
-
-    @classmethod
-    def generate(cls, degree: int, generators: Iterable[Permutation]) -> PermGroup:
-        """Close the identity under left multiplication by the generators; error beyond
-        ``MAX_ORDER`` elements."""
+    def __init__(self, degree: int, generators: Iterable[Permutation]):
         gens = tuple(generators)
         for g in gens:
             if g.degree != degree:
@@ -263,12 +254,19 @@ class PermGroup:
         elements = closure([Permutation.identity(degree)], [s.__mul__ for s in gens], MAX_ORDER)
         if len(elements) > MAX_ORDER:
             raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
-        return cls(degree, gens, elements)
+        self._degree = degree
+        self._generators = gens
+        self._elements = tuple(sorted(elements))
+        self._element_set = frozenset(elements)
+
+    @classmethod
+    def generate(cls, degree: int, generators: Iterable[Permutation]) -> PermGroup:
+        """The group the generators generate: the same as ``PermGroup(degree, generators)``."""
+        return cls(degree, generators)
 
     @classmethod
     def trivial(cls, degree: int) -> PermGroup:
-        e = Permutation.identity(degree)
-        return cls(degree, (), (e,))
+        return cls(degree, ())
 
     @classmethod
     def cyclic(cls, n: int) -> PermGroup:
@@ -320,13 +318,14 @@ class PermGroup:
     def conjugacy_classes(self) -> list[tuple[Permutation, tuple[Permutation, ...]]]:
         """(representative, members) per class, by least member; each class is a member
         closed under conjugation by the generators, and its least member represents it."""
-        conjugations = [lambda g, s=s, t=s.inverse(): s * g * t for s in self._generators]
+        conjugations = [lambda g, s=s, t=s.inverse(): Permutation._make([s[g[j - 1] - 1] for j in t])
+                        for s in self._generators]
         return [(c[0], c) for c in closures(self._elements, conjugations, self.order)]
 
-    def centralizer(self, g: Permutation) -> PermGroup:
+    def centralizer(self, g: Permutation) -> tuple[Permutation, ...]:
+        """The elements that commute with g, sorted."""
         # h(g(1)) == g(h(1)) rejects most h before the two products
-        members = [h for h in self._elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h]
-        return PermGroup(self._degree, tuple(members), members)
+        return tuple(h for h in self._elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self._degree}, order={self.order})"
@@ -401,7 +400,6 @@ def coset_chi(G: PermGroup, sigma: Permutation) -> int:
     """
     if sigma.degree != G.degree:
         raise ValueError("sigma must have the group's degree")
-    check_degree(G.degree)
     lam = sigma.cycle_type()
     return _centralizer_order(lam) * sum(1 for g in G if g.cycle_type() == lam) // G.order
 

@@ -65,10 +65,9 @@ class StratifiedGSpace:
     identity) under the (generator, action) pairs; these generate a subgroup of
     G x S_m, so the action extends to a homomorphism on G exactly when no
     element is reached with two images, and |G| + 1 pairs are enough to find
-    one.  Every element reached must be one of G's own.  It also checks that
-    strata in one orbit carry equal classes; the model reads "g maps stratum S
-    isomorphically onto stratum gS", so unequal classes in an orbit are
-    inconsistent input.
+    one.  It also checks that strata in one orbit carry equal classes; the model
+    reads "g maps stratum S isomorphically onto stratum gS", so unequal classes
+    in an orbit are inconsistent input.
     """
 
     def __init__(
@@ -120,8 +119,6 @@ class StratifiedGSpace:
                 raise ValueError(
                     f"generator actions do not extend to a homomorphism (conflict at {g})"
                 )
-        if action.keys() != set(self._group):
-            raise ValueError("generators do not generate the given group")
         return action
 
     @property

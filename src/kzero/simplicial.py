@@ -122,8 +122,6 @@ class SimplicialComplex(_Complex):
         """The subcomplex of faces of dimension at most d; d = -1 keeps only the empty face."""
         if d < -1:
             raise ValueError(f"skeleton dimension must be >= -1, got {d}")
-        if not self.facets:
-            return SimplicialComplex(self.n)
         size = d + 1
         pieces: list[Simplex] = []
         for f in self.facets:

@@ -65,7 +65,7 @@ def _compositions(total: int, parts: int) -> Iterator[DegreeVector]:
 class ZeroCycleTable:
     """Classes [Z_n^d(X)] for every degree vector with |d| <= max_total."""
 
-    __slots__ = ("_m", "_n", "_x_class", "_max_total", "_values")
+    __slots__ = ("_m", "_max_total", "_values")
 
     def __init__(self, m: int, n: int, x_class: PolyLike, max_total: int):
         if m < 1 or n < 1:
@@ -73,13 +73,11 @@ class ZeroCycleTable:
         if max_total < 0:
             raise PreconditionError(f"table bound must be >= 0, got {max_total}")
         self._m = m
-        self._n = n
-        self._x_class = as_class(x_class)
         self._max_total = max_total
         self._values: dict[DegreeVector, ClassPoly] = {}
         # [SP^k(X)] for every coordinate k <= max_total: the coefficients of
         # the symmetric-product series, one polynomial product each.
-        sp_cache = macdonald_series(self._x_class, max_total)
+        sp_cache = macdonald_series(as_class(x_class), max_total)
         for total in range(max_total + 1):
             for d in _compositions(total, m):
                 cap = min(d) // n
@@ -90,22 +88,6 @@ class ZeroCycleTable:
                     lower = tuple(di - k * n for di in d)
                     value = value - sp_cache[k] * self._values[lower]
                 self._values[d] = value
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def x_class(self) -> ClassPoly:
-        return self._x_class
-
-    @property
-    def max_total(self) -> int:
-        return self._max_total
 
     def __getitem__(self, d: Sequence[int]) -> ClassPoly:
         key = tuple(d)
@@ -120,9 +102,9 @@ class ZeroCycleTable:
         return self._values[key]
 
     def entries(self) -> Iterator[tuple[DegreeVector, ClassPoly]]:
-        """All (degree vector, class) pairs, sorted by (total degree, vector)."""
-        for d in sorted(self._values, key=lambda v: (sum(v), v)):
-            yield d, self._values[d]
+        """All (degree vector, class) pairs, sorted by (total degree, vector): the order
+        in which the recursion fills the table."""
+        return iter(self._values.items())
 
     def series(self, order: int) -> ClassSeries:
         """sum over d of [Z_n^d(X)] t^|d|, truncated at ``order``."""
@@ -139,10 +121,7 @@ class ZeroCycleTable:
 
 def closed_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
     """(1 - t^(mn))^x * (1 - t)^(-mx): the closed form of the 0-cycle series."""
-    if m < 1 or n < 1:
-        raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    p = as_class(x_class)
-    return binomial_series(p, m * n, 1, order=order) * binomial_series(-m * p, 1, 1, order=order)
+    return ratio_series(m, n, x_class, order) * binomial_series(-m * as_class(x_class), 1, 1, order=order)
 
 
 def ratio_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:

@@ -9,7 +9,6 @@ import pytest
 from kzero import permgroups
 from kzero.classpoly import ClassPoly
 from kzero.permgroups import (
-    DegreeTooLargeError,
     OrderCapExceededError,
     PermGroup,
     PermParseError,
@@ -131,7 +130,8 @@ def test_conjugacy_classes_partition_the_group():
         for rep, cls in classes:
             assert rep in cls
             # orbit-stabilizer: |class| * |centralizer| = |G|
-            assert len(cls) * G.centralizer(rep).order == G.order
+            assert len(cls) * len(G.centralizer(rep)) == G.order
+            assert G.centralizer(rep) == tuple(h for h in G if h * rep == rep * h)
 
 
 def test_conjugacy_classes_match_conjugating_by_every_element():
@@ -235,9 +235,11 @@ def test_coset_chi_matches_brute_force_on_every_cycle_type():
             assert coset_chi(G, sigma) == brute_force_coset_chi(G, sigma)
 
 
-def test_coset_chi_degree_cap():
-    with pytest.raises(DegreeTooLargeError):
-        coset_chi(PermGroup.trivial(9), Permutation.identity(9))
+def test_coset_chi_on_degree_nine():
+    # no degree cap: the cost is |G|, here 9, and chi = z_lambda * |G meet C_lambda| / |G|
+    G = PermGroup.cyclic(9)
+    assert coset_chi(G, Permutation.identity(9)) == 40320
+    assert coset_chi(G, Permutation.from_cycles("(1 2 3 4 5 6 7 8 9)", 9)) == 6
 
 
 # -- quotient classes ---------------------------------------------------------

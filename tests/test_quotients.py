@@ -114,20 +114,6 @@ def test_action_must_respect_every_relation():
                                      Permutation.from_cycles("(1 2 3)", 3)])
 
 
-def test_generators_must_generate():
-    bare = PermGroup(2, (), PermGroup.symmetric(2).elements)
-    with pytest.raises(ValueError):
-        StratifiedGSpace([("s", ONE)], bare, [])
-
-
-def test_element_list_must_be_the_closure_of_the_generators():
-    # right size, wrong elements: (1 2) generates {(), (1 2)}, not {(), (1 3)}
-    e, t = Permutation.identity(3), Permutation.from_cycles("(1 3)", 3)
-    G = PermGroup(3, [Permutation.from_cycles("(1 2)", 3)], [e, t])
-    with pytest.raises(ValueError, match="generators do not generate the given group"):
-        StratifiedGSpace([("s1", ONE), ("s2", ONE)], G, [Permutation.from_cycles("(1 2)", 2)])
-
-
 def test_strata_in_one_orbit_need_equal_classes():
     x = ClassPoly.var("x")
     strata = [("a", x), ("b", x + 1)]

@@ -83,6 +83,7 @@ def test_skeleton_dimensions():
     )
     assert K.skeleton(0) == SimplicialComplex(4, [[1], [2], [3], [4]])
     assert K.skeleton(-1) == SimplicialComplex(4, [[]])
+    assert SimplicialComplex(3).skeleton(1) == SimplicialComplex(3)
     with pytest.raises(ValueError):
         K.skeleton(-2)
 
