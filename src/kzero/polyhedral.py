@@ -40,7 +40,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class
+from .classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class
 from .errors import DOutOfRangeError, PreconditionError
 from .simplicial import SimplicialComplex, full_simplex
 
@@ -110,16 +110,20 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
     """Class of the n-tuples with at most d coordinates away from the basepoint.
 
     sum_{j=0..d} C(n, j) (x-1)^j: the point at d = 0, the wedge at d = 1,
-    X^n at d = n.
+    X^n at d = n.  A d past :data:`~kzero.classpoly.MAX_TOTAL_DEGREE` is refused
+    with :class:`~kzero.classpoly.PolyTooLargeError` before any product.
     """
     if n < 1:
         raise PreconditionError(f"fat wedge needs n >= 1, got {n}")
     if not 0 <= d <= n:
         raise DOutOfRangeError(f"fatness index d={d} outside 0..{n}")
-    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
-    total = ClassPoly.zero()
-    for j in range(d + 1):
-        total = total + comb(n, j) * (x - 1) ** j
+    if d > MAX_TOTAL_DEGREE:
+        raise PolyTooLargeError(f"fatness index d={d}; the limit is {MAX_TOTAL_DEGREE}")
+    step = (ClassPoly.var("x") if x_class is None else as_class(x_class)) - 1
+    total = power = ClassPoly.one()
+    for j in range(1, d + 1):
+        power = power * step  # (x-1)^j
+        total = total + comb(n, j) * power
     return total
 
 

@@ -11,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero import cli
@@ -558,6 +560,10 @@ def count_add_parser(monkeypatch) -> list[str]:
 def test_main_builds_only_the_named_verbs_parser(monkeypatch, capsys):
     built = count_add_parser(monkeypatch)
     assert run(capsys, "cycprod", "--n", "3", "--X", "x") == (0, "1/3*x^3 + 2/3*x\n", "")
+    assert built == []  # a plain argv is read off the verb table
+    with pytest.raises(SystemExit) as exc:
+        main(["cycprod", "--n", "abc", "--X", "x"])
+    assert exc.value.code == 2
     assert built == ["cycprod"]
 
 
@@ -567,3 +573,149 @@ def test_help_and_an_unknown_verb_build_every_parser(monkeypatch, capsys, argv):
     with pytest.raises(SystemExit):
         main(argv)
     assert built == list(cli.VERBS) and len(built) == 16
+
+
+def outcome(argv: list[str]) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)``, a usage error or help included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code", parser_cases(), ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_the_table_reader_reads_as_argparse(argv, code, monkeypatch, tmp_path):
+    read = cli.read_argv(argv)
+    assert read is None or vars(read) == parsed(cli.build_parser(), argv)[1]
+    assert (read is not None) == (code == 0 and "-h" not in argv)
+    monkeypatch.chdir(tmp_path)  # the valid argvs name input files that do not exist here
+    by_table = outcome(argv)
+    monkeypatch.setattr(cli, "read_argv", lambda argv: None)
+    assert outcome(argv) == by_table
+
+
+PLAIN_ARGVS = [
+    ["eval", "x", "--at", "x=1", "--at", "y=2"],
+    ["eval", "--latex", "--at", "x=1", ""],
+    ["cycprod", "--X", "", "--n", " 5 "],
+    ["zerocycles", "--table", "--order", "1_0", "--X", "x y", "--n", "+1", "--m", "2", "--latex"],
+]
+"""Plain argvs with an ``append`` flag given twice, an empty value or positional, switches
+first and values that ``int`` reads with a sign, spaces or an underscore."""
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_the_table_reader_reads_a_plain_argv(argv):
+    read = cli.read_argv(argv)
+    assert read is not None and vars(read) == parsed(cli.build_parser(), argv)[1]
+
+
+ARGPARSE_ARGVS = [
+    [], ["-h"], ["nosuch"], ["cycprod", "-h"], ["cycprod", "--help"],
+    ["cycprod", "--n", "3", "--X", "x", "--bogus"],
+    ["cycprod", "--n", "3", "--X=x"], ["cycprod", "--n", "3", "--x", "x"], ["fatwedge", "--n", "3", "--d", "1", "--X", "x", "--lat"],
+    ["cycprod", "--n", "-3", "--X", "x"], ["cycprod", "--n", "3", "--X", "-x"], ["cycprod", "--n", "3", "--X", "--"],
+    ["cycprod", "--n", "3", "--X", "-h"], ["cycprod", "--n", "3", "--X", "-"], ["cycprod", "--", "--n", "3", "--X", "x"],
+    ["cycprod", "--n", "3", "--n", "4", "--X", "x"], ["cycprod", "--n", "3", "--X", "x", "--latex", "--latex"],
+    ["cycprod", "--n", "3"], ["cycprod", "--n", "3", "--X"], ["eval"], ["eval", "--latex"],
+    ["eval", "x", "y"], ["cycprod", "--n", "3", "--X", "x", "y"],
+    ["cycprod", "--n", "three", "--X", "x"], ["cycprod", "--n", "", "--X", "x"], ["cycprod", "--n", "3.0", "--X", "x"],
+]
+"""One argv of each shape that goes to argparse: help, a missing or unknown verb, an
+unknown, abbreviated or ``--flag=value`` flag, a value that starts with ``-`` or is ``--``,
+a repeated option other than ``--at``, a missing required argument, a stray or missing
+positional, and a value that ``int`` refuses."""
+
+
+@pytest.mark.parametrize("argv", ARGPARSE_ARGVS, ids=" ".join)
+def test_the_table_reader_leaves_every_other_argv_to_argparse(argv):
+    assert cli.read_argv(argv) is None
+
+
+FLAGS = sorted({flag for _, _, arguments in cli.VERBS.values() for flag, _ in arguments if flag.startswith("-")})
+SWITCHES = {flag for _, _, arguments in cli.VERBS.values() for flag, kw in arguments if kw.get("action") == "store_true"}
+TOKENS = [
+    *cli.VERBS, *FLAGS, "--comp", "--sh", "--o", "--X=x", "--n=3", "--at=x=1",
+    "-h", "--help", "--", "-", "-5", "5", "abc", "", "x+1",
+]
+"""Verbs, every flag, flag prefixes, ``--flag=value``, help, ``--`` and values good and bad."""
+
+FULL_PARSER = cli.build_parser()
+
+
+def chunks(argv: list[str]) -> list[tuple[str, ...]]:
+    """``argv`` cut into flags with their values, switches and positionals."""
+    tokens = iter(argv)
+    return [(t, next(tokens)) if t in FLAGS and t not in SWITCHES else (t,) for t in tokens]
+
+
+@st.composite
+def token_lists(draw) -> list[str]:
+    """A first token from ``TOKENS``; after a verb, its valid arguments in any order with
+    some left out; then tokens or flag-token pairs from ``TOKENS`` put in anywhere."""
+    first = draw(st.sampled_from(TOKENS))
+    rest = [c for c in draw(st.permutations(chunks(VALID_ARGV.get(first, [])))) if draw(st.integers(0, 4))]
+    token = st.sampled_from(TOKENS)
+    for chunk in draw(st.lists(st.tuples(token) | st.tuples(st.sampled_from(FLAGS), token), max_size=3)):
+        rest.insert(draw(st.integers(0, len(rest))), chunk)
+    return [first, *(t for chunk in rest for t in chunk)]
+
+
+@given(token_lists())
+@settings(max_examples=300, deadline=None)
+def test_the_table_reader_is_none_or_argparse_on_any_tokens(argv):
+    code, by_argparse, _, _ = parsed(FULL_PARSER, argv)
+    read = cli.read_argv(argv)
+    if code != 0:
+        assert read is None
+    elif read is not None:
+        assert vars(read) == by_argparse
+
+
+def test_a_reader_closing_stdout_after_one_line_gets_exit_1_and_no_traceback():
+    argv = ["zerocycles", "--m", "2", "--n", "1", "--X", "x", "--order", "25", "--table"]  # 142 kB
+    with subprocess.Popen(
+        [sys.executable, "-m", "kzero.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"0,0: 1\n"
+        proc.stdout.close()
+        start = time.perf_counter()
+        assert proc.wait(timeout=60) == 1
+        assert time.perf_counter() - start < 2
+        assert proc.stderr.read() == b""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_output_to_a_closed_pipe_exits_1_with_empty_stderr(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kzero.cli", "eval", "(x+1)^300"],
+            stdout=write_end, stderr=subprocess.PIPE,
+            env=dict(child_env(), PYTHONUNBUFFERED=unbuffered), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("x", ["1", "x"])
+def test_a_fat_wedge_past_the_degree_limit_exits_3_at_once(capsys, x):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fatwedge", "--n", "100000", "--d", "50000", "--X", x)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_fat_wedge_at_the_degree_limit_still_prints(capsys):
+    d = MAX_TOTAL_DEGREE
+    assert run(capsys, "fatwedge", "--n", str(d), "--d", str(d), "--X", "2") == (0, f"{2 ** d}\n", "")
+    code, out, err = run(capsys, "fatwedge", "--n", str(d + 1), "--d", str(d + 1), "--X", "2")
+    assert (code, out) == (3, "")
+    assert err == f"error: fatness index d={d + 1}; the limit is {d}\n"

@@ -102,10 +102,22 @@ def test_a_verb_without_permutations_leaves_permgroups_unloaded(verb, tmp_path):
     assert "kzero.permgroups" not in loaded_by(argv, tmp_path)
 
 
+FATWEDGE = ["fatwedge", "--n", "4", "--d", "1", "--X", "x"]
+
+
 @pytest.mark.parametrize("verb", ("polyprod", "config", "fatwedge"))
 def test_a_verb_without_a_poset_leaves_posets_unloaded(verb, tmp_path):
-    argv = {**FILE_VERBS, "fatwedge": ["fatwedge", "--n", "4", "--d", "1", "--X", "x"]}[verb]
+    argv = {**FILE_VERBS, "fatwedge": FATWEDGE}[verb]
     assert "kzero.posets" not in loaded_by(argv, tmp_path)
+
+
+PLAIN_ARGVS = {**RING_VERBS, **FILE_VERBS, "fatwedge": FATWEDGE}
+"""A plain argv of each verb, which ``main`` reads off the verb table."""
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS.values(), ids=PLAIN_ARGVS.keys())
+def test_a_plain_argv_leaves_argparse_unloaded(argv, tmp_path):
+    assert {"argparse", "gettext", "locale"}.isdisjoint(loaded_by(argv, tmp_path))
 
 
 def test_every_export_is_the_object_of_its_home_module():
