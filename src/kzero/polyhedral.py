@@ -9,9 +9,15 @@ product (X, A)^K decomposes along the faces of K, giving
     [(X, A)^K] = sum over faces sigma of K of (x - a)^|sigma| * a^(n - |sigma|),
 
 the empty face included; the complex with no faces at all yields a^n.  The
-complement in X^n is computed independently by Möbius inclusion-exclusion
-over the intersection poset of the facets, which must agree with
-x^n - [(X, A)^K].
+complement in X^n is x^n - [(X, A)^K], read in the basis of its strata: it is
+
+    x^n - sum_j h_j x^j a^(n - j),    h_j = sum_k (-1)^(k - j) C(k, j) f_k,
+
+where f_k counts the faces of size k.  By Rota's crosscut theorem -h_j is
+the sum of the Möbius function over the nodes of size j of the intersection
+poset of the facets, so this is the inclusion-exclusion over that poset,
+term by term and power by power, and a size cap refuses the same inputs
+with the same message as that inclusion-exclusion would.
 
 Fat wedges.  fat_wedge_class(n, d) is the class of the subspace of X^n of
 tuples with at most d coordinates away from the basepoint:
@@ -30,9 +36,12 @@ and
 
     [Delta_K(X)] = x * sum over faces sigma of K of (x - 1)^|sigma|,
 
-while the complement M(K, X) = X^n - Delta_K(X) is again an
-inclusion-exclusion over the intersection poset, node sigma contributing
-mu(sigma) * x^(|sigma| + 1).  The two must sum to x^n.
+while the complement M(K, X) = X^n - Delta_K(X) has class x^n - [Delta_K(X)].
+
+Every formula here reads the face counts from one f-vector,
+``SimplicialComplex.f_vector``, and sums its powers through one helper; the
+intersection poset is built only when the f-vector takes its Möbius route,
+or to be printed.
 """
 
 from __future__ import annotations
@@ -40,9 +49,9 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class
+from .classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, check_digits
 from .errors import DOutOfRangeError, PreconditionError
-from .simplicial import SimplicialComplex, full_simplex
+from .simplicial import EmptyComplexError, SimplicialComplex, full_simplex
 
 
 class DimensionConditionError(PreconditionError):
@@ -80,30 +89,44 @@ class PolyPair(_Pair):
         return cls(*fields)
 
 
+def _power_sum(terms: Iterable[tuple[int, int]], step: PolyLike, base: PolyLike, n: int) -> PolyLike:
+    """Sum of c * step^k * base^(n - k) over the (k, c) of ``terms`` with c nonzero.
+
+    Each power is one ``**``, taken in the order of ``terms``, so a power past
+    a size cap is refused before it is multiplied out.
+    """
+    return sum((c * step ** k * base ** (n - k) for k, c in terms if c), 0)
+
+
+def _h_numbers(f: list[int]) -> list[int]:
+    """The coefficients h_j of sum_k f_k (t - 1)^k, by Horner's rule."""
+    h: list[int] = []
+    for c in reversed(f):
+        h = [lo - hi for lo, hi in zip([0, *h], [*h, 0])]  # h * (t - 1)
+        h[0] += c
+    return h
+
+
 def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
     """[(X, A)^K] = sum over faces of (x-a)^|sigma| a^(n-|sigma|); a^n when K has no faces."""
     x, a = pair.x_class, pair.a_class
     if K.is_empty():
         return a ** K.n
-    diff = x - a
-    total = ClassPoly.zero()
-    for size, count in sorted(K.face_count_by_size().items()):
-        total = total + count * diff ** size * a ** (K.n - size)
-    return total
+    return _power_sum(enumerate(K.f_vector()), x - a, a, K.n)
 
 
 def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
-    """[X^n - (X, A)^K] by Möbius inclusion-exclusion over the intersection poset.
+    """[X^n - (X, A)^K] = x^n - sum_j h_j x^j a^(n-j), the h_j read off the f-vector.
 
-    Node sigma carries the stratum class x^|sigma| a^(n-|sigma|); the
-    artificial bottom carries the ambient x^n.
+    -h_j is the sum of mu over the intersection poset's nodes of size j, so these
+    are the powers inclusion-exclusion over the poset takes.  They are taken in
+    its order, by decreasing j, so a size cap refuses with the same message.
     """
-    from .posets import inclusion_exclusion, intersection_poset
-
+    if K.is_empty():
+        raise EmptyComplexError("intersection poset needs at least one facet")
     x, a = pair.x_class, pair.a_class
-    return inclusion_exclusion(
-        intersection_poset(K), lambda vs: x ** len(vs) * a ** (K.n - len(vs)), x ** K.n
-    )
+    h = _h_numbers(K.f_vector())
+    return x ** K.n - _power_sum(reversed(list(enumerate(h))), x, a, K.n)
 
 
 def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPoly:
@@ -111,7 +134,10 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
 
     sum_{j=0..d} C(n, j) (x-1)^j: the point at d = 0, the wedge at d = 1,
     X^n at d = n.  A d past :data:`~kzero.classpoly.MAX_TOTAL_DEGREE` is refused
-    with :class:`~kzero.classpoly.PolyTooLargeError` before any product.
+    with :class:`~kzero.classpoly.PolyTooLargeError` before any product.  So,
+    for a non-constant x, are a (x-1)^d past the degree cap and a leading
+    coefficient C(n, d) c^d past :data:`~kzero.classpoly.MAX_DIGITS`, with the
+    messages that the products and the rendering would give.
     """
     if n < 1:
         raise PreconditionError(f"fat wedge needs n >= 1, got {n}")
@@ -120,6 +146,14 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
     if d > MAX_TOTAL_DEGREE:
         raise PolyTooLargeError(f"fatness index d={d}; the limit is {MAX_TOTAL_DEGREE}")
     step = (ClassPoly.var("x") if x_class is None else as_class(x_class)) - 1
+    if not step.is_constant():
+        degree = step.total_degree()
+        if d * degree > MAX_TOTAL_DEGREE:
+            # The loop would be refused at the first (x-1)^j past the cap; ``**`` refuses it now.
+            step ** (MAX_TOTAL_DEGREE // degree + 1)
+        # Only (x-1)^d reaches the d-th power of step's leading monomial, with the d-th
+        # power of its coefficient c; that term of the result is the first one printed.
+        check_digits(comb(n, d) * next(step.terms())[1] ** d)
     total = power = ClassPoly.one()
     for j in range(1, d + 1):
         power = power * step  # (x-1)^j
@@ -162,10 +196,7 @@ def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
     if K.is_empty():
         return ClassPoly.zero()
     _check_dimension_condition(K)
-    total = ClassPoly.zero()
-    for size, count in sorted(K.face_count_by_size().items()):
-        total = total + count * (x - 1) ** size
-    return x * total
+    return x * _power_sum(enumerate(K.f_vector()), x - 1, 1, K.n)
 
 
 def delta_config_class_disjoint(
@@ -203,18 +234,12 @@ def delta_config_class_disjoint(
 
 
 def m_complement_class(K: SimplicialComplex, x_class: PolyLike | None = None) -> ClassPoly:
-    """[M(K, X)] = [X^n - Delta_K(X)] via the intersection poset.
-
-    Node sigma contributes mu(sigma) * x^(|sigma| + 1); the bottom carries
-    x^n.  Needs at least two facets and the dimension condition.
-    """
+    """[M(K, X)] = x^n - [Delta_K(X)].  Needs at least two facets and the dimension condition."""
     x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if len(K.facets) < 2:
         raise SingleSimplexError("complement of an arrangement needs at least two facets")
-    _check_dimension_condition(K)
-    from .posets import inclusion_exclusion, intersection_poset
-
-    return inclusion_exclusion(intersection_poset(K), lambda vs: x ** (len(vs) + 1), x ** K.n)
+    _check_dimension_condition(K)  # before x^n, whose size cap would refuse first otherwise
+    return x ** K.n - delta_config_class(K, x)
 
 
 def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:
@@ -230,8 +255,5 @@ def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:
     _check_dimension_condition(K)
     n = K.n
     sign = (-1) ** (m_dim * (n + 1))
-    inner = sum(
-        count * ((-1) ** m_dim * chi - 1) ** size
-        for size, count in K.face_count_by_size().items()
-    )
+    inner = _power_sum(enumerate(K.f_vector()), (-1) ** m_dim * chi - 1, 1, n)
     return chi ** n - sign * chi * inner

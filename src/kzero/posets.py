@@ -26,13 +26,16 @@ the strict supersets of sigma are the AND of those bitsets over sigma's
 vertices.  One more bitset per Möbius value then gives the sum of mu over
 them as a sum of value times popcount.
 
-Every stratum class the callers use depends on sigma only through its size
-(x^|sigma| a^(n - |sigma|) for polyhedral products, x^(|sigma| + 1) for
-diagonal arrangements).  So ``inclusion_exclusion`` first adds up mu over
-the nodes of each size k and then evaluates ``class_of`` once per size whose
-sum is nonzero, passing the first node of that size as the representative.
-This is exact for any ``class_of`` that depends on sigma only through |sigma|,
-which is the contract ``class_of`` must meet.
+The complex formulas do not run on the poset: they read the f-vector of
+:mod:`kzero.simplicial`, which takes its Möbius route through
+``intersection_poset`` only when enumerating the faces would cost more.  The
+poset itself is printed by ``--show-poset``.  ``inclusion_exclusion`` stays
+as the route the test suite checks the complements against: for a
+``class_of`` that depends on sigma only through |sigma| (as the stratum
+classes x^|sigma| a^(n - |sigma|) of polyhedral products and x^(|sigma| + 1)
+of diagonal arrangements do), it first adds up mu over the nodes of each
+size and then evaluates ``class_of`` once per size whose sum is nonzero,
+passing the first node of that size as the representative.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ from itertools import combinations, groupby
 from typing import Callable, NamedTuple
 
 from .classpoly import ClassPoly
-from .errors import PreconditionError
-from .simplicial import Simplex, SimplicialComplex, from_mask, to_mask
-
-
-class EmptyComplexError(PreconditionError):
-    """An operation needing at least one facet was given a complex without any."""
+from .simplicial import EmptyComplexError, Simplex, SimplicialComplex, from_mask, to_mask
 
 
 class PosetNode(NamedTuple):
@@ -83,15 +81,6 @@ class IntersectionPoset:
     @property
     def bottom(self) -> PosetNode:
         return self._nodes[0]
-
-    @staticmethod
-    def strictly_below(a: PosetNode, b: PosetNode) -> bool:
-        """True when a < b in the poset order (reverse inclusion, bottom lowest)."""
-        if a.vertex_set is None:
-            return b.vertex_set is not None
-        if b.vertex_set is None:
-            return False
-        return set(a.vertex_set) > set(b.vertex_set)
 
     def render(self) -> str:
         """Deterministic one-node-per-line listing for debugging output."""

@@ -18,6 +18,15 @@ decreasing size, and each is kept unless it lies inside a kept face of
 strictly larger size.  Two distinct faces of equal size are never nested, so
 a pure complex such as a skeleton needs no subset test at all.
 
+The f-vector (``f_vector``) is the one face count the complex formulas read.
+Its route is chosen from counts known before any work.  A skeleton of the
+full simplex (all C(n, s) faces of one size s as facets) has the closed form
+f_k = C(n, k) for k <= s.  Otherwise the faces are enumerated when the sum
+over facets of 2^|F| is small against the pairs of facets; past that, the
+counts are read off the intersection poset of the facets (Rota 1964):
+f_k = sum over its non-bottom nodes sigma of -mu(sigma) * C(|sigma|, k).  So
+one facet on 24 vertices is two poset nodes, not 2^24 faces.
+
 File format (one complex per file): a line ``n=<int>`` followed by one facet
 per line as comma-separated vertices.  Blank lines and ``#`` comments are
 ignored.  The complex whose only face is the empty simplex has no file
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, groupby
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
@@ -41,6 +51,10 @@ class VertexOutOfRangeError(PreconditionError):
 
 class ComplexFormatError(InputSyntaxError):
     """A complex file does not follow the documented format."""
+
+
+class EmptyComplexError(PreconditionError):
+    """An operation needing at least one facet was given a complex without any."""
 
 
 def to_mask(face: Iterable[int]) -> int:
@@ -113,10 +127,38 @@ class SimplicialComplex(_Complex):
         """Every face, the empty simplex included, sorted by (size, lexicographic)."""
         return sorted(self._faces(), key=lambda s: (len(s), s))
 
-    def face_count_by_size(self) -> dict[int, int]:
-        """Number of faces of each size, by increasing size."""
+    def f_vector(self) -> list[int]:
+        """Entry k is the number of faces of size k, the empty face included; [] when
+        there are no faces.  The route is chosen as the module docstring says."""
+        facets = self.facets
+        if not facets:
+            return []
+        size = len(facets[-1])  # facets are sorted by size, so this is the largest
+        if len(facets[0]) == size and len(facets) == comb(self.n, size):
+            return [comb(self.n, k) for k in range(size + 1)]
+        # In-process on a 2-vCPU Xeon VM with Python 3.11, listing a face cost about a 32nd
+        # of what the poset route spent per pair of facets; the 256 pairs stand for
+        # importing and starting the poset code, about 1.5 ms.
+        pairs = len(facets) * (len(facets) - 1) // 2
+        if sum(1 << len(f) for f in facets) <= 32 * (pairs + 256):
+            return self._f_vector_by_faces()
+        return self._f_vector_by_mobius()
+
+    def _f_vector_by_faces(self) -> list[int]:
         counts = Counter(map(len, self._faces()))
-        return {k: counts[k] for k in sorted(counts)}
+        return [counts[k] for k in range(len(counts))]
+
+    def _f_vector_by_mobius(self) -> list[int]:
+        from .posets import intersection_poset
+
+        weight: Counter[int] = Counter()  # per node size: minus the sum of mu over those nodes
+        for node in intersection_poset(self).nodes[1:]:
+            weight[len(node.vertex_set)] -= node.mobius
+        return [sum(w * comb(s, k) for s, w in weight.items()) for k in range(self.dim + 2)]
+
+    def face_count_by_size(self) -> dict[int, int]:
+        """Number of faces of each size, by increasing size: the f-vector as a dict."""
+        return dict(enumerate(self.f_vector()))
 
     def skeleton(self, d: int) -> SimplicialComplex:
         """The subcomplex of faces of dimension at most d; d = -1 keeps only the empty face."""
@@ -187,12 +229,6 @@ class DisjointUnion(NamedTuple):
 
     complex: SimplicialComplex
     spans: tuple[tuple[int, int], ...]
-
-    def component_of(self, vertex: int) -> int:
-        for i, (lo, hi) in enumerate(self.spans):
-            if lo <= vertex <= hi:
-                return i
-        raise ValueError(f"vertex {vertex} outside every component span")
 
 
 def disjoint_union(components: Sequence[SimplicialComplex]) -> DisjointUnion:

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import importlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -713,9 +714,42 @@ def test_a_fat_wedge_past_the_degree_limit_exits_3_at_once(capsys, x):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_fat_wedge_with_a_runaway_n_exits_3_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fatwedge", "--n", str(10 ** 20), "--d", "1000", "--X", "x")
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (3, "", f"error: cannot print a number of more than {MAX_DIGITS} digits\n")
+    # with X = x + 1 the class is 1 + n x + C(n, 2) x^2; C(n, 2) has MAX_DIGITS digits
+    # at n = 10^2150 and one more at twice that n, where the rendering would refuse it
+    n = 10 ** (MAX_DIGITS // 2)
+    assert run(capsys, "fatwedge", "--n", str(n), "--d", "2", "--X", "x+1") == (
+        0, f"{n * (n - 1) // 2}*x^2 + {n}*x + 1\n", "")
+    assert run(capsys, "fatwedge", "--n", str(2 * n), "--d", "2", "--X", "x+1") == (3, "", err)
+    # past the degree cap the error is the one of the first power (x^2 - 1)^501 past it
+    start = time.perf_counter()
+    assert run(capsys, "fatwedge", "--n", str(10 ** 4000), "--d", "600", "--X", "x^2") == (
+        3, "", f"error: result would have total degree 1002; the limit is {MAX_TOTAL_DEGREE}\n")
+    assert time.perf_counter() - start < 2
+
+
 def test_a_fat_wedge_at_the_degree_limit_still_prints(capsys):
     d = MAX_TOTAL_DEGREE
     assert run(capsys, "fatwedge", "--n", str(d), "--d", str(d), "--X", "2") == (0, f"{2 ** d}\n", "")
     code, out, err = run(capsys, "fatwedge", "--n", str(d + 1), "--d", str(d + 1), "--X", "2")
     assert (code, out) == (3, "")
     assert err == f"error: fatness index d={d + 1}; the limit is {d}\n"
+
+
+@pytest.mark.parametrize("verb, expected", [("polyprod", "(y+1)^24"), ("complement", "y*(y+1)^24")])
+def test_one_facet_on_24_vertices_is_quick(tmp_path, verb, expected):
+    # one facet is two poset nodes; listing its 2^24 faces took past 8 s
+    path = tmp_path / "K.txt"
+    path.write_text("n=25\n" + ",".join(map(str, range(1, 25))) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", verb, "--complex", str(path), "--X", "y+1", "--A", "1"],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{parse_poly(expected)}\n", "")
+    assert f" + {math.comb(24, 12)}*y^" in proc.stdout

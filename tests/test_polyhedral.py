@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from kzero.classpoly import ClassPoly
+from kzero.classpoly import ClassPoly, PolyTooLargeError
 from kzero.polyhedral import (
     ComponentIsSingleSimplexError,
     DimensionConditionError,
@@ -27,8 +27,10 @@ from kzero.polyhedral import (
     polyhedral_product_complement_class,
     w_class,
 )
+from kzero.posets import inclusion_exclusion
 from kzero.simplicial import SimplicialComplex, disjoint_union, full_simplex
 from util import (
+    brute_force_poset,
     count_arrangement_points,
     count_polyhedral_product_points,
     random_complex,
@@ -56,6 +58,42 @@ def test_product_plus_complement_is_ambient_power():
         K = random_complex(rng)
         total = polyhedral_product_class(K, PAIR) + polyhedral_product_complement_class(K, PAIR)
         assert total == X ** K.n
+
+
+def test_complement_matches_inclusion_exclusion_over_the_poset():
+    rng = random.Random(124)
+    for _ in range(200):
+        K = random_complex(rng)
+        expected = inclusion_exclusion(
+            brute_force_poset(K), lambda vs: X ** len(vs) * A ** (K.n - len(vs)), X ** K.n
+        )
+        assert polyhedral_product_complement_class(K, PAIR) == expected, K
+
+
+def test_complement_refuses_as_inclusion_exclusion_over_the_poset_does():
+    # With x = 2 and a = a^2 on 600 vertices, the stratum of a node of size j has degree
+    # 2(600 - j), past the cap for j < 100; the poset route meets the largest node first.
+    n, pair = 600, PolyPair(2, A ** 2)
+    x, a = pair
+    for facets in (
+        [range(1, 151)],
+        [range(1, 151), range(100, 301)],
+        [range(1, 151), range(100, 301), range(400, 411)],
+        [range(1, 11), range(11, 21)],
+    ):
+        K = SimplicialComplex(n, facets)
+        outcomes = []
+        for route in (
+            lambda: polyhedral_product_complement_class(K, pair),
+            lambda: inclusion_exclusion(
+                brute_force_poset(K), lambda vs: x ** len(vs) * a ** (n - len(vs)), x ** n
+            ),
+        ):
+            try:
+                outcomes.append(str(route()))
+            except PolyTooLargeError as e:
+                outcomes.append(f"refused: {e}")
+        assert outcomes[0] == outcomes[1], K
 
 
 def test_product_counts_points_in_finite_models():
@@ -170,6 +208,14 @@ def test_delta_plus_complement_is_ambient_power():
     for _ in range(150):
         K = random_small_facet_complex(rng)
         assert delta_config_class(K) + m_complement_class(K) == X ** K.n
+
+
+def test_m_complement_matches_inclusion_exclusion_over_the_poset():
+    rng = random.Random(778)
+    for _ in range(150):
+        K = random_small_facet_complex(rng)
+        expected = inclusion_exclusion(brute_force_poset(K), lambda vs: X ** (len(vs) + 1), X ** K.n)
+        assert m_complement_class(K) == expected, K
 
 
 def test_m_complement_counts_points():

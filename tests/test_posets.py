@@ -5,14 +5,9 @@ import random
 import pytest
 
 from kzero.classpoly import ClassPoly
-from kzero.posets import (
-    EmptyComplexError,
-    IntersectionPoset,
-    inclusion_exclusion,
-    intersection_poset,
-)
+from kzero.posets import EmptyComplexError, inclusion_exclusion, intersection_poset
 from kzero.simplicial import SimplicialComplex, full_simplex
-from util import brute_force_poset, facet_list_cases, random_complex
+from util import brute_force_poset, facet_list_cases, random_complex, strictly_below
 
 SKELETA = [(8, 2), (9, 3)]
 
@@ -84,7 +79,7 @@ def test_mobius_recursion_sums_to_zero_above_bottom():
         for x in P.nodes[1:]:
             total = x.mobius
             for y in P.nodes:
-                if IntersectionPoset.strictly_below(y, x):
+                if strictly_below(y, x):
                     total += y.mobius
             assert total == 0
 
@@ -95,11 +90,11 @@ def test_strictly_below_is_reverse_inclusion_with_bottom_least():
     bottom = by_label["ambient"]
     big = by_label["{1,2,3}"]
     small = by_label["{2,3}"]
-    assert IntersectionPoset.strictly_below(bottom, big)
-    assert IntersectionPoset.strictly_below(big, small)
-    assert not IntersectionPoset.strictly_below(small, big)
-    assert not IntersectionPoset.strictly_below(big, big)
-    assert not IntersectionPoset.strictly_below(big, bottom)
+    assert strictly_below(bottom, big)
+    assert strictly_below(big, small)
+    assert not strictly_below(small, big)
+    assert not strictly_below(big, big)
+    assert not strictly_below(big, bottom)
 
 
 def test_inclusion_exclusion_counts_complement_of_a_union():

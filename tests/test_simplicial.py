@@ -1,6 +1,8 @@
 """Complexes: facet normalization, skeleta, the text format, disjoint unions."""
 
+import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,7 +14,7 @@ from kzero.simplicial import (
     disjoint_union,
     full_simplex,
 )
-from util import brute_force_facets, facet_list_cases, random_complex
+from util import brute_force_facets, component_of, facet_list_cases, random_complex
 
 
 def test_facets_are_filtered_to_maximal_faces():
@@ -99,6 +101,35 @@ def test_skeleton_face_counts_match_binomials():
             assert all(k <= d + 1 for k in counts)
 
 
+def f_vector_cases() -> list[SimplicialComplex]:
+    """``facet_list_cases()``, every skeleton of the full simplex on n <= 9 vertices,
+    and single facets, some on more vertices than they hold."""
+    cases = [SimplicialComplex(n, faces) for n, faces in facet_list_cases()]
+    cases += [full_simplex(n).skeleton(d) for n in range(1, 10) for d in range(-1, n)]
+    cases += [SimplicialComplex(n, [range(1, size + 1)]) for n in (12, 14) for size in (0, 1, 5, 12)]
+    return cases
+
+
+def counted_faces(K: SimplicialComplex) -> list[int]:
+    counts = Counter(map(len, K.all_faces()))
+    return [counts[k] for k in range(len(counts))]
+
+
+@pytest.mark.parametrize("route", ["f_vector", "_f_vector_by_faces", "_f_vector_by_mobius"])
+def test_every_f_vector_route_counts_the_faces(route):
+    for K in f_vector_cases():
+        if K.is_empty():
+            assert K.f_vector() == []
+            continue
+        assert getattr(K, route)() == counted_faces(K), K
+
+
+def test_one_big_facet_has_binomial_face_counts():
+    K = SimplicialComplex(30, [range(3, 27)])
+    assert K.f_vector() == [math.comb(24, k) for k in range(25)]
+    assert K.face_count_by_size() == dict(enumerate(K.f_vector()))
+
+
 def test_skeleton_of_empty_complex_stays_empty():
     K = SimplicialComplex(5)
     assert K.skeleton(2).is_empty()
@@ -161,11 +192,11 @@ def test_disjoint_union_spans_and_membership():
     assert U.complex.n == 5
     assert U.complex.facets == ((3,), (1, 2), (4, 5))
     assert U.spans == ((1, 2), (3, 3), (4, 5))
-    assert U.component_of(2) == 0
-    assert U.component_of(3) == 1
-    assert U.component_of(5) == 2
+    assert component_of(U, 2) == 0
+    assert component_of(U, 3) == 1
+    assert component_of(U, 5) == 2
     with pytest.raises(ValueError):
-        U.component_of(6)
+        component_of(U, 6)
 
 
 def test_disjoint_union_face_counts_add():

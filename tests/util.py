@@ -19,7 +19,7 @@ from kzero.classseries import ClassSeries, binomial_series, macdonald_series
 from kzero.permgroups import PermGroup, Permutation
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
-from kzero.simplicial import SimplicialComplex
+from kzero.simplicial import DisjointUnion, SimplicialComplex
 
 
 def random_poly(rng: random.Random, variables: tuple[str, ...] = ("x",), max_degree: int = 3) -> ClassPoly:
@@ -111,6 +111,23 @@ def brute_force_poset(K: SimplicialComplex) -> IntersectionPoset:
         below = sum(mobius[j] for j in range(1, i) if set(ordered[j]) > set(ordered[i]))
         mobius.append(-(mobius[0] + below))
     return IntersectionPoset(tuple(PosetNode(vs, mu) for vs, mu in zip(ordered, mobius)))
+
+
+def strictly_below(a: PosetNode, b: PosetNode) -> bool:
+    """True when a < b in the poset order (reverse inclusion, bottom lowest)."""
+    if a.vertex_set is None:
+        return b.vertex_set is not None
+    if b.vertex_set is None:
+        return False
+    return set(a.vertex_set) > set(b.vertex_set)
+
+
+def component_of(union: DisjointUnion, vertex: int) -> int:
+    """The index of the component of ``union`` whose vertex span holds ``vertex``."""
+    for i, (lo, hi) in enumerate(union.spans):
+        if lo <= vertex <= hi:
+            return i
+    raise ValueError(f"vertex {vertex} outside every component span")
 
 
 def random_small_facet_complex(rng: random.Random, n_min: int = 5, n_max: int = 9) -> SimplicialComplex:
