@@ -20,7 +20,7 @@ a ``kzero`` verb pays only for the modules it uses.
 
 _EXPORTS = {
     "classpoly": ("ClassPoly", "binomial", "parse_poly"),
-    "classseries": ("ClassSeries", "binomial_series", "geometric_series", "macdonald_series"),
+    "classseries": ("ClassSeries", "binomial_series", "macdonald_series"),
     "permgroups": (
         "PermGroup", "Permutation", "burnside_quotient_class", "cyclic_product_class",
         "permutation_product_class", "symmetric_product_class",
@@ -37,7 +37,7 @@ _EXPORTS = {
         "has_unique_fixed_point", "orbifold_euler", "orbit_sum_class",
         "quotient_euler_from_fixed_data",
     ),
-    "simplicial": ("SimplicialComplex", "disjoint_union", "full_simplex"),
+    "simplicial": ("SimplicialComplex", "full_simplex"),
     "zerocycles": ("ZeroCycleTable", "closed_series", "ratio_series", "sp_vector_class"),
 }
 """Home module of every exported name."""

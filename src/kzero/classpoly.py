@@ -207,14 +207,6 @@ class ClassPoly:
         for e, c in self._sorted_terms():
             yield {v: k for v, k in zip(self._vars, e) if k}, c
 
-    def coefficient(self, monomial: Mapping[str, int]) -> Fraction:
-        """Coefficient of the given monomial ({} for the constant term)."""
-        mono = {v: k for v, k in monomial.items() if k}
-        if not set(mono) <= set(self._vars):
-            return Fraction(0)
-        key = tuple(mono.get(v, 0) for v in self._vars)
-        return self._terms.get(key, Fraction(0))
-
     def constant_term(self) -> Fraction:
         return self._terms.get((0,) * len(self._vars), Fraction(0))
 

@@ -10,19 +10,18 @@ A series of order ``N`` is its tuple of the coefficients of ``x^0 .. x^N``:
 between series of different orders truncates to the smaller order, which is
 the only sound choice for truncated data.  Equality and hashing are the
 tuple's, so equal series have equal order and equal coefficients; to compare
-two series through a common order use ``s.truncate(k) == t.truncate(k)``.
-The arithmetic operators are the series', not the tuple's concatenation and
-repetition.
+two series through a common order compare the slices ``s[:k + 1]`` and
+``t[:k + 1]``.  A series combines only with a series: ``+``, ``*`` and their
+reflected forms raise ``TypeError`` for any other operand, so they are never
+the tuple's concatenation and repetition.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Union
+from typing import Iterable
 
 from .classpoly import ClassPoly, PolyLike, as_class
 from .errors import PreconditionError
-
-SeriesLike = Union["ClassSeries", PolyLike]
 
 
 class NonUnitConstantTermError(PreconditionError):
@@ -50,16 +49,8 @@ class ClassSeries(tuple):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order: int) -> ClassSeries:
-        return cls([], order=order)
-
-    @classmethod
     def one(cls, order: int) -> ClassSeries:
         return cls([ClassPoly.one()], order=order)
-
-    @classmethod
-    def constant(cls, value: PolyLike, order: int) -> ClassSeries:
-        return cls([value], order=order)
 
     # -- structure ---------------------------------------------------------
 
@@ -76,49 +67,15 @@ class ClassSeries(tuple):
             raise IndexError(f"coefficient {k} outside truncation order {self.order}")
         return self[k]
 
-    def truncate(self, order: int) -> ClassSeries:
-        """The same series cut down to a smaller (or equal) order."""
-        if order > self.order:
-            raise ValueError(f"cannot extend a series truncated at {self.order} to {order}")
-        return ClassSeries(self[: order + 1], order=order)
-
     # -- arithmetic --------------------------------------------------------
 
-    def _coerced(self, other: SeriesLike) -> ClassSeries | None:
-        if isinstance(other, ClassSeries):
-            return other
-        try:
-            return ClassSeries.constant(other, self.order)
-        except TypeError:
-            return None
-
-    def __add__(self, other: SeriesLike) -> ClassSeries:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return ClassSeries([a + b for a, b in zip(self, o)])
+    def __add__(self, other: ClassSeries) -> ClassSeries:
+        return ClassSeries([a + b for a, b in zip(self, _series(other))])
 
     __radd__ = __add__
 
-    def __neg__(self) -> ClassSeries:
-        return ClassSeries([-c for c in self])
-
-    def __sub__(self, other: SeriesLike) -> ClassSeries:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: SeriesLike) -> ClassSeries:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: SeriesLike) -> ClassSeries:
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
+    def __mul__(self, other: ClassSeries) -> ClassSeries:
+        o = _series(other)
         n = min(len(self), len(o)) - 1
         out = [ClassPoly.zero() for _ in range(n + 1)]
         for i in range(n + 1):
@@ -177,6 +134,13 @@ class ClassSeries(tuple):
         body = "".join(parts) if parts else "0"
         exp = len(self)
         return f"{body} + O(x^{{{exp}}})" if latex else f"{body} + O(x^{exp})"
+
+
+def _series(other: object) -> ClassSeries:
+    """The other operand of a series operator, which must be a series."""
+    if not isinstance(other, ClassSeries):
+        raise TypeError(f"a series combines only with a series, got {type(other).__name__}")
+    return other
 
 
 def _render_term(c: ClassPoly, k: int, latex: bool, first: bool) -> str:
@@ -242,7 +206,3 @@ def macdonald_series(p: PolyLike, order: int) -> ClassSeries:
     """
     return binomial_series(-as_class(p), 1, 1, order=order)
 
-
-def geometric_series(order: int) -> ClassSeries:
-    """1 + x + x^2 + ... = (1 - x)^(-1), truncated at ``order``."""
-    return ClassSeries([ClassPoly.one()] * (order + 1), order=order)

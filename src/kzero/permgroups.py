@@ -193,9 +193,6 @@ class Permutation(tuple):
         lengths.extend([1] * (self.degree - sum(lengths)))
         return tuple(sorted(lengths, reverse=True))
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self, start=1))
-
     def __str__(self) -> str:
         cycs = self.cycles()
         if not cycs:
@@ -311,9 +308,6 @@ class PermGroup:
 
     def __contains__(self, g: Permutation) -> bool:
         return g in self._element_set
-
-    def __len__(self) -> int:
-        return len(self._elements)
 
     def conjugacy_classes(self) -> list[tuple[Permutation, tuple[Permutation, ...]]]:
         """(representative, members) per class, by least member; each class is a member

@@ -211,7 +211,7 @@ def delta_config_class_disjoint(
 
     Per-component classes are computed by ``delta_config_class``, so each
     component needs its own dimension condition.  Every component must have
-    at least two facets, and no face may exhaust its component's vertex set.
+    at least two facets, so no face exhausts its component's vertex set.
     """
     x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if len(components) < 3:
@@ -222,10 +222,6 @@ def delta_config_class_disjoint(
         if len(K.facets) < 2:
             raise ComponentIsSingleSimplexError(
                 f"component {i} has {len(K.facets)} facet(s); need at least two"
-            )
-        if any(len(f) >= K.n for f in K.facets):
-            raise ComponentIsSingleSimplexError(
-                f"component {i} has a facet exhausting its vertex set"
             )
     total = ClassPoly.zero()
     for K in components:

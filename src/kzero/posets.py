@@ -53,9 +53,6 @@ class PosetNode(NamedTuple):
     vertex_set: Simplex | None
     mobius: int
 
-    def is_bottom(self) -> bool:
-        return self.vertex_set is None
-
     def label(self) -> str:
         if self.vertex_set is None:
             return "ambient"

@@ -8,9 +8,8 @@ whose only face is the empty simplex are distinct values; the latter arises
 as the (-1)-skeleton.
 
 Simplices are plain sorted tuples of vertices.  Vertex numbering is global
-to the complex: two complexes on the same n can share vertices, and
-``disjoint_union`` shifts numbering to make components disjoint.  Internally
-a simplex is also read as an int bitmask (bit v for vertex v), so that a
+to the complex: two complexes on the same n share vertices.  Internally a
+simplex is also read as an int bitmask (bit v for vertex v), so that a
 subset test is ``a & ~b == 0`` and a meet is ``a & b``.
 
 The facet filter works by size: the distinct candidate faces are taken in
@@ -38,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, groupby
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
@@ -219,25 +218,3 @@ def full_simplex(n: int) -> SimplicialComplex:
         raise ValueError("full simplex needs n >= 1")
     return SimplicialComplex(n, [tuple(range(1, n + 1))])
 
-
-class DisjointUnion(NamedTuple):
-    """A disjoint union of complexes with its component bookkeeping.
-
-    ``spans[i]`` is the (first, last) vertex range, inclusive, occupied by
-    component i after renumbering.
-    """
-
-    complex: SimplicialComplex
-    spans: tuple[tuple[int, int], ...]
-
-
-def disjoint_union(components: Sequence[SimplicialComplex]) -> DisjointUnion:
-    """Shift components to disjoint vertex ranges and join their facet lists."""
-    facets: list[Simplex] = []
-    spans: list[tuple[int, int]] = []
-    offset = 0
-    for K in components:
-        spans.append((offset + 1, offset + K.n))
-        facets.extend(tuple(v + offset for v in f) for f in K.facets)
-        offset += K.n
-    return DisjointUnion(SimplicialComplex(offset, facets), tuple(spans))

@@ -32,7 +32,6 @@ ENTRY_POINTS = {
     "as_class": as_class,
     "binomial": lambda c: binomial(c, 3),
     "ClassSeries": lambda c: ClassSeries([1, c]),
-    "ClassSeries.constant": lambda c: ClassSeries.constant(c, 2),
     "binomial_series": lambda c: binomial_series(c, 2, order=4),
     "macdonald_series": lambda c: macdonald_series(c, 3),
     "burnside_quotient_class": lambda c: burnside_quotient_class(PermGroup.symmetric(3), c),

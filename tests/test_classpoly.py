@@ -171,7 +171,7 @@ def test_parse_accepted_syntax():
 
 
 def test_parse_rejects_bad_syntax():
-    for bad in ["", "x +", "x ^ a", "x^-2", "(x", "x)", "1/0", "x/2", "2x", "x**2", "$"]:
+    for bad in ["", "x +", "x ^ a", "x^-2", "(x", "x)", "1/0", "x/2", "2x", "x**2", "$", "(x 2)", "1/x"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
 

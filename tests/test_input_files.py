@@ -53,12 +53,14 @@ BAD_FIELDS = [
     ("group", "degree=3\ngen (1 2)\ngen (1 4)\n", 2),
     ("complex", "n=q\n", 0),
     ("complex", "n=4\n1,2\n1,x\n", 2),
+    ("complex", "n=-1\n", 0),
     ("gspace", "stratum p class=x+\ngroup degree=1\n", 0),
     ("gspace", "stratum p class=1\ngroup degree=0\n", 1),
     ("gspace", "stratum p class=1\ngroup degree=-3\n", 1),
     ("gspace", "stratum p class=1\ngroup degree=2\ngen (1 3)\n", 2),
     ("gspace", "stratum p class=1\ngroup degree=2\ngen (1 2)\naction ² \n", 3),
     ("gspace", "stratum p class=1\ngroup degree=2\ngen (1 2)\ngroup degree=3\n", 3),
+    ("gspace", "stratum a class=1\nstratum b class=1\ngroup degree=2\ngen (1 2)\naction 1 a->b a->a\n", 4),
     ("descriptor", "id c=2 class=1\nid c=two class=1\n", 1),
     ("descriptor", "id c=2 class=1\nid c=1 class=(x\n", 1),
     ("isometry", "r1 c=2\nr2 c=x\n", 1),
@@ -66,6 +68,7 @@ BAD_FIELDS = [
     ("affine", "dim=x\n", 0),
     ("affine", "dim=2\nrow 0 -1\nrow 1 q\nt 0 0\n", 2),
     ("affine", "dim=2\nrow 0 -1\nrow 1 1/0\nt 0 0\n", 2),
+    ("affine", "dim=1\nfoo 1\n", 1),
 ]
 
 

@@ -1,5 +1,6 @@
-"""The limits README.md states are the limits the code enforces."""
+"""README.md is true: its python examples run, and its limits are the code's."""
 
+import doctest
 import importlib
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ README = (SRC.parent.parent / "README.md").read_text()
 
 # `module.MAX_NAME = value`, value an integer or an integer power like 10**12
 LIMIT_RE = re.compile(r"`(\w+)\.(MAX_\w+) = (\d+)(?:\*\*(\d+))?`")
+PYTHON_BLOCK_RE = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def _stated_limits() -> list[tuple[str, str, int]]:
@@ -31,3 +33,13 @@ def test_every_module_limit_is_stated():
     for path in sorted(SRC.glob("*.py")):
         for name in re.findall(r"^(MAX_\w+) = ", path.read_text(), re.MULTILINE):
             assert (path.stem, name) in stated, f"README.md does not state {path.stem}.{name}"
+
+
+def test_every_python_block_runs_as_a_doctest():
+    blocks = PYTHON_BLOCK_RE.findall(README)
+    assert blocks, "README.md has no python block"
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    report: list[str] = []
+    for i, block in enumerate(blocks):
+        runner.run(parser.get_doctest(block, {}, f"README.md python block {i}", "README.md", 0), out=report.append)
+    assert runner.failures == 0, "".join(report)

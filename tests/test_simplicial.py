@@ -11,10 +11,9 @@ from kzero.simplicial import (
     ComplexFormatError,
     SimplicialComplex,
     VertexOutOfRangeError,
-    disjoint_union,
     full_simplex,
 )
-from util import brute_force_facets, component_of, facet_list_cases, random_complex
+from util import brute_force_facets, disjoint_union, facet_list_cases, random_complex
 
 
 def test_facets_are_filtered_to_maximal_faces():
@@ -185,20 +184,6 @@ def test_empty_simplex_only_complex_has_no_file_form():
         SimplicialComplex(3, [[]]).to_text()
 
 
-def test_disjoint_union_spans_and_membership():
-    edge = SimplicialComplex(2, [[1, 2]])
-    point = SimplicialComplex(1, [[1]])
-    U = disjoint_union([edge, point, edge])
-    assert U.complex.n == 5
-    assert U.complex.facets == ((3,), (1, 2), (4, 5))
-    assert U.spans == ((1, 2), (3, 3), (4, 5))
-    assert component_of(U, 2) == 0
-    assert component_of(U, 3) == 1
-    assert component_of(U, 5) == 2
-    with pytest.raises(ValueError):
-        component_of(U, 6)
-
-
 def test_disjoint_union_face_counts_add():
     rng = random.Random(99)
     for _ in range(100):
@@ -210,7 +195,7 @@ def test_disjoint_union_face_counts_add():
                 merged[size] = merged.get(size, 0) + c
         if merged.get(0):
             merged[0] = 1  # the empty face is shared
-        assert U.complex.face_count_by_size() == merged
+        assert U.face_count_by_size() == merged
 
 
 def test_replace_and_make_go_through_the_constructor():

@@ -19,7 +19,7 @@ from kzero.classseries import ClassSeries, binomial_series, macdonald_series
 from kzero.permgroups import PermGroup, Permutation
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
-from kzero.simplicial import DisjointUnion, SimplicialComplex
+from kzero.simplicial import SimplicialComplex
 
 
 def random_poly(rng: random.Random, variables: tuple[str, ...] = ("x",), max_degree: int = 3) -> ClassPoly:
@@ -122,12 +122,14 @@ def strictly_below(a: PosetNode, b: PosetNode) -> bool:
     return set(a.vertex_set) > set(b.vertex_set)
 
 
-def component_of(union: DisjointUnion, vertex: int) -> int:
-    """The index of the component of ``union`` whose vertex span holds ``vertex``."""
-    for i, (lo, hi) in enumerate(union.spans):
-        if lo <= vertex <= hi:
-            return i
-    raise ValueError(f"vertex {vertex} outside every component span")
+def disjoint_union(parts: Sequence[SimplicialComplex]) -> SimplicialComplex:
+    """The disjoint union: each part's vertices shifted past those of the parts before it."""
+    facets: list[tuple[int, ...]] = []
+    offset = 0
+    for K in parts:
+        facets.extend(tuple(v + offset for v in f) for f in K.facets)
+        offset += K.n
+    return SimplicialComplex(offset, facets)
 
 
 def random_small_facet_complex(rng: random.Random, n_min: int = 5, n_max: int = 9) -> SimplicialComplex:
@@ -279,13 +281,14 @@ def random_gspace(rng: random.Random, max_strata: int = 20) -> StratifiedGSpace:
     """
     n = rng.randint(2, 5)
     G = random_subgroup(rng, n)
+    identity = Permutation.identity(n)
     blocks: list[list[frozenset[Permutation]]] = []
     total = 0
     for _ in range(rng.randint(1, 4)):
         g = rng.choice(G.elements)
         subgroup = [g]
         h = g
-        while not h.is_identity():
+        while h != identity:
             h = h * g
             subgroup.append(h)
         cosets = left_cosets(G, subgroup)
