@@ -1,9 +1,9 @@
 """Exact multivariate polynomials over the rationals, used as Grothendieck classes.
 
-A :class:`ClassPoly` is a formal polynomial with :class:`fractions.Fraction`
-coefficients in named variables, one variable per generating class the caller
-cares about (say ``x`` for the class of a space X and ``a`` for a subspace A).
-All arithmetic is exact; no floating point appears anywhere in this package.
+A :class:`ClassPoly` is a formal polynomial with rational coefficients in
+named variables, one variable per generating class the caller cares about
+(say ``x`` for the class of a space X and ``a`` for a subspace A).  All
+arithmetic is exact; no floating point appears anywhere in this package.
 
 Canonical form
 --------------
@@ -23,18 +23,27 @@ group orders and factorials, never by polynomials.
 Construction
 ------------
 ``ClassPoly(variables, terms)`` is the one validating constructor: it checks
-variable names and exponent vectors and converts coefficients to
-``Fraction``.  Every function that takes a class reads it through
+variable names and exponent vectors and reads ``int`` or ``Fraction``
+coefficients.  Every function that takes a class reads it through
 :func:`as_class`: a ``ClassPoly``, or an ``int`` or ``Fraction`` made a constant;
 anything else, a float or a string too, is a ``TypeError``, and so is a
 coefficient, evaluation value or divisor that is not an ``int`` or ``Fraction``.
 The ring operations build their results through the private ``ClassPoly._make``,
-which trusts that the coefficients are already ``Fraction`` values and the
-exponent vectors fit the variables; it still puts the result in canonical form.
+which trusts that the exponent vectors fit the variables; it still puts the
+result in canonical form.
 
-Products work on integers: each factor is scaled to integer numerators over
-the lcm of its denominators, and only the output terms become ``Fraction``
-values again.
+A polynomial is stored as integer numerators over one positive common
+denominator: a term's coefficient is its numerator over that denominator.
+The gcd of the denominator and all the numerators is 1, so the denominator
+is the lcm of the reduced coefficients' denominators and the stored form is
+unique; zero has denominator 1.  Sums scale both operands to the lcm of
+their denominators.  Products multiply numerators and denominators:
+:func:`sum_of_products` adds any number of products into one integer
+accumulation, each exponent vector packed into one int, and reduces the sum
+once; ``a * b`` is its one-pair case, and a series coefficient another.
+``Fraction`` values appear only where the API returns them (``terms``,
+``constant_term``, ``evaluate``); rendering reduces each coefficient with
+one integer gcd.
 
 Size caps
 ---------
@@ -44,22 +53,27 @@ input like ``(x+1)^100000`` fails at once instead of running without bound.
 A number with more than :data:`MAX_DIGITS` decimal digits is refused with
 the same error where it is read (``parse_poly``) or rendered (``str``,
 ``latex``), and a power is refused before multiplying once its leading
-coefficient alone must pass that limit.  ``parse_poly`` refuses parentheses
-nested deeper than :data:`MAX_NESTING`.
+coefficient alone must pass that limit.  ``evaluate`` refuses a term before
+taking any power once a bound on its bits, from the bit lengths of the
+coefficient and of the values times their exponents, passes that limit.
+``parse_poly`` refuses parentheses nested deeper than :data:`MAX_NESTING`.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
-from operator import add
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import InputSyntaxError, PreconditionError
 
 Scalar = int | Fraction
 PolyLike = Union["ClassPoly", int, Fraction]
+Variables = tuple[str, ...]
+Terms = dict[tuple[int, ...], int]
 
 MAX_TOTAL_DEGREE = 1000
 """Largest total degree a product or power may reach.  Dense products grow
@@ -108,7 +122,7 @@ def _check_degree(degree: int) -> None:
 def check_digits(value: Scalar) -> Scalar:
     """Return ``value``, or refuse it with :class:`PolyTooLargeError` if its
     numerator or denominator has more than :data:`MAX_DIGITS` digits."""
-    if abs(value.numerator) >= _DIGIT_BOUND or value.denominator >= _DIGIT_BOUND:
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
         raise PolyTooLargeError(f"cannot print a number of more than {MAX_DIGITS} digits")
     return value
 
@@ -119,34 +133,34 @@ def _literal(token: str) -> int:
     return int(token)
 
 
-def _lcm_denominator(terms: dict[tuple[int, ...], Fraction]) -> int:
-    return math.lcm(*(c.denominator for c in terms.values()))
-
-
 _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _normalized(
-    variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
-) -> tuple[tuple[str, ...], dict[tuple[int, ...], Fraction]]:
+def _remap(terms: Terms, old: Variables, new: Variables) -> Terms:
+    """``terms`` over the variables ``old`` with exponent vectors over the variables
+    ``new``: a variable missing from ``old`` gets exponent 0, and one missing from
+    ``new`` must have exponent 0 in every term."""
+    if old == new:
+        return terms
+    pos = [old.index(v) if v in old else -1 for v in new]
+    return {tuple((*e, 0)[i] for i in pos): c for e, c in terms.items()}
+
+
+def _normalized(variables: Variables, terms: Terms, den: int) -> tuple[Variables, Terms, int]:
+    """Integer terms over ``den`` > 0, variables already sorted, in canonical form."""
     terms = {e: c for e, c in terms.items() if c}
-    if not terms:
-        return (), {}
-    used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
-    if len(used) != len(variables):
-        variables = tuple(variables[i] for i in used)
-        terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
-    order = sorted(range(len(variables)), key=lambda i: variables[i], reverse=True)
-    if order != list(range(len(variables))):
-        variables = tuple(variables[i] for i in order)
-        terms = {tuple(e[i] for i in order): c for e, c in terms.items()}
-    return variables, terms
+    g = math.gcd(den, *terms.values())
+    if g > 1:
+        terms = {e: c // g for e, c in terms.items()}
+    used = tuple(v for v, column in zip(variables, zip(*terms)) if any(column))
+    return used, _remap(terms, variables, used), den // g
 
 
 class ClassPoly:
-    """Immutable exact polynomial in named variables."""
+    """Immutable exact polynomial in named variables, stored as integer
+    numerators over one positive denominator."""
 
-    __slots__ = ("_vars", "_terms")
+    __slots__ = ("_vars", "_terms", "_den")
 
     def __init__(
         self,
@@ -159,22 +173,23 @@ class ClassPoly:
                 raise ValueError(f"bad variable name {v!r}")
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable name")
-        raw: dict[tuple[int, ...], Fraction] = {}
+        raw = {}
         for e, c in (terms or {}).items():
             e = tuple(e)
             if len(e) != len(vs) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
-            raw[e] = raw.get(e, Fraction(0)) + _scalar(c, "a coefficient")
-        self._vars, self._terms = _normalized(vs, raw)
+            raw[e] = raw.get(e, 0) + _scalar(c, "a coefficient")
+        den = math.lcm(*(c.denominator for c in raw.values()))
+        ordered = tuple(sorted(vs, reverse=True))
+        terms = _remap({e: int(c * den) for e, c in raw.items()}, vs, ordered)
+        self._vars, self._terms, self._den = _normalized(ordered, terms, den)
 
     @classmethod
-    def _make(
-        cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
-    ) -> ClassPoly:
-        """Trusted constructor for ring results: ``Fraction`` coefficients,
-        exponent vectors of the variables' length, names already valid."""
+    def _make(cls, variables: Variables, terms: Terms, den: int = 1) -> ClassPoly:
+        """Trusted constructor for ring results: integer numerators over ``den`` > 0,
+        exponent vectors of the variables' length, names valid and sorted."""
         self = object.__new__(cls)
-        self._vars, self._terms = _normalized(variables, terms)
+        self._vars, self._terms, self._den = _normalized(variables, terms, den)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -194,21 +209,21 @@ class ClassPoly:
     @classmethod
     def var(cls, name: str) -> ClassPoly:
         """The polynomial consisting of the single variable ``name``."""
-        return cls((name,), {(1,): Fraction(1)})
+        return cls((name,), {(1,): 1})
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def variables(self) -> tuple[str, ...]:
+    def variables(self) -> Variables:
         return self._vars
 
     def terms(self) -> Iterator[tuple[dict[str, int], Fraction]]:
         """Yield (monomial as {variable: exponent}, coefficient) pairs."""
         for e, c in self._sorted_terms():
-            yield {v: k for v, k in zip(self._vars, e) if k}, c
+            yield {v: k for v, k in zip(self._vars, e) if k}, Fraction(c, self._den)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * len(self._vars), Fraction(0))
+        return Fraction(self._terms.get((0,) * len(self._vars), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -222,48 +237,24 @@ class ClassPoly:
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms), default=-1)
 
     # -- ring operations ---------------------------------------------------
-
-    def _aligned(self, other: ClassPoly) -> tuple[
-        tuple[str, ...], dict[tuple[int, ...], Fraction], dict[tuple[int, ...], Fraction]
-    ]:
-        if self._vars == other._vars:
-            return self._vars, self._terms, other._terms
-        vs = tuple(sorted(set(self._vars) | set(other._vars), reverse=True))
-        return vs, self._remapped(vs), other._remapped(vs)
-
-    def _remapped(self, vs: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
-        pos = {v: i for i, v in enumerate(vs)}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self._terms.items():
-            ee = [0] * len(vs)
-            for v, k in zip(self._vars, e):
-                ee[pos[v]] = k
-            out[tuple(ee)] = c
-        return out
 
     def __add__(self, other: PolyLike) -> ClassPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        vs, a, b = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out[e] + c if e in out else c
-        return ClassPoly._make(vs, out)
+        vs = tuple(sorted({*self._vars, *other._vars}, reverse=True))
+        den = math.lcm(self._den, other._den)
+        a, b = (_remap(p._terms, p._vars, vs) for p in (self, other))
+        sa, sb = den // self._den, den // other._den
+        return ClassPoly._make(vs, {e: a.get(e, 0) * sa + b.get(e, 0) * sb for e in a | b}, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> ClassPoly:
-        return ClassPoly._make(self._vars, {e: -c for e, c in self._terms.items()})
+        return ClassPoly._make(self._vars, {e: -c for e, c in self._terms.items()}, self._den)
 
     def __sub__(self, other: PolyLike) -> ClassPoly:
         other = _coerce(other)
@@ -281,20 +272,7 @@ class ClassPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return _ZERO
-        _check_degree(self.total_degree() + other.total_degree())
-        vs, a, b = self._aligned(other)
-        da, db = _lcm_denominator(a), _lcm_denominator(b)
-        ib = [(e, c.numerator * (db // c.denominator)) for e, c in b.items()]
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            v1 = c1.numerator * (da // c1.denominator)
-            for e2, v2 in ib:
-                key = tuple(map(add, e1, e2))
-                out[key] = out.get(key, 0) + v1 * v2
-        d = da * db
-        return ClassPoly._make(vs, {e: Fraction(v, d) for e, v in out.items() if v})
+        return sum_of_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -304,7 +282,7 @@ class ClassPoly:
         if k and self._terms:
             _check_degree(self.total_degree() * k)
             # c^k is the power's lex-leading coefficient, and each part a of c is >= 2^(bits-1)
-            c = self._terms[max(self._terms)]
+            c = Fraction(self._terms[max(self._terms)], self._den)
             if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) >= _DIGIT_BITS:
                 raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
         result = _ONE
@@ -320,7 +298,10 @@ class ClassPoly:
         q = _scalar(scalar, "a divisor")
         if not q:
             raise ZeroDivisionError("division of a class polynomial by zero")
-        return ClassPoly._make(self._vars, {e: c / q for e, c in self._terms.items()})
+        r = 1 / q
+        return ClassPoly._make(
+            self._vars, {e: c * r.numerator for e, c in self._terms.items()}, self._den * r.denominator
+        )
 
     # -- evaluation --------------------------------------------------------
 
@@ -329,20 +310,25 @@ class ClassPoly:
 
         This is the ring morphism sending each generating class to its Euler
         characteristic; extra assignments are ignored, missing ones raise
-        :class:`MissingVariableError`.
+        :class:`MissingVariableError`.  Before any power is taken, each term
+        ``c x1^k1 ... xr^kr`` is bounded by bit lengths: ``bits(c) + k1 bits(x1) +
+        ... + kr bits(xr)``, where each bit length is that of the larger of a
+        number's numerator and denominator.  A term whose bound passes the bit
+        length of ``10**MAX_DIGITS`` raises :class:`PolyTooLargeError`.
         """
         missing = [v for v in self._vars if v not in assignment]
         if missing:
             raise MissingVariableError(f"no value assigned to {', '.join(missing)}")
         values = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
+        bits = [max(abs(v.numerator), v.denominator).bit_length() for v in values]
         total = Fraction(0)
         for e, c in self._terms.items():
-            t = c
+            if max(abs(c), self._den).bit_length() + sum(map(mul, e, bits)) > _DIGIT_BITS:
+                raise PolyTooLargeError(f"a term of the value may pass {MAX_DIGITS} digits")
             for value, k in zip(values, e):
-                if k:
-                    t *= value ** k
-            total += t
-        return total
+                c *= value ** k
+            total += c
+        return total / self._den
 
     # -- comparison --------------------------------------------------------
 
@@ -350,21 +336,18 @@ class ClassPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._vars == other._vars and self._terms == other._terms
+        return (self._vars, self._den, self._terms) == (other._vars, other._den, other._terms)
 
     def __hash__(self) -> int:
         if self._vars:
-            return hash((self._vars, frozenset(self._terms.items())))
+            return hash((self._vars, self._den, frozenset(self._terms.items())))
         # a constant equals its scalar, so it hashes like it
         return hash(self.constant_term())
 
     # -- rendering ---------------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(
-            self._terms.items(),
-            key=lambda ec: (-sum(ec[0]), tuple(-k for k in ec[0])),
-        )
+    def _sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
+        return sorted(self._terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def __str__(self) -> str:
         return self._render(latex=False)
@@ -379,30 +362,54 @@ class ClassPoly:
     def _render(self, latex: bool) -> str:
         if not self._terms:
             return "0"
+        sep, power = ("", "{}^{{{}}}") if latex else ("*", "{}^{}")
         parts: list[str] = []
         for e, c in self._sorted_terms():
-            a = check_digits(abs(c))
-            if latex:
-                mono = "".join(v if k == 1 else f"{v}^{{{k}}}" for v, k in zip(self._vars, e) if k)
-                coeff = str(a) if a.denominator == 1 else f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
-            else:
-                mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self._vars, e) if k)
-                coeff = f"{a}*" if mono else str(a)
-            if not mono:
-                body = coeff
-            elif a == 1:
-                body = mono
-            else:
-                body = coeff + mono
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+            g = math.gcd(c, self._den)
+            n, d = abs(c) // g, self._den // g
+            check_digits(max(n, d))
+            coeff = str(n) if d == 1 else (f"\\frac{{{n}}}{{{d}}}" if latex else f"{n}/{d}")
+            mono = sep.join(v if k == 1 else power.format(v, k) for v, k in zip(self._vars, e) if k)
+            body = coeff if not mono else (mono if n == d == 1 else coeff + sep + mono)
+            parts.append((" + " if c > 0 else " - ") + body)
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-_ZERO = ClassPoly._make((), {})
-_ONE = ClassPoly._make((), {(): Fraction(1)})
+_ONE = ClassPoly._make((), {(): 1})
+
+
+def sum_of_products(pairs: Iterable[tuple[ClassPoly, ClassPoly]]) -> ClassPoly:
+    """The sum of ``a * b`` over the (a, b) pairs, with each product's total degree
+    checked in pair order.  Every product is added into one integer accumulation
+    over the lcm of the products' denominators, and the sum is put in canonical
+    form once: ``a * b`` is the one-pair case, and a series coefficient the sum
+    over the pairs of factor coefficients whose orders add up to its own."""
+    pairs = [(a, b) for a, b in pairs if a._terms and b._terms]
+    vs = tuple(sorted({v for a, b in pairs for v in a._vars + b._vars}, reverse=True))
+    den = math.lcm(*(a._den * b._den for a, b in pairs))
+    # An exponent vector is packed into one int, one 16-bit slot per variable, so the
+    # product's exponents, each at most its checked total degree, add as the keys add.
+    out: dict[int, int] = {}
+    for a, b in pairs:
+        _check_degree(a.total_degree() + b.total_degree())
+        scale = den // (a._den * b._den)
+        right = _packed(b, vs)
+        for k1, c1 in _packed(a, vs):
+            c1 *= scale
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = out.get(key, 0) + c1 * c2
+    # the slots, written out in native byte order, read back as unsigned shorts
+    width = 2 * len(vs)
+    terms = {tuple(memoryview(k.to_bytes(width, sys.byteorder)).cast("H")): c for k, c in out.items()}
+    return ClassPoly._make(vs, terms, den)
+
+
+def _packed(p: ClassPoly, vs: Variables) -> list[tuple[int, int]]:
+    """The terms of ``p`` with each exponent vector over ``vs`` packed into one int."""
+    weights = [1 << 16 * vs.index(v) for v in p._vars]
+    return [(sum(map(mul, e, weights)), c) for e, c in p._terms.items()]
 
 
 def _coerce(value: object) -> ClassPoly:
@@ -410,7 +417,7 @@ def _coerce(value: object) -> ClassPoly:
     if isinstance(value, ClassPoly):
         return value
     if isinstance(value, Scalar):
-        return ClassPoly._make((), {(): Fraction(value)})
+        return ClassPoly._make((), {(): value.numerator}, value.denominator)
     return NotImplemented
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .classpoly import ClassPoly, PolyLike, as_class
+from .classpoly import ClassPoly, PolyLike, as_class, sum_of_products
 from .errors import PreconditionError
 
 
@@ -75,18 +75,13 @@ class ClassSeries(tuple):
     __radd__ = __add__
 
     def __mul__(self, other: ClassSeries) -> ClassSeries:
+        """Coefficient k of the product is one ``sum_of_products`` over the pairs of
+        coefficients whose orders add up to k, accumulated and reduced once."""
         o = _series(other)
         n = min(len(self), len(o)) - 1
-        out = [ClassPoly.zero() for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = o[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return ClassSeries(out, order=n)
+        return ClassSeries(
+            [sum_of_products((self[i], o[k - i]) for i in range(k + 1)) for k in range(n + 1)]
+        )
 
     __rmul__ = __mul__
 
@@ -108,11 +103,7 @@ class ClassSeries(tuple):
             raise NonUnitConstantTermError(f"cannot invert a series with constant term {self[0]}")
         inv = [ClassPoly.one()]
         for k in range(1, len(self)):
-            acc = ClassPoly.zero()
-            for i in range(1, k + 1):
-                if not self[i].is_zero():
-                    acc = acc + self[i] * inv[k - i]
-            inv.append(-acc)
+            inv.append(-sum_of_products((self[i], inv[k - i]) for i in range(1, k + 1)))
         return ClassSeries(inv)
 
     # -- rendering ---------------------------------------------------------

@@ -123,8 +123,11 @@ def cmd_zerocycles(args: SimpleNamespace) -> None:
 
     if args.table:
         table = ZeroCycleTable(args.m, args.n, parse_poly(args.X), args.order)
+        texts: dict[int, str] = {}  # permuted degree vectors share one class object
         for d, value in table.entries():
-            print(f"{','.join(map(str, d))}: {_render(value, args.latex)}")
+            if id(value) not in texts:
+                texts[id(value)] = _render(value, args.latex)
+            print(f"{','.join(map(str, d))}: {texts[id(value)]}")
         return
     print(_render(closed_series(args.m, args.n, parse_poly(args.X), args.order), args.latex))
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from math import factorial
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .classpoly import ClassPoly, PolyLike, as_class, binomial
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
@@ -149,6 +149,12 @@ class Permutation(tuple):
             raise ValueError("cannot compose permutations of different degrees")
         # ``_make`` inlined: products are the inner loop of every closure
         return tuple.__new__(Permutation, [self[j - 1] for j in other])
+
+    def _no_tuple_arithmetic(self, other: object) -> NoReturn:
+        raise TypeError("a permutation is not joined or repeated as a tuple; p * q composes")
+
+    # so ``p + q``, ``(1,) + p`` and ``2 * p`` are errors, not tuple concatenation or repetition
+    __add__ = __radd__ = __rmul__ = _no_tuple_arithmetic
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations, groupby
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
@@ -175,6 +175,12 @@ class SimplicialComplex(_Complex):
     def __contains__(self, face: Iterable[int]) -> bool:
         s = set(face)
         return any(s <= set(f) for f in self.facets)
+
+    def _no_tuple_arithmetic(self, other: object) -> NoReturn:
+        raise TypeError("a simplicial complex is not joined or repeated as a tuple")
+
+    # so ``K + K``, ``K * 2`` and ``2 * K`` are errors, not operations on the (n, facets) pair
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     def __repr__(self) -> str:
         inner = ", ".join("[" + ",".join(map(str, f)) + "]" for f in self.facets)

@@ -26,13 +26,27 @@ authoritative computation.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterator, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class
+from .classpoly import ClassPoly, PolyLike, as_class, sum_of_products
 from .classseries import ClassSeries, binomial_series, macdonald_series
 from .errors import DOutOfRangeError, PreconditionError
 
 DegreeVector = tuple[int, ...]
+
+MAX_TABLE_PRODUCTS = 10000
+"""Most class products a 0-cycle table may take.  It has C(max_total + m, m)
+entries, and each takes at most m + max_total // n products: m - 1 for its
+symmetric-product class and one per layer of n points peeled off.  On a 2-vCPU
+Xeon VM with Python 3.11 and X = x, ``kzero zerocycles --table`` prints the
+largest tables under the limit with n = 1 in under 0.2 s.  With n past the
+order each product is larger: m = 2, n = 99 up to 98 prints 43 MB in about
+2.5 s."""
+
+
+class TableTooLargeError(PreconditionError):
+    """A 0-cycle table would take more than :data:`MAX_TABLE_PRODUCTS` products."""
 
 
 class OrderExceedsTableError(PreconditionError):
@@ -72,22 +86,36 @@ class ZeroCycleTable:
             raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         if max_total < 0:
             raise PreconditionError(f"table bound must be >= 0, got {max_total}")
+        products = comb(max_total + m, m) * (m + max_total // n)
+        if products > MAX_TABLE_PRODUCTS:
+            raise TableTooLargeError(
+                f"a table of m={m}, n={n} up to |d| = {max_total} takes up to {products} products; "
+                f"the limit is {MAX_TABLE_PRODUCTS}"
+            )
         self._m = m
         self._max_total = max_total
         self._values: dict[DegreeVector, ClassPoly] = {}
         # [SP^k(X)] for every coordinate k <= max_total: the coefficients of
         # the symmetric-product series, one polynomial product each.
         sp_cache = macdonald_series(as_class(x_class), max_total)
+        minus_sp = [-c for c in sp_cache]
         for total in range(max_total + 1):
             for d in _compositions(total, m):
-                cap = min(d) // n
-                value = sp_cache[d[0]]
-                for di in d[1:]:
-                    value = value * sp_cache[di]
-                for k in range(1, cap + 1):
-                    lower = tuple(di - k * n for di in d)
-                    value = value - sp_cache[k] * self._values[lower]
-                self._values[d] = value
+                # [Z^d] is symmetric in the colors, and the sorted d, the least of its
+                # permutations, comes first in lexicographic order
+                first = tuple(sorted(d))
+                if first != d:
+                    self._values[d] = self._values[first]
+                    continue
+                head = sp_cache[d[0]] if m > 1 else ClassPoly.one()
+                for di in d[1:-1]:
+                    head = head * sp_cache[di]
+                # [SP^d] minus every [SP^k] [Z^(d - kn)], summed in one accumulation
+                peeled = [
+                    (minus_sp[k], self._values[tuple(di - k * n for di in d)])
+                    for k in range(1, min(d) // n + 1)
+                ]
+                self._values[d] = sum_of_products([(head, sp_cache[d[-1]]), *peeled])
 
     def __getitem__(self, d: Sequence[int]) -> ClassPoly:
         key = tuple(d)

@@ -8,9 +8,11 @@ from itertools import product
 import pytest
 
 from kzero.classpoly import (
+    MAX_DIGITS,
     ClassPoly,
     MissingVariableError,
     PolyParseError,
+    PolyTooLargeError,
     binomial,
     parse_poly,
 )
@@ -81,6 +83,17 @@ def test_evaluation_requires_all_variables():
     with pytest.raises(MissingVariableError):
         p.evaluate({"x": 2})
     assert p.evaluate({"x": 2, "a": 3, "unused": 9}) == 7
+
+
+def test_evaluation_refuses_a_term_past_the_digit_limit_before_any_power():
+    big = 10 ** (MAX_DIGITS - 300)
+    for at in ({"x": big}, {"x": Fraction(1, big)}, {"x": Fraction(-big, 7)}):
+        with pytest.raises(PolyTooLargeError, match=f"may pass {MAX_DIGITS} digits"):
+            (x ** 1000 + 1).evaluate(at)
+    # each term's bound stays under the limit, so the value is computed, however it cancels
+    half = 7 ** 2300
+    assert (x ** 2 - a ** 2).evaluate({"x": half, "a": half}) == 0
+    assert (x ** 2 / 3).evaluate({"x": Fraction(1, half)}) == Fraction(1, 3 * half ** 2)
 
 
 def test_scalar_division_only():

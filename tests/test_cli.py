@@ -340,6 +340,34 @@ def test_numbers_at_the_digit_limit_still_print(capsys):
     assert (code, out, err) == (0, "\\frac{1}{" + "9" * MAX_DIGITS + "}\n", "")
 
 
+RUNAWAY_ARGVS = {
+    # each term's bit bound, not value ** k, decides: these ran past 20 s or took 3.7 s
+    "eval (x+1)^1000 at 4000 nines": ["eval", "(x+1)^1000", "--at", "x=" + "9" * 4000],
+    "eval x^1000 at 4000 nines": ["eval", "x^1000", "--at", "x=" + "9" * 4000],
+    # C(60, 40) degree vectors: this ran past 8 s
+    "zerocycles m=40 table": ["zerocycles", "--m", "40", "--n", "1", "--X", "1", "--order", "20", "--table"],
+}
+
+
+@pytest.mark.parametrize("name", RUNAWAY_ARGVS)
+def test_a_runaway_evaluation_or_table_exits_3_at_once_in_a_child(name):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", *RUNAWAY_ARGVS[name]],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_an_evaluation_with_terms_in_range_still_prints(capsys):
+    value = "7" * 2000
+    assert run(capsys, "eval", "x^2 - y^2", "--at", f"x={value}", "--at", f"y={value}") == (0, "0\n", "")
+    assert run(capsys, "eval", "x^2 - 3", "--at", f"x={value}") == (0, f"{int(value) ** 2 - 3}\n", "")
+    assert run(capsys, "eval", "x^100*y", "--at", "x=-3", "--at", "y=2") == (0, f"{2 * 3 ** 100}\n", "")
+
+
 def nested(depth: int, inner: str = "x") -> str:
     return "(" * depth + inner + ")" * depth
 

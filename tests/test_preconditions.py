@@ -67,3 +67,27 @@ OTHER_OPERANDS = {
 def test_a_series_combines_only_with_a_series(expression):
     with pytest.raises(TypeError, match="combines only with a series"):
         OTHER_OPERANDS[expression](ClassSeries([1, x]))
+
+
+P, Q = Permutation([2, 1, 3]), Permutation([1, 3, 2])
+K = SimplicialComplex(3, [[1, 2], [3]])
+TUPLE_OPERATORS = {
+    "p + q": lambda: P + Q,
+    "(1,) + p": lambda: (1,) + P,
+    "2 * p": lambda: 2 * P,
+    "p * 2": lambda: P * 2,
+    "K + K": lambda: K + K,
+    "(1,) + K": lambda: (1,) + K,
+    "K * 2": lambda: K * 2,
+    "2 * K": lambda: 2 * K,
+}
+
+
+@pytest.mark.parametrize("expression", TUPLE_OPERATORS)
+def test_permutations_and_complexes_are_not_joined_or_repeated_as_tuples(expression):
+    with pytest.raises(TypeError):
+        TUPLE_OPERATORS[expression]()
+
+
+def test_permutations_still_compose():
+    assert P * Q == Permutation([2, 3, 1]) and Q * P == Permutation([3, 1, 2])

@@ -3,8 +3,9 @@
 Every ring operation builds its result through the trusted ``ClassPoly._make``;
 these tests rebuild each result through the validating constructor and
 compare, check the ring axioms and the parse/print round trip on random
-polynomials, and compare products, powers, binomials and series inverses
-with sympy.
+polynomials, compare random expressions with the ring's first arithmetic
+(``util.FractionPoly``, one ``Fraction`` per term), and compare products,
+powers, binomials and series inverses with sympy.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from kzero.classpoly import ClassPoly, binomial, parse_poly
 from kzero.classseries import ClassSeries, binomial_series
 
-from util import brute_force_binomial_series
+from util import FractionPoly, brute_force_binomial_series
 
 VARIABLES = ("x", "a", "y")
 
@@ -75,6 +76,97 @@ def test_ring_axioms(p, q, r):
     assert p + zero == p and p * one == p and p * zero == zero
     assert p + (-p) == zero and p - q == p + (-q)
     assert p ** 2 == p * p
+
+
+# -- integer numerators over one denominator against one Fraction per term ------
+
+
+@st.composite
+def raw_polys(draw) -> tuple[tuple[str, ...], dict]:
+    """Variables and Fraction terms, mixing denominators, to build both rings from."""
+    vs = tuple(draw(st.lists(st.sampled_from(VARIABLES), unique=True, max_size=3)))
+    exponents = st.tuples(*[st.integers(0, 2)] * len(vs))
+    return vs, draw(st.dictionaries(exponents, coefficients, max_size=3))
+
+
+OPERATIONS = ["+", "-", "*", "**", "/"]
+
+
+@st.composite
+def expressions(draw) -> tuple[ClassPoly, FractionPoly]:
+    """One random expression evaluated in both rings: a polynomial, then up to four
+    steps of +, - or * by a polynomial, ** by 0..3, or / by a nonzero scalar."""
+    vs, terms = draw(raw_polys())
+    p, ref = ClassPoly(vs, terms), FractionPoly(vs, terms)
+    for op in draw(st.lists(st.sampled_from(OPERATIONS), max_size=4)):
+        if op == "**":
+            k = draw(st.integers(0, 3))
+            p, ref = p ** k, ref ** k
+        elif op == "/":
+            q = draw(coefficients.filter(bool))
+            p, ref = p / q, ref / q
+        else:
+            ws, other = draw(raw_polys())
+            q, other_ref = ClassPoly(ws, other), FractionPoly(ws, other)
+            if op == "+":
+                p, ref = p + q, ref + other_ref
+            elif op == "-":
+                p, ref = p - q, ref - other_ref
+            else:
+                p, ref = p * q, ref * other_ref
+    return p, ref
+
+
+@given(expressions(), expressions(), st.tuples(*[coefficients] * len(VARIABLES)))
+@settings(max_examples=200, deadline=None)
+def test_expressions_agree_with_the_fraction_per_term_reference(first, second, values):
+    at = dict(zip(VARIABLES, values))
+    for p, ref in (first, second):
+        assert str(p) == ref.render(latex=False)
+        assert p.latex() == ref.render(latex=True)
+        assert list(p.terms()) == ref.terms()
+        assert p.variables == ref.variables
+        assert p.constant_term() == ref.constant_term()
+        assert p.evaluate(at) == ref.evaluate(at)
+        rebuilt_p = ClassPoly(ref.variables, ref.coeffs)
+        assert rebuilt_p == p and hash(rebuilt_p) == hash(p)
+    (p, ref), (q, other_ref) = first, second
+    assert (p == q) == (ref == other_ref)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+@given(st.lists(raw_polys(), min_size=1, max_size=4), st.lists(raw_polys(), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_series_products_agree_with_the_fraction_per_term_reference(left, right):
+    product = ClassSeries([ClassPoly(*r) for r in left]) * ClassSeries([ClassPoly(*r) for r in right])
+    refs = [FractionPoly(*r) for r in left], [FractionPoly(*r) for r in right]
+    assert len(product) == min(len(left), len(right))
+    for k, c in enumerate(product):
+        want = FractionPoly((), {})
+        for i in range(k + 1):
+            want = want + refs[0][i] * refs[1][k - i]
+        assert str(c) == want.render(latex=False) and c == ClassPoly(want.variables, want.coeffs)
+
+
+def test_one_polynomial_through_different_denominators_is_one_value():
+    builds = [
+        x / 6 + a / 4,
+        (2 * x + 3 * a) / 12,
+        (x / 2 + a * Fraction(3, 4)) / 3,
+        (4 * x + 6 * a) / 24 + y / 5 - y / 5,
+        x * Fraction(1, 6) + a - a * Fraction(3, 4),
+        ClassPoly(("a", "x"), {(1, 0): Fraction(2, 8), (0, 1): Fraction(2, 12)}),
+        parse_poly("1/6*x + 1/4*a"),
+    ]
+    for p in builds:
+        assert p == builds[0] and hash(p) == hash(builds[0])
+        assert str(p) == "1/6*x + 1/4*a" and p.variables == ("x", "a")
+    # a constant reached through any denominator equals and hashes like its scalar
+    for c in ((x + Fraction(1, 2)) * 2 - 2 * x, (x / 3 + Fraction(2, 3)) * 3 - x - 1, (x / 7 - x / 7) + 1):
+        assert c == 1 and hash(c) == hash(1) and c.is_constant()
+    zero = x / 3 - x / 3
+    assert zero == 0 and hash(zero) == hash(0) and str(zero) == "0"
 
 
 # -- stepped binomial series against the per-k binomial route -------------------

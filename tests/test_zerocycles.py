@@ -7,9 +7,11 @@ import pytest
 
 from kzero.classpoly import ClassPoly, binomial
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
+from kzero import zerocycles
 from kzero.zerocycles import (
     DOutOfRangeError,
     OrderExceedsTableError,
+    TableTooLargeError,
     ZeroCycleTable,
     closed_series,
     ratio_series,
@@ -157,3 +159,18 @@ def test_series_coefficients_are_polynomials():
     s = table.series(5)
     assert isinstance(s, ClassSeries)
     assert all(isinstance(cp, ClassPoly) for cp in s.coefficients)
+
+
+def test_a_table_past_the_product_limit_is_refused_before_it_fills(monkeypatch):
+    # m=3, n=2 up to 5: C(8, 3) = 56 entries, each at most 3 + 5 // 2 = 5 products
+    monkeypatch.setattr(zerocycles, "MAX_TABLE_PRODUCTS", 280)
+    assert len(list(ZeroCycleTable(3, 2, X, 5).entries())) == 56
+    monkeypatch.setattr(zerocycles, "MAX_TABLE_PRODUCTS", 279)
+    with pytest.raises(TableTooLargeError, match="takes up to 280 products; the limit is 279"):
+        ZeroCycleTable(3, 2, X, 5)
+
+
+def test_permuted_degree_vectors_share_one_class():
+    table = ZeroCycleTable(3, 1, X, 5)
+    for d, value in table.entries():
+        assert table[tuple(sorted(d))] is value

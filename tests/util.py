@@ -33,6 +33,101 @@ def random_poly(rng: random.Random, variables: tuple[str, ...] = ("x",), max_deg
     return p
 
 
+class FractionPoly:
+    """The ring's first arithmetic, one ``Fraction`` per term: a reference for
+    ``ClassPoly``, which stores integer numerators over one denominator.
+
+    Terms map exponent vectors over ``variables`` to nonzero ``Fraction`` values,
+    in the canonical form ``ClassPoly`` documents: no zero term, exactly the
+    occurring variables, sorted by decreasing name."""
+
+    def __init__(self, variables: Sequence[str], terms: dict[tuple[int, ...], Fraction]):
+        terms = {e: Fraction(c) for e, c in terms.items() if c}
+        order = sorted(range(len(variables)), key=lambda i: variables[i], reverse=True)
+        used = [i for i in order if any(e[i] for e in terms)]
+        self.variables = tuple(variables[i] for i in used)
+        self.coeffs = {tuple(e[i] for i in used): c for e, c in terms.items()}
+
+    @classmethod
+    def of(cls, p: ClassPoly) -> FractionPoly:
+        """The reference copy of ``p``, read through its public terms."""
+        return cls(p.variables, {tuple(m.get(v, 0) for v in p.variables): c for m, c in p.terms()})
+
+    def _over(self, vs: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+        return {tuple(dict(zip(self.variables, e)).get(v, 0) for v in vs): c for e, c in self.coeffs.items()}
+
+    def _aligned(self, other: FractionPoly) -> tuple[tuple[str, ...], dict, dict]:
+        vs = tuple(sorted(set(self.variables) | set(other.variables)))
+        return vs, self._over(vs), other._over(vs)
+
+    def __add__(self, other: FractionPoly) -> FractionPoly:
+        vs, a, b = self._aligned(other)
+        return FractionPoly(vs, {e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()})
+
+    def __neg__(self) -> FractionPoly:
+        return FractionPoly(self.variables, {e: -c for e, c in self.coeffs.items()})
+
+    def __sub__(self, other: FractionPoly) -> FractionPoly:
+        return self + -other
+
+    def __mul__(self, other: FractionPoly) -> FractionPoly:
+        vs, a, b = self._aligned(other)
+        out: dict[tuple[int, ...], Fraction] = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(i + j for i, j in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return FractionPoly(vs, out)
+
+    def __pow__(self, k: int) -> FractionPoly:
+        result = FractionPoly((), {(): Fraction(1)})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __truediv__(self, q: Fraction | int) -> FractionPoly:
+        return FractionPoly(self.variables, {e: c / q for e, c in self.coeffs.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FractionPoly) and (self.variables, self.coeffs) == (other.variables, other.coeffs)
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        return sorted(self.coeffs.items(), key=lambda ec: (-sum(ec[0]), tuple(-k for k in ec[0])))
+
+    def terms(self) -> list[tuple[dict[str, int], Fraction]]:
+        return [({v: k for v, k in zip(self.variables, e) if k}, c) for e, c in self.sorted_terms()]
+
+    def constant_term(self) -> Fraction:
+        return self.coeffs.get((0,) * len(self.variables), Fraction(0))
+
+    def evaluate(self, at: dict[str, Fraction | int]) -> Fraction:
+        total = Fraction(0)
+        for e, c in self.coeffs.items():
+            for v, k in zip(self.variables, e):
+                c *= Fraction(at[v]) ** k
+            total += c
+        return total
+
+    def render(self, latex: bool) -> str:
+        if not self.coeffs:
+            return "0"
+        parts: list[str] = []
+        for e, c in self.sorted_terms():
+            a = abs(c)
+            if latex:
+                mono = "".join(v if k == 1 else f"{v}^{{{k}}}" for v, k in zip(self.variables, e) if k)
+                coeff = str(a) if a.denominator == 1 else f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
+            else:
+                mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.variables, e) if k)
+                coeff = f"{a}*" if mono else str(a)
+            body = coeff if not mono else (mono if a == 1 else coeff + mono)
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f" + {body}" if c > 0 else f" - {body}")
+        return "".join(parts)
+
+
 def brute_force_binomial_series(exponent, power: int, sign: int, order: int) -> ClassSeries:
     """(1 - sign*x^power)^exponent with every coefficient C(exponent, k) built afresh."""
     q = exponent if isinstance(exponent, ClassPoly) else ClassPoly.const(exponent)
