@@ -17,6 +17,10 @@ Together these make equality structural and printing deterministic: two
 polynomials are equal exactly when they print the same, and ``parse_poly``
 round-trips everything ``str`` emits.
 
+One term writer, :meth:`ClassPoly.term_texts`, makes every plain and LaTeX
+choice of the text, for a polynomial and for a series coefficient; ``str`` and
+``latex`` join its (negative, unsigned text) pairs with :func:`join_terms`.
+
 Only scalar division is provided.  The formulas built on this ring divide by
 group orders and factorials, never by polynomials.
 
@@ -225,13 +229,6 @@ class ClassPoly:
     def constant_term(self) -> Fraction:
         return Fraction(self._terms.get((0,) * len(self._vars), 0), self._den)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def term_count(self) -> int:
-        """Number of nonzero terms."""
-        return len(self._terms)
-
     def is_constant(self) -> bool:
         return not self._vars
 
@@ -350,30 +347,53 @@ class ClassPoly:
         return sorted(self._terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def __str__(self) -> str:
-        return self._render(latex=False)
+        return join_terms(self.term_texts())
 
     def __repr__(self) -> str:
         return f"ClassPoly({self})"
 
     def latex(self) -> str:
         """Render for LaTeX: exponents in braces, fractional coefficients as \\frac."""
-        return self._render(latex=True)
+        return join_terms(self.term_texts(latex=True))
 
-    def _render(self, latex: bool) -> str:
-        if not self._terms:
-            return "0"
-        sep, power = ("", "{}^{{{}}}") if latex else ("*", "{}^{}")
-        parts: list[str] = []
+    def term_texts(self, latex: bool = False, times: tuple[str, int] | None = None) -> list[tuple[bool, str]]:
+        """The terms in print order as (negative, unsigned text) pairs, plain or LaTeX.
+        ``times=(v, k)`` makes them one pair, the coefficient of ``v^k`` in a series: a
+        single term takes ``v^k`` as its last factor, after ``\\,`` in LaTeX if it has a
+        variable, and 1 becomes ``v^k``; several terms go in parentheses before ``v^k``."""
+        sep, power, frac, before = _STYLES[latex]
+        pairs = []
         for e, c in self._sorted_terms():
             g = math.gcd(c, self._den)
             n, d = abs(c) // g, self._den // g
             check_digits(max(n, d))
-            coeff = str(n) if d == 1 else (f"\\frac{{{n}}}{{{d}}}" if latex else f"{n}/{d}")
-            mono = sep.join(v if k == 1 else power.format(v, k) for v, k in zip(self._vars, e) if k)
-            body = coeff if not mono else (mono if n == d == 1 else coeff + sep + mono)
-            parts.append((" + " if c > 0 else " - ") + body)
-        text = "".join(parts)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+            coeff = str(n) if d == 1 else frac.format(n, d)
+            mono = sep.join([v if k == 1 else power.format(v, k) for v, k in zip(self._vars, e) if k])
+            pairs.append((c < 0, coeff if not mono else (mono if n == d == 1 else coeff + sep + mono)))
+        if not times or not pairs:
+            return pairs
+        v, k = times
+        neg, body = pairs[0] if len(pairs) == 1 else (False, f"({join_terms(pairs)})")
+        if k:
+            vk = v if k == 1 else power.format(v, k)
+            if not self._vars:  # a constant c: c v^k, or v^k for c = +-1
+                body = vk if abs(self._terms[()]) == self._den else body + sep + vk
+            else:
+                body += (before if len(pairs) == 1 else sep) + vk
+        return [(neg, body)]
+
+
+# plain and LaTeX style: between factors, power, fraction, before a series power
+_STYLES = (("*", "{}^{}", "{}/{}", "*"), ("", "{}^{{{}}}", "\\frac{{{}}}{{{}}}", "\\,"))
+
+
+def join_terms(pairs: list[tuple[bool, str]]) -> str:
+    """(negative, unsigned text) pairs as one text: a leading ``-`` for a negative
+    first term, `` + `` or `` - `` before each later one, and ``0`` for no terms."""
+    if not pairs:
+        return "0"
+    text = "".join([(" - " if neg else " + ") + body for neg, body in pairs])
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 _ONE = ClassPoly._make((), {(): 1})

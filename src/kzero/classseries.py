@@ -14,13 +14,17 @@ two series through a common order compare the slices ``s[:k + 1]`` and
 ``t[:k + 1]``.  A series combines only with a series: ``+``, ``*`` and their
 reflected forms raise ``TypeError`` for any other operand, so they are never
 the tuple's concatenation and repetition.
+
+A series prints each nonzero coefficient as :meth:`ClassPoly.term_texts` writes
+the coefficient of ``x^k``, joined like a polynomial's terms, then ``+ O(x^N)``
+for ``N`` the order plus one.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .classpoly import ClassPoly, PolyLike, as_class, sum_of_products
+from .classpoly import ClassPoly, PolyLike, as_class, join_terms, sum_of_products
 from .errors import PreconditionError
 
 
@@ -118,13 +122,9 @@ class ClassSeries(tuple):
         return f"ClassSeries({self})"
 
     def _render(self, latex: bool) -> str:
-        parts: list[str] = []
-        for k, c in enumerate(self):
-            if not c.is_zero():
-                parts.append(_render_term(c, k, latex, first=not parts))
-        body = "".join(parts) if parts else "0"
-        exp = len(self)
-        return f"{body} + O(x^{{{exp}}})" if latex else f"{body} + O(x^{exp})"
+        pairs = [pair for k, c in enumerate(self) for pair in c.term_texts(latex, ("x", k))]
+        tail = f"O(x^{{{len(self)}}})" if latex else f"O(x^{len(self)})"
+        return f"{join_terms(pairs)} + {tail}"
 
 
 def _series(other: object) -> ClassSeries:
@@ -132,32 +132,6 @@ def _series(other: object) -> ClassSeries:
     if not isinstance(other, ClassSeries):
         raise TypeError(f"a series combines only with a series, got {type(other).__name__}")
     return other
-
-
-def _render_term(c: ClassPoly, k: int, latex: bool, first: bool) -> str:
-    """One series term, pulling a leading minus sign out of constant coefficients."""
-    text = c.latex() if latex else str(c)
-    negate = False
-    single = c.term_count() == 1
-    if single and text.startswith("-"):
-        negate = True
-        text = text[1:]
-    if k == 0:
-        body = text if single else f"({text})"
-    else:
-        xk = "x" if k == 1 else (f"x^{{{k}}}" if latex else f"x^{k}")
-        if single:
-            if text == "1":
-                body = xk
-            elif latex:
-                body = f"{text}{xk}" if c.is_constant() else f"{text}\\,{xk}"
-            else:
-                body = f"{text}*{xk}"
-        else:
-            body = f"({text}){'' if latex else '*'}{xk}"
-    if first:
-        return f"-{body}" if negate else body
-    return f" - {body}" if negate else f" + {body}"
 
 
 # -- series builders --------------------------------------------------------

@@ -106,6 +106,9 @@ def closures(items: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) 
     return out
 
 
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
 class Permutation(tuple):
     """A permutation of 1..n as its tuple of images: ``p[i - 1]`` is ``p(i)``.  The
     constructor checks its input; the trusted ``_make``, products and inverses do not."""
@@ -131,7 +134,29 @@ class Permutation(tuple):
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> Permutation:
         """Parse cycle notation like "(1 2)(3 4)"; "()" is the identity."""
-        return _parse_cycles(text, degree)
+        stripped = text.strip()
+        if not stripped:
+            raise PermParseError("empty permutation text")
+        body = _CYCLE_RE.sub("", stripped)
+        if body.strip():
+            raise PermParseError(f"stray text {body.strip()!r} in permutation {text!r}")
+        images = list(range(1, degree + 1))
+        seen: set[int] = set()
+        for m in _CYCLE_RE.finditer(stripped):
+            parts = [p for p in re.split(r"[,\s]+", m.group(1).strip()) if p]
+            if not parts:
+                continue
+            message = f"bad entry in cycle {m.group(0)!r}"
+            entries = [read_field(int, p, PermParseError, message) for p in parts]
+            for v in entries:
+                if not 1 <= v <= degree:
+                    raise PermParseError(f"entry {v} outside 1..{degree} in {text!r}")
+                if v in seen:
+                    raise PermParseError(f"entry {v} repeated in {text!r}")
+                seen.add(v)
+            for i, v in enumerate(entries):
+                images[v - 1] = entries[(i + 1) % len(entries)]
+        return cls(images)
 
     @property
     def degree(self) -> int:
@@ -207,35 +232,6 @@ class Permutation(tuple):
 
     def __repr__(self) -> str:
         return f"Permutation[{self.degree}]{self}"
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def _parse_cycles(text: str, degree: int) -> Permutation:
-    stripped = text.strip()
-    if not stripped:
-        raise PermParseError("empty permutation text")
-    body = _CYCLE_RE.sub("", stripped)
-    if body.strip():
-        raise PermParseError(f"stray text {body.strip()!r} in permutation {text!r}")
-    images = list(range(1, degree + 1))
-    seen: set[int] = set()
-    for m in _CYCLE_RE.finditer(stripped):
-        parts = [p for p in re.split(r"[,\s]+", m.group(1).strip()) if p]
-        if not parts:
-            continue
-        message = f"bad entry in cycle {m.group(0)!r}"
-        entries = [read_field(int, p, PermParseError, message) for p in parts]
-        for v in entries:
-            if not 1 <= v <= degree:
-                raise PermParseError(f"entry {v} outside 1..{degree} in {text!r}")
-            if v in seen:
-                raise PermParseError(f"entry {v} repeated in {text!r}")
-            seen.add(v)
-        for i, v in enumerate(entries):
-            images[v - 1] = entries[(i + 1) % len(entries)]
-    return Permutation(images)
 
 
 class PermGroup:
@@ -368,7 +364,7 @@ def read_group_line(
             raise DegreeTooLargeError(message)
     elif line.startswith("gen "):
         message = f"line {lineno}: bad gen"
-        gens.append(read_field(lambda t: _parse_cycles(t, degree), line[4:], error, message))
+        gens.append(read_field(lambda t: Permutation.from_cycles(t, degree), line[4:], error, message))
     else:
         raise error(f"line {lineno}: expected 'gen <cycles>', got {line!r}")
     return degree

@@ -97,18 +97,18 @@ def intersection_poset(K: SimplicialComplex) -> IntersectionPoset:
         frontier = {s & f for s in frontier for f in facet_masks} - masks
     nodes = [PosetNode(None, 1)]
     found = 0  # bit k stands for the k-th vertex set listed, the bottom not counted
-    containing = [0] * (K.n + 1)  # per vertex: the sets listed so far that contain it
+    containing: dict[int, int] = {}  # per vertex: the sets listed so far that contain it
     with_mobius: dict[int, int] = {}  # per Möbius value: the sets listed so far that have it
     for k, vs in enumerate(sorted(map(from_mask, masks), key=lambda vs: (-len(vs), vs))):
         supersets = found
         for v in vs:
-            supersets &= containing[v]
+            supersets &= containing.get(v, 0)
         mu = -1 - sum(value * (supersets & bits).bit_count() for value, bits in with_mobius.items())
         nodes.append(PosetNode(vs, mu))
         bit = 1 << k
         found |= bit
         for v in vs:
-            containing[v] |= bit
+            containing[v] = containing.get(v, 0) | bit
         with_mobius[mu] = with_mobius.get(mu, 0) | bit
     return IntersectionPoset(tuple(nodes))
 

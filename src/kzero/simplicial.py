@@ -65,8 +65,13 @@ def to_mask(face: Iterable[int]) -> int:
 
 
 def from_mask(mask: int) -> Simplex:
-    """The sorted vertex tuple of a bitmask."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    """The sorted vertex tuple of a bitmask, read off its set bits alone."""
+    vs = []
+    while mask:
+        low = mask & -mask
+        vs.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(vs)
 
 
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:

@@ -24,10 +24,10 @@ a = ClassPoly.var("a")
 
 
 def test_constructors_and_canonical_form():
-    assert ClassPoly.zero().is_zero()
+    assert ClassPoly.zero() == 0
     assert ClassPoly.one() == 1
     assert ClassPoly.const(Fraction(3, 6)) == Fraction(1, 2)
-    assert (x - x).is_zero()
+    assert x - x == 0
     # variables that cancel disappear from the variable tuple
     p = x * a - x * a + x
     assert p.variables == ("x",)

@@ -361,6 +361,44 @@ def test_a_runaway_evaluation_or_table_exits_3_at_once_in_a_child(name):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+LARGE_LABEL_ARGVS = {
+    "polyprod": ["polyprod", "--X", "x", "--A", "1"],
+    "complement": ["complement", "--X", "2", "--A", "5"],
+    "complement --show-poset": ["complement", "--X", "2", "--A", "5", "--show-poset"],
+    "complement --show-poset, printed": ["complement", "--X", "1", "--A", "1", "--show-poset"],
+}
+
+
+def run_on_facet(tmp_path: Path, argv: list[str], n: int, first: int) -> tuple[float, tuple[int, str, str]]:
+    """Seconds and (exit code, stdout, stderr) of a child running ``argv`` on the complex
+    on vertices 1..n with the one facet first..first+13."""
+    path = tmp_path / f"facet_{first}.txt"
+    path.write_text(f"n={n}\n" + ",".join(map(str, range(first, first + 14))) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    return time.perf_counter() - start, (proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7])
+@pytest.mark.parametrize("name", LARGE_LABEL_ARGVS)
+def test_a_facet_on_the_largest_labels_runs_as_fast_as_on_the_smallest(tmp_path, name, n):
+    # reading a vertex set off its bitmask once shifted the whole mask at every bit
+    # position below the top vertex: 20 s a verb at n = 10^6
+    argv = LARGE_LABEL_ARGVS[name]
+    seconds, top = run_on_facet(tmp_path, argv, n, n - 13)
+    assert seconds < 2, f"{seconds:.2f} s"
+    low = run_on_facet(tmp_path, argv, n, 1)[1]
+    if "printed" not in name:
+        assert top == low
+    else:  # the poset names the facet's own vertices
+        facet = "{" + ",".join(map(str, range(n - 13, n + 1))) + "}"
+        assert (top[0], top[1].splitlines()[-1], top[2]) == (0, low[1].splitlines()[-1], "")
+        assert facet in top[1]
+
+
 def test_an_evaluation_with_terms_in_range_still_prints(capsys):
     value = "7" * 2000
     assert run(capsys, "eval", "x^2 - y^2", "--at", f"x={value}", "--at", f"y={value}") == (0, "0\n", "")

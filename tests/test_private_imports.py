@@ -1,6 +1,7 @@
 """Import rules read from the source: no module of the package imports an
-underscore name from a sibling module, the package and its CLI import no
-calculator module at start-up, and the CLI imports no ``argparse`` at start-up."""
+underscore name from a sibling module or reads an underscore attribute that it
+does not define itself, the package and its CLI import no calculator module at
+start-up, and the CLI imports no ``argparse`` at start-up."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,30 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_imports_a_private_name_from_a_sibling(path):
     assert private_imports(path) == []
+
+
+def private_attribute_reads(path: Path) -> list[str]:
+    """Every ``obj._name`` that ``path`` reads, dunders aside, whose ``_name`` the module
+    does not define: as a function, class, assigned name or attribute, or slot."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign) and "__slots__" in map(ast.unparse, node.targets):
+            defined |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return sorted(a for a in read - defined if a.startswith("_") and not (a.startswith("__") and a.endswith("__")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_reads_a_private_attribute_it_does_not_define(path):
+    assert private_attribute_reads(path) == []
 
 
 def start_up_imports(body: list[ast.stmt]) -> list[str]:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from kzero.classpoly import ClassPoly, binomial, parse_poly
 from kzero.classseries import ClassSeries, binomial_series
 
-from util import FractionPoly, brute_force_binomial_series
+from util import FractionPoly, brute_force_binomial_series, reference_series_text
 
 VARIABLES = ("x", "a", "y")
 
@@ -147,6 +147,36 @@ def test_series_products_agree_with_the_fraction_per_term_reference(left, right)
         for i in range(k + 1):
             want = want + refs[0][i] * refs[1][k - i]
         assert str(c) == want.render(latex=False) and c == ClassPoly(want.variables, want.coeffs)
+
+
+negative_fractions = st.fractions(min_value=-5, max_value=0, max_denominator=6).filter(bool)
+
+
+@st.composite
+def series_coefficients(draw) -> ClassPoly:
+    """Zero, 1 or -1, a negative fraction, a single negative monomial, or several
+    terms, one of them a power of ``x``."""
+    kind = draw(st.sampled_from(["zero", "unit", "fraction", "monomial", "terms"]))
+    if kind == "zero":
+        return ClassPoly.zero()
+    if kind == "unit":
+        return ClassPoly.const(draw(st.sampled_from([1, -1])))
+    if kind == "fraction":
+        return ClassPoly.const(draw(negative_fractions))
+    if kind == "monomial":
+        vs = draw(st.lists(st.sampled_from(VARIABLES), unique=True, min_size=1, max_size=3))
+        return ClassPoly(vs, {tuple(draw(st.integers(1, 3)) for _ in vs): draw(negative_fractions)})
+    return draw(polys(max_terms=3)) + draw(coefficients.filter(bool)) * x ** draw(st.integers(1, 3))
+
+
+@given(st.lists(series_coefficients(), min_size=1, max_size=7))
+@example([ClassPoly.one(), -ClassPoly.one(), ClassPoly.const(Fraction(-1, 2)), -x * a, x + 1, -x - 1, 0 * x])
+@example([-(x ** 2) + a - 1, ClassPoly.const(-7), Fraction(-2, 3) * y, x / 2 - Fraction(1, 3)])
+@settings(max_examples=200, deadline=None)
+def test_series_text_agrees_with_the_string_surgery_reference(coeffs):
+    s = ClassSeries(coeffs)
+    assert str(s) == reference_series_text(s, latex=False)
+    assert s.latex() == reference_series_text(s, latex=True)
 
 
 def test_one_polynomial_through_different_denominators_is_one_value():

@@ -128,6 +128,41 @@ class FractionPoly:
         return "".join(parts)
 
 
+def reference_series_text(s: ClassSeries, latex: bool = False) -> str:
+    """The series renderer by string surgery, a reference for ``ClassSeries.__str__``
+    and ``latex``: each coefficient is rendered to text by ``FractionPoly`` and that
+    text is re-read, a leading minus pulled out of a one-term coefficient and a bare
+    ``1`` dropped before its power of x."""
+    parts: list[str] = []
+    for k, c in enumerate(s):
+        ref = FractionPoly.of(c)
+        if not ref.coeffs:
+            continue
+        text = ref.render(latex)
+        single = len(ref.coeffs) == 1
+        negate = single and text.startswith("-")
+        if negate:
+            text = text[1:]
+        if k == 0:
+            body = text if single else f"({text})"
+        else:
+            xk = "x" if k == 1 else (f"x^{{{k}}}" if latex else f"x^{k}")
+            if not single:
+                body = f"({text}){'' if latex else '*'}{xk}"
+            elif text == "1":
+                body = xk
+            elif latex:
+                body = f"{text}{xk}" if not ref.variables else f"{text}\\,{xk}"
+            else:
+                body = f"{text}*{xk}"
+        if parts:
+            parts.append(f" - {body}" if negate else f" + {body}")
+        else:
+            parts.append(f"-{body}" if negate else body)
+    body = "".join(parts) or "0"
+    return f"{body} + O(x^{{{len(s)}}})" if latex else f"{body} + O(x^{len(s)})"
+
+
 def brute_force_binomial_series(exponent, power: int, sign: int, order: int) -> ClassSeries:
     """(1 - sign*x^power)^exponent with every coefficient C(exponent, k) built afresh."""
     q = exponent if isinstance(exponent, ClassPoly) else ClassPoly.const(exponent)
