@@ -192,7 +192,7 @@ def cmd_fixed_point(args: SimpleNamespace) -> None:
 
 
 def cmd_eval(args: SimpleNamespace) -> None:
-    from .classpoly import ClassPoly, check_digits, parse_poly
+    from .classpoly import ClassPoly, parse_poly
 
     poly = parse_poly(args.expr)
     if not args.at:
@@ -207,7 +207,7 @@ def cmd_eval(args: SimpleNamespace) -> None:
         if name in assignment:
             raise InputSyntaxError(f"{message}: {name} is assigned twice")
         assignment[name] = read_field(int, value, InputSyntaxError, message)
-    print(check_digits(poly.evaluate(assignment)))
+    print(_render(ClassPoly.const(poly.evaluate(assignment)), args.latex))
 
 
 _PATH = {"required": True, "metavar": "PATH"}

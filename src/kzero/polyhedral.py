@@ -4,20 +4,19 @@ Everything here turns a simplicial complex K on vertices 1..n into an exact
 class polynomial.
 
 Polyhedral products.  For a pair (X, A) with classes (x, a), the polyhedral
-product (X, A)^K decomposes along the faces of K, giving
+product (X, A)^K decomposes along the faces of K (after Cooper) into
+sum over faces sigma of (x - a)^|sigma| a^(n - |sigma|), the empty face
+included.  Read in the basis of its strata, that is the one sum
 
-    [(X, A)^K] = sum over faces sigma of K of (x - a)^|sigma| * a^(n - |sigma|),
+    [(X, A)^K] = sum_j h_j x^j a^(n - j),    h_j = sum_k (-1)^(k - j) C(k, j) f_k,
 
-the empty face included; the complex with no faces at all yields a^n.  The
-complement in X^n is x^n - [(X, A)^K], read in the basis of its strata: it is
-
-    x^n - sum_j h_j x^j a^(n - j),    h_j = sum_k (-1)^(k - j) C(k, j) f_k,
-
-where f_k counts the faces of size k.  By Rota's crosscut theorem -h_j is
+where f_k counts the faces of size k, so the h_j are the coefficients of
+sum_k f_k (t - 1)^k; the complex with no faces at all yields a^n.  The
+complement in X^n is x^n - [(X, A)^K].  By Rota's crosscut theorem -h_j is
 the sum of the Möbius function over the nodes of size j of the intersection
-poset of the facets, so this is the inclusion-exclusion over that poset,
-term by term and power by power, and a size cap refuses the same inputs
-with the same message as that inclusion-exclusion would.
+poset of the facets, so the complement is the inclusion-exclusion over that
+poset, term by term and power by power, and a size cap refuses the same
+inputs with the same message as that inclusion-exclusion would.
 
 Fat wedges.  fat_wedge_class(n, d) is the class of the subspace of X^n of
 tuples with at most d coordinates away from the basepoint:
@@ -34,14 +33,14 @@ union over the faces of K.  When the dimension condition 2(dim K + 1) < n
 holds, distinct faces contribute without overlap beyond what the poset sees,
 and
 
-    [Delta_K(X)] = x * sum over faces sigma of K of (x - 1)^|sigma|,
+    [Delta_K(X)] = x * sum over faces sigma of K of (x - 1)^|sigma| = x * sum_j h_j x^j,
 
 while the complement M(K, X) = X^n - Delta_K(X) has class x^n - [Delta_K(X)].
 
-Every formula here reads the face counts from one f-vector,
-``SimplicialComplex.f_vector``, and sums its powers through one helper; the
-intersection poset is built only when the f-vector takes its Möbius route,
-or to be printed.
+Every complex formula reads the h-numbers of one f-vector,
+``SimplicialComplex.f_vector``, and sums their powers through one helper, so
+none expands a power of x - a or x - 1; the intersection poset is built only
+when the f-vector takes its Möbius route, or to be printed.
 """
 
 from __future__ import annotations
@@ -89,44 +88,42 @@ class PolyPair(_Pair):
         return cls(*fields)
 
 
-def _power_sum(terms: Iterable[tuple[int, int]], step: PolyLike, base: PolyLike, n: int) -> PolyLike:
-    """Sum of c * step^k * base^(n - k) over the (k, c) of ``terms`` with c nonzero.
+def _power_sum(terms: Iterable[tuple[int, int]], x: PolyLike, a: PolyLike, n: int) -> PolyLike:
+    """Sum of c * x^j * a^(n - j) over the (j, c) of ``terms`` with c nonzero.
 
     Each power is one ``**``, taken in the order of ``terms``, so a power past
     a size cap is refused before it is multiplied out.
     """
-    return sum((c * step ** k * base ** (n - k) for k, c in terms if c), 0)
+    return sum((c * x ** j * a ** (n - j) for j, c in terms if c), 0)
 
 
-def _h_numbers(f: list[int]) -> list[int]:
-    """The coefficients h_j of sum_k f_k (t - 1)^k, by Horner's rule."""
+def _h_numbers(K: SimplicialComplex) -> list[int]:
+    """The coefficients h_j of sum_k f_k (t - 1)^k, f the f-vector of K, by Horner's rule."""
     h: list[int] = []
-    for c in reversed(f):
+    for c in reversed(K.f_vector()):
         h = [lo - hi for lo, hi in zip([0, *h], [*h, 0])]  # h * (t - 1)
         h[0] += c
     return h
 
 
 def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
-    """[(X, A)^K] = sum over faces of (x-a)^|sigma| a^(n-|sigma|); a^n when K has no faces."""
-    x, a = pair.x_class, pair.a_class
-    if K.is_empty():
-        return a ** K.n
-    return _power_sum(enumerate(K.f_vector()), x - a, a, K.n)
-
-
-def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
-    """[X^n - (X, A)^K] = x^n - sum_j h_j x^j a^(n-j), the h_j read off the f-vector.
+    """[(X, A)^K] = sum_j h_j x^j a^(n-j), the h_j read off the f-vector; a^n when K has no faces.
 
     -h_j is the sum of mu over the intersection poset's nodes of size j, so these
     are the powers inclusion-exclusion over the poset takes.  They are taken in
     its order, by decreasing j, so a size cap refuses with the same message.
     """
+    x, a = pair.x_class, pair.a_class
+    if K.is_empty():
+        return a ** K.n
+    return _power_sum(reversed(list(enumerate(_h_numbers(K)))), x, a, K.n)
+
+
+def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
+    """[X^n - (X, A)^K] = x^n - [(X, A)^K]; refused when K has no faces."""
     if K.is_empty():
         raise EmptyComplexError("intersection poset needs at least one facet")
-    x, a = pair.x_class, pair.a_class
-    h = _h_numbers(K.f_vector())
-    return x ** K.n - _power_sum(reversed(list(enumerate(h))), x, a, K.n)
+    return pair.x_class ** K.n - polyhedral_product_class(K, pair)
 
 
 def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPoly:
@@ -191,12 +188,12 @@ def _check_dimension_condition(K: SimplicialComplex) -> None:
 
 
 def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) -> ClassPoly:
-    """[Delta_K(X)] = x * sum over faces of (x-1)^|sigma|, under 2(dim K + 1) < n."""
+    """[Delta_K(X)] = x * sum over faces of (x-1)^|sigma| = x * sum_j h_j x^j, under 2(dim K + 1) < n."""
     x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if K.is_empty():
         return ClassPoly.zero()
     _check_dimension_condition(K)
-    return x * _power_sum(enumerate(K.f_vector()), x - 1, 1, K.n)
+    return x * _power_sum(enumerate(_h_numbers(K)), x, 1, K.n)
 
 
 def delta_config_class_disjoint(
@@ -242,14 +239,15 @@ def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:
     """Euler characteristic of M(K, X) for X a closed manifold of dimension m_dim.
 
     chi^n - (-1)^(m(n+1)) * chi * sum over faces of ((-1)^m chi - 1)^|sigma|,
-    where m = m_dim and chi is the Euler characteristic of X.  For even m
-    this agrees with m_complement_class evaluated at chi; for odd m the
-    manifold has chi = 0 and the complement does too.
+    where m = m_dim and chi is the Euler characteristic of X; the sum is
+    sum_j h_j ((-1)^m chi)^j.  For even m this agrees with m_complement_class
+    evaluated at chi; for odd m the manifold has chi = 0 and the complement
+    does too.
     """
     if len(K.facets) < 2:
         raise SingleSimplexError("complement of an arrangement needs at least two facets")
     _check_dimension_condition(K)
     n = K.n
     sign = (-1) ** (m_dim * (n + 1))
-    inner = _power_sum(enumerate(K.f_vector()), (-1) ** m_dim * chi - 1, 1, n)
+    inner = _power_sum(enumerate(_h_numbers(K)), (-1) ** m_dim * chi, 1, n)
     return chi ** n - sign * chi * inner

@@ -250,6 +250,16 @@ def test_latex_output(capsys):
     assert (code, out) == (0, "\\frac{1}{2}x^{2} - a\n")
 
 
+def test_an_evaluated_value_honours_latex(capsys):
+    # the value was once printed as plain text whatever --latex said
+    assert run(capsys, "eval", "1/2*x", "--at", "x=1", "--latex") == (0, "\\frac{1}{2}\n", "")
+    # each term is in range and their sum has MAX_DIGITS + 1 digits: refused in both forms
+    half = "5" + "0" * (MAX_DIGITS - 1)
+    refusal = (3, "", f"error: cannot print a number of more than {MAX_DIGITS} digits\n")
+    for latex in ([], ["--latex"]):
+        assert run(capsys, "eval", "x + y", "--at", f"x={half}", "--at", f"y={half}", *latex) == refusal
+
+
 def test_syntax_errors_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "x +")
     assert code == 2
@@ -397,6 +407,23 @@ def test_a_facet_on_the_largest_labels_runs_as_fast_as_on_the_smallest(tmp_path,
         facet = "{" + ",".join(map(str, range(n - 13, n + 1))) + "}"
         assert (top[0], top[1].splitlines()[-1], top[2]) == (0, low[1].splitlines()[-1], "")
         assert facet in top[1]
+
+
+@pytest.mark.parametrize("n, x, want", [
+    (400, "x+1", str(parse_poly("(x+1)^400"))),
+    (401, "x", "x^400*a"),
+], ids=["x+1 on 400", "x on 401"])
+def test_a_product_over_a_400_vertex_facet_prints_at_once(tmp_path, n, x, want):
+    # the product once expanded (x - a)^k for every face size k: past 400 s with X = x + 1
+    path = tmp_path / "facet.txt"
+    path.write_text(f"n={n}\n" + ",".join(map(str, range(1, 401))) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", "polyprod", "--X", x, "--A", "a", "--complex", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
 
 def test_an_evaluation_with_terms_in_range_still_prints(capsys):

@@ -10,6 +10,8 @@ large n·deg(A) or a large a^n nearly reaches a size cap.  Regenerate it only
 after a deliberate change to an output:
 
     PYTHONPATH=src python tests/test_complex_golden.py --write
+
+which prints the name and kind of every entry whose digest changed, for review.
 """
 
 from __future__ import annotations
@@ -138,6 +140,11 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.parent.mkdir(exist_ok=True)
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = digests(Path(tmp))
+    for name in sorted(table.keys() | old.keys()):
+        for kind in ("classes", "cli"):
+            if table.get(name, {}).get(kind) != old.get(name, {}).get(kind):
+                print(f"{name} ({kind})")
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from kzero.classpoly import ClassPoly, PolyTooLargeError
+from kzero.classpoly import ClassPoly, PolyTooLargeError, parse_poly
 from kzero.polyhedral import (
     ComponentIsSingleSimplexError,
     DimensionConditionError,
@@ -34,6 +34,8 @@ from util import (
     count_arrangement_points,
     count_polyhedral_product_points,
     disjoint_union,
+    face_sum_polyhedral_product,
+    facet_list_cases,
     random_complex,
     random_small_facet_complex,
 )
@@ -59,6 +61,16 @@ def test_product_plus_complement_is_ambient_power():
         K = random_complex(rng)
         total = polyhedral_product_class(K, PAIR) + polyhedral_product_complement_class(K, PAIR)
         assert total == X ** K.n
+
+
+@pytest.mark.parametrize("x, a", [("x", "a"), ("2*x", "a+1"), ("x+1", "a")])
+def test_product_matches_the_face_sum(x, a):
+    # the complement is x^n minus the product, so the product needs its own oracle
+    pair = PolyPair(parse_poly(x), parse_poly(a))
+    complexes = [SimplicialComplex(n, faces) for n, faces in facet_list_cases()]
+    complexes += [full_simplex(n).skeleton(d) for n in range(1, 9) for d in range(-1, n)]
+    for K in complexes:
+        assert polyhedral_product_class(K, pair) == face_sum_polyhedral_product(K, *pair), K
 
 
 def test_complement_matches_inclusion_exclusion_over_the_poset():

@@ -481,6 +481,16 @@ def count_polyhedral_product_points(K: SimplicialComplex, cx: int, ca: int) -> i
     return count
 
 
+def face_sum_polyhedral_product(K: SimplicialComplex, x: ClassPoly, a: ClassPoly) -> ClassPoly:
+    """[(X, A)^K] as the face sum: (x - a)^|sigma| * a^(n - |sigma|) added up over
+    every face sigma in ``K.all_faces()``, the empty face included."""
+    term = [(x - a) ** k * a ** (K.n - k) for k in range(K.n + 1)]
+    total = ClassPoly.zero()
+    for sigma in K.all_faces():
+        total = total + term[len(sigma)]
+    return total
+
+
 def count_zero_cycle_points(c: int, n: int, d: tuple[int, ...]) -> int:
     """|Z_n^d(X)| for X a c-point set: multiplicity assignments with column
     sums d where no point has every color multiplicity >= n."""
