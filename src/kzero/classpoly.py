@@ -45,9 +45,12 @@ their denominators.  Products multiply numerators and denominators:
 :func:`sum_of_products` adds any number of products into one integer
 accumulation, each exponent vector packed into one int, and reduces the sum
 once; ``a * b`` is its one-pair case, and a series coefficient another.
-``Fraction`` values appear only where the API returns them (``terms``,
-``constant_term``, ``evaluate``); rendering reduces each coefficient with
-one integer gcd.
+Scalars enter as integer pairs: a coefficient, divisor, operand or evaluation
+value is read as its (numerator, denominator), an ``int`` ``n`` as ``(n, 1)``,
+so a verb that reads and prints integers and ``p/q`` literals never imports
+``fractions``.  ``Fraction`` values appear only where the API returns them
+(``terms``, ``constant_term``, ``evaluate``), and only those import it;
+rendering reduces each coefficient with one integer gcd.
 
 Size caps
 ---------
@@ -68,14 +71,16 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
 from .errors import InputSyntaxError, PreconditionError
 
-Scalar = int | Fraction
-PolyLike = Union["ClassPoly", int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
+PolyLike = Union["ClassPoly", int, "Fraction"]
 Variables = tuple[str, ...]
 Terms = dict[tuple[int, ...], int]
 
@@ -109,11 +114,24 @@ class PolyTooLargeError(PreconditionError):
     :data:`MAX_DIGITS` or :data:`MAX_NESTING`."""
 
 
-def _scalar(value: object, role: str) -> Fraction:
-    """An ``int`` or ``Fraction`` as a ``Fraction``; anything else is a ``TypeError``."""
-    if not isinstance(value, Scalar):
+def _ratio(value: object) -> tuple[int, int] | None:
+    """An ``int`` or ``Fraction`` as its (numerator, denominator) pair, the
+    denominator positive; ``None`` for anything else.  Only a value that is not an
+    ``int`` imports ``fractions``."""
+    if isinstance(value, int):
+        return value, 1
+    from fractions import Fraction
+
+    return (value.numerator, value.denominator) if isinstance(value, Fraction) else None
+
+
+def _scalar(value: object, role: str) -> tuple[int, int]:
+    """An ``int`` or ``Fraction`` as its (numerator, denominator) pair; anything else
+    is a ``TypeError``."""
+    pair = _ratio(value)
+    if pair is None:
         raise TypeError(f"{role} must be an int or Fraction, got {type(value).__name__}")
-    return Fraction(value)
+    return pair
 
 
 def _check_degree(degree: int) -> None:
@@ -137,7 +155,10 @@ def _literal(token: str) -> int:
     return int(token)
 
 
-_VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+def _is_name(v: str) -> bool:
+    """Whether ``v`` is a variable name: a ``str`` matching ``[A-Za-z_][A-Za-z0-9_]*``,
+    nothing after."""
+    return isinstance(v, str) and v.isascii() and v.isidentifier()
 
 
 def _remap(terms: Terms, old: Variables, new: Variables) -> Terms:
@@ -173,20 +194,22 @@ class ClassPoly:
     ):
         vs = tuple(variables)
         for v in vs:
-            if not _VAR_RE.match(v):
+            if not _is_name(v):
                 raise ValueError(f"bad variable name {v!r}")
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable name")
-        raw = {}
+        read = []
         for e, c in (terms or {}).items():
             e = tuple(e)
             if len(e) != len(vs) or any(k < 0 for k in e):
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
-            raw[e] = raw.get(e, 0) + _scalar(c, "a coefficient")
-        den = math.lcm(*(c.denominator for c in raw.values()))
+            read.append((e, *_scalar(c, "a coefficient")))
+        den = math.lcm(*(d for _, _, d in read))
+        raw: Terms = {}
+        for e, n, d in read:
+            raw[e] = raw.get(e, 0) + n * (den // d)
         ordered = tuple(sorted(vs, reverse=True))
-        terms = _remap({e: int(c * den) for e, c in raw.items()}, vs, ordered)
-        self._vars, self._terms, self._den = _normalized(ordered, terms, den)
+        self._vars, self._terms, self._den = _normalized(ordered, _remap(raw, vs, ordered), den)
 
     @classmethod
     def _make(cls, variables: Variables, terms: Terms, den: int = 1) -> ClassPoly:
@@ -223,10 +246,14 @@ class ClassPoly:
 
     def terms(self) -> Iterator[tuple[dict[str, int], Fraction]]:
         """Yield (monomial as {variable: exponent}, coefficient) pairs."""
+        from fractions import Fraction
+
         for e, c in self._sorted_terms():
             yield {v: k for v, k in zip(self._vars, e) if k}, Fraction(c, self._den)
 
     def constant_term(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._terms.get((0,) * len(self._vars), 0), self._den)
 
     def is_constant(self) -> bool:
@@ -279,8 +306,9 @@ class ClassPoly:
         if k and self._terms:
             _check_degree(self.total_degree() * k)
             # c^k is the power's lex-leading coefficient, and each part a of c is >= 2^(bits-1)
-            c = Fraction(self._terms[max(self._terms)], self._den)
-            if k * (max(abs(c.numerator), c.denominator).bit_length() - 1) >= _DIGIT_BITS:
+            c = self._terms[max(self._terms)]
+            g = math.gcd(c, self._den)
+            if k * (max(abs(c) // g, self._den // g).bit_length() - 1) >= _DIGIT_BITS:
                 raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
         result = _ONE
         base = self
@@ -292,13 +320,12 @@ class ClassPoly:
         return result
 
     def __truediv__(self, scalar: Scalar) -> ClassPoly:
-        q = _scalar(scalar, "a divisor")
-        if not q:
+        n, d = _scalar(scalar, "a divisor")
+        if not n:
             raise ZeroDivisionError("division of a class polynomial by zero")
-        r = 1 / q
-        return ClassPoly._make(
-            self._vars, {e: c * r.numerator for e, c in self._terms.items()}, self._den * r.denominator
-        )
+        if n < 0:
+            n, d = -n, -d
+        return ClassPoly._make(self._vars, {e: c * d for e, c in self._terms.items()}, self._den * n)
 
     # -- evaluation --------------------------------------------------------
 
@@ -316,8 +343,11 @@ class ClassPoly:
         missing = [v for v in self._vars if v not in assignment]
         if missing:
             raise MissingVariableError(f"no value assigned to {', '.join(missing)}")
-        values = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
-        bits = [max(abs(v.numerator), v.denominator).bit_length() for v in values]
+        from fractions import Fraction
+
+        pairs = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
+        bits = [max(abs(n), d).bit_length() for n, d in pairs]
+        values = [Fraction(n, d) for n, d in pairs]
         total = Fraction(0)
         for e, c in self._terms.items():
             if max(abs(c), self._den).bit_length() + sum(map(mul, e, bits)) > _DIGIT_BITS:
@@ -338,8 +368,8 @@ class ClassPoly:
     def __hash__(self) -> int:
         if self._vars:
             return hash((self._vars, self._den, frozenset(self._terms.items())))
-        # a constant equals its scalar, so it hashes like it
-        return hash(self.constant_term())
+        # a constant equals its scalar, so it hashes like it: a whole one as its int
+        return hash(self._terms.get((), 0)) if self._den == 1 else hash(self.constant_term())
 
     # -- rendering ---------------------------------------------------------
 
@@ -436,9 +466,8 @@ def _coerce(value: object) -> ClassPoly:
     """An operand by the rule of :func:`as_class`, or ``NotImplemented``."""
     if isinstance(value, ClassPoly):
         return value
-    if isinstance(value, Scalar):
-        return ClassPoly._make((), {(): value.numerator}, value.denominator)
-    return NotImplemented
+    pair = _ratio(value)
+    return NotImplemented if pair is None else ClassPoly._make((), {(): pair[0]}, pair[1])
 
 
 def as_class(value: PolyLike) -> ClassPoly:
@@ -562,9 +591,9 @@ class _Parser:
                     raise PolyParseError(f"rational literal needs an integer denominator, got {den!r}")
                 if _literal(den) == 0:
                     raise PolyParseError("rational literal with zero denominator")
-                return ClassPoly.const(Fraction(num, int(den)))
-            return ClassPoly.const(num)
-        if _VAR_RE.match(tok):
+                return ClassPoly._make((), {(): num}, int(den))
+            return ClassPoly._make((), {(): num})
+        if _is_name(tok):
             return ClassPoly.var(tok)
         raise PolyParseError(f"unexpected token {tok!r} in polynomial {self.text!r}")
 

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .classpoly import ClassPoly, PolyLike, as_class, join_terms, sum_of_products
+from .classpoly import (
+    MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, join_terms, sum_of_products,
+)
 from .errors import PreconditionError
 
 
@@ -147,9 +149,15 @@ def binomial_series(
     handled by the same formula, since C(-q, k)(-1)^k = C(q+k-1, k).  Each
     coefficient is the previous one times (exponent - k + 1) / k and the sign,
     so the whole series takes one polynomial product per term.
+
+    A series of order N is a polynomial of degree N in its counting variable, so
+    an order past :data:`MAX_TOTAL_DEGREE` raises :class:`PolyTooLargeError`
+    before any coefficient is built, whatever the exponent.
     """
     if order < 0:
         raise PreconditionError(f"series order must be >= 0, got {order}")
+    if order > MAX_TOTAL_DEGREE:
+        raise PolyTooLargeError(f"series order {order}; the limit is {MAX_TOTAL_DEGREE}")
     if power < 1:
         raise ValueError("power of x must be >= 1")
     if sign not in (1, -1):

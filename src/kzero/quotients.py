@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .classpoly import ClassPoly, PolyLike, as_class, parse_poly
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .permgroups import PermGroup, Permutation
 
 
@@ -204,6 +205,8 @@ def descriptor_class(rows: Iterable[tuple[str, PolyLike, int]]) -> ClassPoly:
 
 def orbifold_euler(cells: Iterable[tuple[int, int]]) -> Fraction:
     """e(Gamma, X) = sum over cell orbit representatives of (-1)^dim / |stabilizer|."""
+    from fractions import Fraction
+
     total = Fraction(0)
     for dim, stabilizer_order in cells:
         if dim < 0:
@@ -219,6 +222,8 @@ def quotient_euler_from_fixed_data(
 ) -> Fraction:
     """chi of the quotient as the sum of e(C(gamma), X^gamma) over finite-order
     conjugacy representatives gamma, each given by its cell orbit data."""
+    from fractions import Fraction
+
     return sum((orbifold_euler(cells) for cells in fixed_sets), Fraction(0))
 
 
@@ -238,6 +243,8 @@ def crystal_chi(classes: Sequence[CentralIsometryClass]) -> Fraction:
     Warns when the sum is not an integer, since the quotient of R^n by a
     crystallographic group has integral Euler characteristic.
     """
+    from fractions import Fraction
+
     total = Fraction(0)
     for c in classes:
         if c.centralizer_order < 1:
@@ -299,6 +306,8 @@ def has_unique_fixed_point(f: AffineMap) -> bool:
 
 def _det(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free-enough Gaussian elimination."""
+    from fractions import Fraction
+
     n = len(rows)
     rows = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kzero.classpoly import ClassPoly, binomial
+from kzero.classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyTooLargeError, binomial
 from kzero.classseries import (
     ClassSeries,
     NonUnitConstantTermError,
@@ -12,6 +12,7 @@ from kzero.classseries import (
     macdonald_series,
 )
 from kzero.permgroups import symmetric_product_class
+from kzero.zerocycles import closed_series, ratio_series
 
 from util import random_poly
 
@@ -108,6 +109,20 @@ def test_binomial_series_plus_sign_expands_one_plus_x():
     assert s.coefficient(4) == 3
     assert s.coefficient(6) == 1
     assert s.coefficient(1) == 0
+
+
+@pytest.mark.parametrize("X", [1, x], ids=["X=1", "X=x"])
+@pytest.mark.parametrize("build", [
+    lambda X, order: binomial_series(X, 3, -1, order=order),
+    lambda X, order: macdonald_series(X, order),
+    lambda X, order: ratio_series(2, 1, X, order),
+    lambda X, order: closed_series(2, 1, X, order),
+], ids=["binomial", "macdonald", "ratio", "closed"])
+def test_a_series_order_past_the_degree_limit_is_refused_for_every_exponent(build, X):
+    with pytest.raises(PolyTooLargeError, match=f"series order {MAX_TOTAL_DEGREE + 1}; the limit is"):
+        build(X, MAX_TOTAL_DEGREE + 1)
+    if X == 1:  # a constant exponent's series at the limit is cheap to build
+        assert build(X, MAX_TOTAL_DEGREE).order == MAX_TOTAL_DEGREE
 
 
 def test_geometric_square_counts_points():

@@ -356,6 +356,13 @@ RUNAWAY_ARGVS = {
     "eval x^1000 at 4000 nines": ["eval", "x^1000", "--at", "x=" + "9" * 4000],
     # C(60, 40) degree vectors: this ran past 8 s
     "zerocycles m=40 table": ["zerocycles", "--m", "40", "--n", "1", "--X", "1", "--order", "20", "--table"],
+    # a series order past the degree limit, whatever X: these printed, ran past 4 s, or took 3.6 s
+    "symprod-series X=1 order 1001": ["symprod-series", "--X", "1", "--order", "1001"],
+    "symprod-series X=1 order 3000000": ["symprod-series", "--X", "1", "--order", "3000000"],
+    "zerocycles X=1 order 3000000": ["zerocycles", "--m", "2", "--n", "1", "--X", "1", "--order", "3000000"],
+    "ratio X=1 order 3000000": ["ratio", "--m", "2", "--n", "1", "--X", "1", "--order", "3000000"],
+    "ratio X=x order 1001": ["ratio", "--m", "2", "--n", "1", "--X", "x", "--order", "1001"],
+    "zerocycles X=x order 1001": ["zerocycles", "--m", "2", "--n", "1", "--X", "x", "--order", "1001"],
 }
 
 
@@ -369,6 +376,18 @@ def test_a_runaway_evaluation_or_table_exits_3_at_once_in_a_child(name):
     assert time.perf_counter() - start < 2
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_a_constant_series_at_the_order_limit_still_prints_in_a_child():
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", "symprod-series", "--X", "1", "--order", str(MAX_TOTAL_DEGREE)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    want = " + ".join(["1", "x", *(f"x^{k}" for k in range(2, MAX_TOTAL_DEGREE + 1))]) + " + O(x^1001)\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    assert len(proc.stdout) == 7905
 
 
 LARGE_LABEL_ARGVS = {

@@ -33,6 +33,7 @@ INPUTS = {
     "cells.txt": "0 2\n1 1\n0 2\n",
     "classes.txt": "r1 c=2\nr2 c=2\n",
     "map.txt": "dim=2\nrow -1 0\nrow 0 -1\nt 1 0\n",
+    "group.txt": "degree=4\ngen (1 2 3 4)\n",
 }
 """Input files the file verbs below read, by the name their argv gives."""
 
@@ -72,18 +73,24 @@ def test_building_the_parser_loads_no_calculator_module():
     assert loaded == ["kzero", "kzero.cli", "kzero.errors"]
 
 
-def loaded_by(argv: list[str], tmp_path: Path) -> set[str]:
-    """Modules loaded after ``kzero.cli.main(argv)`` succeeds, the input files written to ``tmp_path``."""
+def modules_around_main(argv: list[str], tmp_path: Path) -> tuple[set[str], set[str]]:
+    """Modules loaded before ``from kzero.cli import main`` and after ``main(argv)``
+    succeeds, the input files written to ``tmp_path``."""
     for name, text in INPUTS.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / arg) if arg in INPUTS else arg for arg in argv]
-    code, loaded = fresh(
-        "import json, sys; from kzero.cli import main; code = main(sys.argv[1:]); "
-        "print(json.dumps([code, sorted(sys.modules)]))",
+    code, before, after = fresh(
+        "import json, sys; before = sorted(sys.modules); from kzero.cli import main; "
+        "code = main(sys.argv[1:]); print(json.dumps([code, before, sorted(sys.modules)]))",
         *argv,
     )
     assert code == 0
-    return set(loaded)
+    return set(before), set(after)
+
+
+def loaded_by(argv: list[str], tmp_path: Path) -> set[str]:
+    """Modules loaded after ``kzero.cli.main(argv)`` succeeds, the input files written to ``tmp_path``."""
+    return modules_around_main(argv, tmp_path)[1]
 
 
 @pytest.mark.parametrize("argv", RING_VERBS.values(), ids=RING_VERBS.keys())
@@ -127,6 +134,37 @@ PLAIN_ARGVS = {**RING_VERBS, **FILE_VERBS, "fatwedge": FATWEDGE}
 @pytest.mark.parametrize("argv", PLAIN_ARGVS.values(), ids=PLAIN_ARGVS.keys())
 def test_a_plain_argv_leaves_argparse_unloaded(argv, tmp_path):
     assert {"argparse", "gettext", "locale"}.isdisjoint(loaded_by(argv, tmp_path))
+
+
+FRACTIONS = {"fractions", "decimal", "numbers"}
+"""``fractions`` and what it imports: the ring reads scalars as integer pairs, so a
+verb that reads and prints integers and ``p/q`` literals loads none of them."""
+
+FRACTION_FREE_ARGVS = {
+    **RING_VERBS,
+    "zerocycles --table": [*RING_VERBS["zerocycles"], "--table"],
+    **{verb: FILE_VERBS[verb] for verb in (
+        "polyprod", "complement", "config", "config-complement", "quotient", "quotient-descriptor",
+    )},
+    "permprod": ["permprod", "--group", "group.txt", "--X", "x"],
+}
+"""Argvs whose verbs return no ``Fraction``; ``eval`` without ``--at``."""
+
+
+def test_importing_the_ring_adds_no_fractions_module():
+    added = fresh(
+        "import json, sys; before = set(sys.modules); import kzero.classpoly; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert "kzero.classpoly" in added
+    assert FRACTIONS.isdisjoint(added)
+
+
+@pytest.mark.parametrize("argv", FRACTION_FREE_ARGVS.values(), ids=FRACTION_FREE_ARGVS.keys())
+def test_a_verb_that_returns_no_fraction_adds_no_fractions_module(argv, tmp_path):
+    # measured against the modules loaded before kzero, which a site .pth may widen
+    before, after = modules_around_main(argv, tmp_path)
+    assert FRACTIONS.isdisjoint(after - before)
 
 
 def test_every_export_is_the_object_of_its_home_module():

@@ -4,17 +4,20 @@ Every ring operation builds its result through the trusted ``ClassPoly._make``;
 these tests rebuild each result through the validating constructor and
 compare, check the ring axioms and the parse/print round trip on random
 polynomials, compare random expressions with the ring's first arithmetic
-(``util.FractionPoly``, one ``Fraction`` per term), and compare products,
-powers, binomials and series inverses with sympy.
+(``util.FractionPoly``, one ``Fraction`` per term), read ``int`` and ``Fraction``
+scalars against that reference, and compare products, powers, binomials and
+series inverses with sympy.
 """
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzero.classpoly import ClassPoly, binomial, parse_poly
+from kzero.classpoly import ClassPoly, as_class, binomial, parse_poly
 from kzero.classseries import ClassSeries, binomial_series
 
 from util import FractionPoly, brute_force_binomial_series, reference_series_text
@@ -197,6 +200,77 @@ def test_one_polynomial_through_different_denominators_is_one_value():
         assert c == 1 and hash(c) == hash(1) and c.is_constant()
     zero = x / 3 - x / 3
     assert zero == 0 and hash(zero) == hash(0) and str(zero) == "0"
+
+
+# -- scalars enter as integer pairs ---------------------------------------------
+
+scalars = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), Fraction(6), Fraction(-6, 3)]),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+"""``int`` and ``Fraction`` scalars: negative, zero, +-1 and whole-number ``Fraction``s included."""
+
+
+def reference(q) -> FractionPoly:
+    return FractionPoly((), {(): Fraction(q)})
+
+
+def assert_same(p: ClassPoly, ref: FractionPoly) -> None:
+    assert (p.variables, list(p.terms()), str(p)) == (ref.variables, ref.terms(), ref.render(latex=False))
+
+
+@given(raw_polys(), scalars)
+@example((("x",), {(1,): Fraction(1, 2)}), -1)
+@example((("x",), {(1,): 3}), Fraction(-6, 3))
+@example((("x", "a"), {(1, 0): Fraction(1, 3), (0, 1): 2}), Fraction(-2, 3))
+@settings(max_examples=200, deadline=None)
+def test_an_int_or_fraction_scalar_acts_as_the_fraction_reference(raw, q):
+    vs, terms = raw
+    p, ref = ClassPoly(vs, terms), FractionPoly(vs, terms)
+    assert_same(q * p, reference(q) * ref)
+    assert_same(p + q, ref + reference(q))
+    assert_same(q - p, reference(q) - ref)
+    assert_same(ClassPoly.const(q), reference(q))
+    assert hash(ClassPoly.const(q)) == hash(q)
+    if q:
+        assert_same(p / q, ref / q)
+
+
+@st.composite
+def mixed_raw_polys(draw) -> tuple[tuple[str, ...], dict]:
+    """Variables and terms whose coefficients mix ``int`` and ``Fraction``, zeros included."""
+    vs = tuple(draw(st.lists(st.sampled_from(VARIABLES), unique=True, max_size=3)))
+    return vs, draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(vs)), scalars, max_size=4))
+
+
+@given(mixed_raw_polys())
+@example((("x", "a"), {(1, 0): Fraction(1, 6), (0, 1): Fraction(5, 6), (0, 0): 0}))
+@example((("x", "a"), {(1, 0): Fraction(4, 2), (0, 1): Fraction(0), (0, 0): -3}))
+@example((("y",), {(1,): 0, (2,): Fraction(0)}))
+@settings(max_examples=200, deadline=None)
+def test_mixed_int_and_fraction_coefficients_build_the_reference(raw):
+    # zero coefficients vanish with their variables, and denominators reduce to the lcm
+    vs, terms = raw
+    p, ref = ClassPoly(vs, terms), FractionPoly(vs, terms)
+    assert_same(p, ref)
+    assert p == ClassPoly(ref.variables, ref.coeffs) and hash(p) == hash(ClassPoly(ref.variables, ref.coeffs))
+
+
+SCALAR_ROLES = {
+    "coefficient": (lambda v: ClassPoly.const(v), "a coefficient must be an int or Fraction, got {}"),
+    "divisor": (lambda v: x / v, "a divisor must be an int or Fraction, got {}"),
+    "value": (lambda v: x.evaluate({"x": v}), "the value of x must be an int or Fraction, got {}"),
+    "class": (as_class, "a class must be a ClassPoly, int or Fraction, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "Decimal"])
+@pytest.mark.parametrize("role", SCALAR_ROLES)
+def test_an_inexact_or_text_scalar_raises_the_same_type_error(role, value):
+    call, message = SCALAR_ROLES[role]
+    with pytest.raises(TypeError, match=f"^{re.escape(message.format(type(value).__name__))}$"):
+        call(value)
 
 
 # -- stepped binomial series against the per-k binomial route -------------------
