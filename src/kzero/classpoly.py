@@ -256,6 +256,13 @@ class ClassPoly:
 
         return Fraction(self._terms.get((0,) * len(self._vars), 0), self._den)
 
+    def leading_coefficient(self) -> tuple[int, int]:
+        """The first printed term's coefficient as (numerator, denominator) in lowest
+        terms, read without ``fractions``; the polynomial must not be zero."""
+        c = self._terms[max(self._terms, key=lambda e: (sum(e), e))]
+        g = math.gcd(c, self._den)
+        return c // g, self._den // g
+
     def is_constant(self) -> bool:
         return not self._vars
 
@@ -497,7 +504,7 @@ def binomial(p: PolyLike, k: int) -> ClassPoly:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/])")
+_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/])")
 
 
 def _tokenize(text: str) -> list[str]:

@@ -13,9 +13,17 @@ The class formulas here are all averages over a group:
   chi^G(sigma_lambda) = z_lambda * |G meet C_lambda| / |G|, with C_lambda the
   S_n-class of type lambda and z_lambda = n! / h_lambda its centralizer order.
   So each term h_lambda * chi^G / n! is |G meet C_lambda| / |G|, and the two
-  sums agree term by term: ``permutation_product_class`` is
-  ``burnside_quotient_class`` under the paper's name, and the cycle-type sum
-  over brute-force coset counts is a test oracle;
+  sums agree term by term, and the cycle-type sum over brute-force coset
+  counts is a test oracle;
+
+* the same class for G = S_n and G = A_n in closed form, which
+  ``permutation_product_class`` reads off |G| before any element is listed:
+      sum over g in S_n of x^c(g) = x(x+1)...(x+n-1),
+  so [X^n / S_n] = C(x + n - 1, n) = [SP^n(X)]; and since
+  sgn(g) = (-1)^(n - c(g)),
+      sum over g in S_n of sgn(g) x^c(g) = x(x-1)...(x-n+1),
+  so [X^n / A_n] = (rising + falling) / n! = C(x + n - 1, n) + C(x, n) for
+  n >= 2.  A_n is the only subgroup of index 2 in S_n, so 2|G| = n! names it;
 
 * cyclic products: [X^n / (Z/n)] = (1/n) sum over d | n of phi(d) x^(n/d),
   with the divisors and phi read from n's prime factorization;
@@ -28,9 +36,12 @@ layer runs on them in C.  Composition is (p * q)(i) = p(q(i)).  Cycle notation
 reads and prints as "(1 2)(3 4)" with fixed points omitted and "()" for the
 identity.
 
-Every set the group layer builds is a breadth-first ``closure``: a group is the
-identity closed under left multiplication by its generators, a conjugacy class
-a member closed under conjugation by them, and ``quotients`` closes stratum
+A group is its stabilizer chain, built from the generators by Knuth's sifting
+Schreier-Sims: the order is the product of the chain's orbit lengths, known
+before any element is listed, and the elements are listed on demand as the
+products of one transversal element per level.  Every other set the group
+layer builds is a breadth-first ``closure``: a conjugacy class is a member
+closed under conjugation by the generators, and ``quotients`` closes stratum
 indices and (element, action) pairs the same way.
 """
 
@@ -38,7 +49,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from math import factorial
+from math import factorial, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
 from .classpoly import ClassPoly, PolyLike, as_class, binomial
@@ -64,7 +76,8 @@ class DegreeTooLargeError(PreconditionError):
 
 
 class OrderCapExceededError(PreconditionError):
-    """Generating a group passed ``MAX_ORDER`` elements."""
+    """A group has more than ``MAX_ORDER`` elements, read off its stabilizer chain
+    before any element is listed."""
 
 
 class PermParseError(InputSyntaxError):
@@ -235,28 +248,29 @@ class Permutation(tuple):
 
 
 class PermGroup:
-    """A finite group of permutations of 1..n, with its full element list.
+    """A finite group of permutations of 1..n, held as its stabilizer chain.
 
-    A group is the closure of its generators by construction: ``PermGroup(degree,
-    generators)`` closes the identity under left multiplication by the generators and
-    refuses a group past ``MAX_ORDER`` elements, so every group is bounded by its order
-    and no element list can be handed in beside the generators.
+    ``PermGroup(degree, generators)`` builds the chain of the group the generators
+    generate (``_stabilizer_chain``), reads ``order`` off it and refuses a group past
+    ``MAX_ORDER`` elements before any element is listed.  The elements are listed on
+    first use, by ``elements``, iteration, ``in``, ``conjugacy_classes`` or
+    ``centralizer``, as the sorted products of one transversal element per level.  So
+    every group is bounded by its order, and no element list can be handed in beside
+    the generators.
     """
 
-    __slots__ = ("_degree", "_generators", "_elements", "_element_set")
+    __slots__ = ("_degree", "_generators", "_transversals", "_elements", "_element_set")
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         gens = tuple(generators)
         for g in gens:
             if g.degree != degree:
                 raise ValueError(f"generator degree {g.degree} does not match {degree}")
-        elements = closure([Permutation.identity(degree)], [s.__mul__ for s in gens], MAX_ORDER)
-        if len(elements) > MAX_ORDER:
-            raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
         self._degree = degree
         self._generators = gens
-        self._elements = tuple(sorted(elements))
-        self._element_set = frozenset(elements)
+        self._transversals = _stabilizer_chain(degree, gens)
+        self._elements: tuple[Permutation, ...] | None = None
+        self._element_set: frozenset[Permutation] | None = None
 
     @classmethod
     def generate(cls, degree: int, generators: Iterable[Permutation]) -> PermGroup:
@@ -299,16 +313,29 @@ class PermGroup:
 
     @property
     def elements(self) -> tuple[Permutation, ...]:
+        """Every element, sorted: each product u_1 u_2 ... u_m of one transversal element
+        per level of the chain, listed once and kept."""
+        if self._elements is None:
+            first, *rest = self._transversals or [[Permutation.identity(self._degree)]]
+            elements = first
+            for level in rest:
+                # e * u is e read at u's images: one getter per u serves every e
+                getters = [itemgetter(*[j - 1 for j in u]) for u in level]
+                elements = [Permutation._make(get(e)) for e in elements for get in getters]
+            self._elements = tuple(sorted(elements))
         return self._elements
 
     @property
     def order(self) -> int:
-        return len(self._elements)
+        """|G|, the product of the chain's orbit lengths; lists no element."""
+        return prod(map(len, self._transversals))
 
     def __iter__(self) -> Iterator[Permutation]:
-        return iter(self._elements)
+        return iter(self.elements)
 
     def __contains__(self, g: Permutation) -> bool:
+        if self._element_set is None:
+            self._element_set = frozenset(self.elements)
         return g in self._element_set
 
     def conjugacy_classes(self) -> list[tuple[Permutation, tuple[Permutation, ...]]]:
@@ -316,15 +343,71 @@ class PermGroup:
         closed under conjugation by the generators, and its least member represents it."""
         conjugations = [lambda g, s=s, t=s.inverse(): Permutation._make([s[g[j - 1] - 1] for j in t])
                         for s in self._generators]
-        return [(c[0], c) for c in closures(self._elements, conjugations, self.order)]
+        return [(c[0], c) for c in closures(self.elements, conjugations, self.order)]
 
     def centralizer(self, g: Permutation) -> tuple[Permutation, ...]:
         """The elements that commute with g, sorted."""
         # h(g(1)) == g(h(1)) rejects most h before the two products
-        return tuple(h for h in self._elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h)
+        return tuple(h for h in self.elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self._degree}, order={self.order})"
+
+
+def _stabilizer_chain(degree: int, generators: Sequence[Permutation]) -> list[list[Permutation]]:
+    """The transversals of a stabilizer chain of the group the generators generate, by
+    Knuth's sifting Schreier-Sims (Knuth 1991; Seress 2003, section 4.2); |G| is the
+    product of their lengths.
+
+    Level k has a base point b, generators S_k and a transversal: for each point j of
+    b's orbit, some u_j in the level's group with u_j(b) = j.  The base points are points
+    the generators move, one taken from each element that founds a level.  A new
+    generator x of level k joins S_k unless levels k, k+1, ... already hold it (it sifts
+    to the identity), and then every product x u_j is placed.  Placing an element y of
+    level k either adds y(b) to the orbit, and then every s y for s in S_k is placed, or
+    leaves the residue u_j^-1 y (j = y(b)), which fixes b, as a new generator of level
+    k+1.  Every product s u_j is thus placed once, so S_k generates level k's group,
+    and by Schreier's lemma the level-(k+1) generators generate b's stabilizer in it.
+
+    The work is a stack, not recursion.  Each step pushes items of its own level or the
+    next, so an item is popped only when every deeper level is complete, and the sift of
+    a new generator is exact.  The product of the transversal lengths never exceeds
+    |G|, so a group past ``MAX_ORDER`` is refused as soon as it passes.
+    """
+    identity = Permutation.identity(degree)
+    levels: list[tuple[int, list[Permutation], dict[int, Permutation]]] = []  # (b, S_k, {j: u_j})
+    for g in generators:
+        todo = [(0, g, True)]
+        while todo:
+            k, x, new = todo.pop()
+            if new:
+                # sift: divide by one u_j per level (none where j = b), down to the identity
+                y = x
+                for b, _, transversal in levels[k:]:
+                    if y == identity or (j := y[b - 1]) not in transversal:
+                        break
+                    y = y if j == b else transversal[j].inverse() * y
+                if y == identity:
+                    continue
+                if k == len(levels):
+                    b = next(i for i, j in enumerate(x, 1) if i != j)
+                    levels.append((b, [], {b: identity}))
+                b, gens, transversal = levels[k]
+                gens.append(x)
+                todo += [(k, x * u, False) for u in transversal.values()]
+                continue
+            b, gens, transversal = levels[k]
+            j = x[b - 1]
+            if j not in transversal:
+                transversal[j] = x
+                if prod(len(t) for _, _, t in levels) > MAX_ORDER:
+                    raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
+                todo += [(k, s * x, False) for s in gens]
+            else:  # the residue u_j^-1 x fixes b
+                residue = x if j == b else transversal[j].inverse() * x
+                if residue != identity:
+                    todo.append((k + 1, residue, True))
+    return [list(transversal.values()) for _, _, transversal in levels]
 
 
 # -- group file format -------------------------------------------------------
@@ -401,8 +484,7 @@ def coset_chi(G: PermGroup, sigma: Permutation) -> int:
 
 
 def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
-    """[X^n / G] = (1/|G|) sum over g of x^(cycles of g); also exported as
-    ``permutation_product_class``."""
+    """[X^n / G] = (1/|G|) sum over g of x^(cycles of g), one term per element."""
     p = as_class(x_class)
     total = ClassPoly.zero()
     for k, count in Counter(g.cycle_count() for g in G).items():
@@ -410,7 +492,17 @@ def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
     return total / G.order
 
 
-permutation_product_class = burnside_quotient_class
+def permutation_product_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:
+    """[X^n / G]: C(x + n - 1, n) if |G| = n! (G is S_n), C(x + n - 1, n) + C(x, n) if
+    2|G| = n! with n >= 2 (G is A_n), else ``burnside_quotient_class``."""
+    n = G.degree
+    # n! >= 2^(n-1), so n! <= 2|G| needs n <= bit length of 2|G|; past that, skip n!
+    full = factorial(n) if n <= (2 * G.order).bit_length() else 0
+    if G.order == full:
+        return symmetric_product_class(x_class, n)
+    if n >= 2 and 2 * G.order == full:
+        return symmetric_product_class(x_class, n) + binomial(x_class, n)
+    return burnside_quotient_class(G, x_class)
 
 
 def cyclic_product_class(n: int, x_class: PolyLike) -> ClassPoly:

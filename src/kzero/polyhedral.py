@@ -45,7 +45,7 @@ when the f-vector takes its Möbius route, or to be printed.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, check_digits
@@ -149,8 +149,11 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
             # The loop would be refused at the first (x-1)^j past the cap; ``**`` refuses it now.
             step ** (MAX_TOTAL_DEGREE // degree + 1)
         # Only (x-1)^d reaches the d-th power of step's leading monomial, with the d-th
-        # power of its coefficient c; that term of the result is the first one printed.
-        check_digits(comb(n, d) * next(step.terms())[1] ** d)
+        # power of its coefficient a/b; that term of the result is the first one printed,
+        # C(n, d) a^d / b^d, and its digits are counted in lowest terms.
+        a, b = step.leading_coefficient()
+        numerator, denominator = comb(n, d) * a ** d, b ** d
+        check_digits(max(abs(numerator), denominator) // gcd(numerator, denominator))
     total = power = ClassPoly.one()
     for j in range(1, d + 1):
         power = power * step  # (x-1)^j

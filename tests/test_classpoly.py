@@ -96,6 +96,18 @@ def test_evaluation_refuses_a_term_past_the_digit_limit_before_any_power():
     assert (x ** 2 / 3).evaluate({"x": Fraction(1, half)}) == Fraction(1, 3 * half ** 2)
 
 
+def test_leading_coefficient_is_the_first_printed_term_in_lowest_terms():
+    rng = random.Random(7)
+    for text, expected in [("2/6*x^2 + 3/4*y^3 + x", (3, 4)), ("x - 6/4", (1, 1)), ("-4/6*x", (-2, 3)),
+                           ("5", (5, 1))]:
+        assert parse_poly(text).leading_coefficient() == expected
+    for _ in range(200):
+        p = random_poly(rng, ("x", "y"))
+        if p != 0:
+            first = next(p.terms())[1]
+            assert p.leading_coefficient() == (first.numerator, first.denominator)
+
+
 def test_scalar_division_only():
     assert (2 * x) / 2 == x
     assert x / Fraction(1, 2) == 2 * x

@@ -276,6 +276,14 @@ def test_syntax_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["\u0663*x + \uff13", "x^\u0663"])
+def test_a_non_ascii_digit_is_a_syntax_error(capsys, expr):
+    # Arabic-Indic three and fullwidth three are Unicode decimal digits, but not literals
+    code, out, err = run(capsys, "eval", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_precondition_errors_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "fatwedge", "--n", "3", "--d", "5", "--X", "x")
     assert code == 3
@@ -523,6 +531,16 @@ def test_a_group_degree_past_the_order_cap_exits_3_at_once(tmp_path, capsys, ver
     path.write_text(text)
     start = time.perf_counter()
     assert_refused(*run(capsys, verb, option, str(path), *(["--X", "x"] if verb == "permprod" else [])))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_transposition_on_the_largest_degree_prints_at_once(tmp_path, capsys):
+    # the chain's base is the points the generators move, not all 40320 of them
+    space = tmp_path / "space.txt"
+    space.write_text(f"stratum a class=x\nstratum b class=x\ngroup degree={MAX_ORDER}\ngen (1 2)\n"
+                     "action 1 a->b b->a\n")
+    start = time.perf_counter()
+    assert run(capsys, "quotient", "--space", str(space)) == (0, "x\n", "")
     assert time.perf_counter() - start < 2.0
 
 

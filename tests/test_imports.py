@@ -147,6 +147,8 @@ FRACTION_FREE_ARGVS = {
         "polyprod", "complement", "config", "config-complement", "quotient", "quotient-descriptor",
     )},
     "permprod": ["permprod", "--group", "group.txt", "--X", "x"],
+    "fatwedge": FATWEDGE,
+    "fatwedge with p/q": ["fatwedge", "--n", "6", "--d", "3", "--X", "1/3*x^2 + y"],
 }
 """Argvs whose verbs return no ``Fraction``; ``eval`` without ``--at``."""
 

@@ -2,9 +2,12 @@
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero import permgroups
 from kzero.classpoly import ClassPoly
@@ -23,8 +26,10 @@ from kzero.permgroups import (
 from util import (
     brute_force_conjugacy_classes,
     brute_force_coset_chi,
+    closure_elements,
     count_coloring_orbits,
     cycle_type_quotient_class,
+    cycle_type_quotient_classes,
     gcd_count_cyclic_product_class,
     left_cosets,
     partitions_with_weights,
@@ -118,6 +123,46 @@ def test_generation_cap(monkeypatch):
     monkeypatch.setattr(permgroups, "MAX_ORDER", 100)
     with pytest.raises(OrderCapExceededError):
         PermGroup.generate(6, PermGroup.symmetric(6).generators)
+
+
+@st.composite
+def generating_sets(draw):
+    degree = draw(st.integers(1, 8))
+    images = st.permutations(range(1, degree + 1)).map(Permutation)
+    return degree, draw(st.lists(images, max_size=3))
+
+
+@given(generating_sets())
+@settings(max_examples=40, deadline=None)
+def test_the_chain_gives_the_order_and_elements_of_the_closure(case):
+    degree, gens = case
+    G = PermGroup(degree, gens)
+    expected = closure_elements(degree, gens)
+    assert G.order == len(expected)
+    assert G.elements == expected
+    assert all(g in G for g in expected)
+
+
+def test_a_long_orbit_builds_without_recursion():
+    # the work list keeps the depth flat: a recursive chain fails on this 1000-point orbit
+    start = time.perf_counter()
+    G = PermGroup.cyclic(1000)
+    assert G.order == 1000
+    assert G.elements == closure_elements(1000, G.generators)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_group_past_the_cap_is_refused_from_its_order(monkeypatch):
+    # S_11 passes the cap inside the chain after a few hundred products, where listing
+    # elements up to the cap would take one per element
+    products = []
+    multiply = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda p, q: products.append(1) or multiply(p, q))
+    start = time.perf_counter()
+    with pytest.raises(OrderCapExceededError):
+        PermGroup.symmetric(11)
+    assert time.perf_counter() - start < 2.0
+    assert 0 < len(products) < 1000
 
 
 def test_conjugacy_classes_partition_the_group():
@@ -331,6 +376,73 @@ def test_quotient_classes_accept_polynomial_inputs():
     fiber = y ** 2 + 1
     assert burnside_quotient_class(PermGroup.cyclic(2), fiber) == (fiber ** 2 + fiber) / 2
     assert permutation_product_class(PermGroup.symmetric(2), 2) == ClassPoly.const(3)
+
+
+def alternating_pair(n: int) -> list[Permutation]:
+    """(1 2 3) and an n-cycle (n odd) or an (n-1)-cycle fixing 1 (n even), which generate A_n."""
+    rotated = list(range(1, n + 1)) if n % 2 else list(range(2, n + 1))
+    cycle = "(" + " ".join(map(str, rotated)) + ")"
+    return [Permutation.from_cycles("(1 2 3)", n), Permutation.from_cycles(cycle, n)]
+
+
+def random_generating_pair(rng: random.Random, n: int, even: bool) -> list[Permutation]:
+    """Two random permutations (both even if ``even``) that generate S_n, or A_n if ``even``."""
+    target = math.factorial(n) // (2 if even else 1)
+    for _ in range(100):  # most pairs generate, so a wrong order fails here, not in a loop
+        pair = []
+        while len(pair) < 2:
+            p = Permutation(rng.sample(range(1, n + 1), n))
+            if not even or (n - p.cycle_count()) % 2 == 0:
+                pair.append(p)
+        if PermGroup(n, pair).order == target:
+            return pair
+    pytest.fail(f"no random pair of degree {n} generated a group of order {target}")
+
+
+def symmetric_and_alternating_generating_sets(n: int) -> list[tuple[str, list[Permutation]]]:
+    """Generating sets of S_n and A_n: the standard pair, a random pair, and the standard pair
+    with a repeated generator and the identity."""
+    rng = random.Random(100 + n)
+    standard = {"S": list(PermGroup.symmetric(n).generators)}
+    if n >= 3:
+        standard["A"] = alternating_pair(n)
+    sets = []
+    for kind, pair in standard.items():
+        sets.append((kind, pair))
+        if n >= 3:
+            sets.append((kind, random_generating_pair(rng, n, kind == "A")))
+        sets.append((kind, pair + pair[:1] + [Permutation.identity(n)]))
+    if n == 2:
+        sets.append(("A", [Permutation.identity(2)]))  # A_2 is trivial
+    return sets
+
+
+CLASS_ARGUMENTS = [X, X + 3, 2 * X - ClassPoly.var("a"), X / 2 + ClassPoly.var("y")]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_symmetric_and_alternating_closed_forms_match_the_element_sum(n):
+    oracle = {}
+    for kind, gens in symmetric_and_alternating_generating_sets(n):
+        G = PermGroup(n, gens)
+        # the order names the group, so every generating set of a kind shares one oracle;
+        # it enumerates S_n once per cycle type, about 9 s at degree 8, so it stops at 7
+        assert G.order == math.factorial(n) // (2 if kind == "A" else 1), gens
+        if kind not in oracle and n <= 7:
+            oracle[kind] = cycle_type_quotient_classes(G, CLASS_ARGUMENTS)
+        for i, p in enumerate(CLASS_ARGUMENTS):
+            got = permutation_product_class(G, p)
+            expected = burnside_quotient_class(G, p)
+            assert got == expected and str(got) == str(expected), (kind, gens, p)
+            if kind in oracle:
+                assert got == oracle[kind][i] and str(got) == str(oracle[kind][i]), (kind, gens, p)
+
+
+def test_the_closed_forms_for_s7_and_a7_walk_no_element(monkeypatch):
+    groups = [PermGroup.symmetric(7), PermGroup(7, alternating_pair(7))]
+    expected = [str(burnside_quotient_class(G, X + 3)) for G in groups]
+    monkeypatch.setattr(Permutation, "cycle_count", lambda self: pytest.fail("an element was walked"))
+    assert [str(permutation_product_class(G, X + 3)) for G in groups] == expected
 
 
 def test_a_permutation_is_its_images():

@@ -286,6 +286,23 @@ def random_subgroup(rng: random.Random, n: int) -> PermGroup:
     return PermGroup.generate(n, gens)
 
 
+def closure_elements(degree: int, gens: Sequence[Permutation]) -> tuple[Permutation, ...]:
+    """Every element of the group the generators generate, sorted: the identity closed
+    under left multiplication by each generator, breadth first."""
+    found = {Permutation.identity(degree)}
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for g in frontier:
+            for s in gens:
+                h = s * g
+                if h not in found:
+                    found.add(h)
+                    fresh.append(h)
+        frontier = fresh
+    return tuple(sorted(found))
+
+
 def partitions_with_weights(n: int) -> list[tuple[tuple[int, ...], int]]:
     """All partitions of n (decreasing) with the count of permutations of that cycle type,
     h_lambda = n! / (product of parts * product of multiplicity factorials)."""
@@ -357,12 +374,15 @@ def brute_force_coset_chi(G: PermGroup, sigma: Permutation) -> int:
 def cycle_type_quotient_class(G: PermGroup, p: ClassPoly) -> ClassPoly:
     """[X^n / G] = (1/n!) sum over cycle types lambda of h_lambda * chi^G(sigma_lambda) * p^(parts),
     with every chi^G counted by ``brute_force_coset_chi``."""
+    return cycle_type_quotient_classes(G, [p])[0]
+
+
+def cycle_type_quotient_classes(G: PermGroup, classes: Sequence[ClassPoly]) -> list[ClassPoly]:
+    """``cycle_type_quotient_class`` for each p in ``classes``, counting each chi^G once."""
     n = G.degree
-    total = ClassPoly.zero()
-    for lam, weight in partitions_with_weights(n):
-        chi = brute_force_coset_chi(G, permutation_of_cycle_type(lam))
-        total = total + weight * chi * p ** len(lam)
-    return total / factorial(n)
+    terms = [(len(lam), weight * brute_force_coset_chi(G, permutation_of_cycle_type(lam)))
+             for lam, weight in partitions_with_weights(n)]
+    return [sum((c * p ** k for k, c in terms), ClassPoly.zero()) / factorial(n) for p in classes]
 
 
 def count_coloring_orbits(G: PermGroup, c: int) -> int:
