@@ -35,7 +35,7 @@ print("centralizer sum: ", centralizer_sum_class(space))
 # The same interval, reached from the infinite dihedral group acting on the
 # line: only the conjugacy classes of finite order contribute, each through
 # the strata of its fixed set weighted by stabilizer orders.
-from kzero.quotients import descriptor_class, parse_descriptor_text
+from kzero.discrete import descriptor_class, parse_descriptor_text
 
 descriptor = parse_descriptor_text("""
 id c=2 class=1    # endpoint of the fundamental interval
@@ -49,7 +49,7 @@ print("dihedral descriptor:", descriptor_class(descriptor))
 # A crystallographic check: the plane modulo the p2 wallpaper group is a
 # sphere with four cone points.  Four conjugacy classes of half-turns, each
 # with centralizer of order 2, give Euler characteristic 4 * 1/2 = 2.
-from kzero.quotients import CentralIsometryClass, crystal_chi
+from kzero.discrete import CentralIsometryClass, crystal_chi
 
 half_turns = [CentralIsometryClass(f"r{i}", 2) for i in range(1, 5)]
 print("p2 quotient chi:", crystal_chi(half_turns))

@@ -5,9 +5,10 @@ The ring lives in :mod:`kzero.classpoly`; truncated power series over it in
 polyhedral products, fat wedges, diagonal arrangements and their complements
 (:mod:`kzero.polyhedral`, backed by :mod:`kzero.simplicial` and
 :mod:`kzero.posets`), permutation, cyclic, and symmetric products
-(:mod:`kzero.permgroups`), quotients of stratified group actions with
-orbifold and crystallographic Euler characteristics
-(:mod:`kzero.quotients`), and spaces of 0-cycles (:mod:`kzero.zerocycles`).
+(:mod:`kzero.permgroups`), quotients of stratified finite-group actions
+(:mod:`kzero.quotients`), action descriptors, orbifold and crystallographic
+Euler characteristics and affine fixed points for infinite discrete groups
+(:mod:`kzero.discrete`), and spaces of 0-cycles (:mod:`kzero.zerocycles`).
 ``kzero.cli`` exposes everything as the ``kzero`` command line tool.
 
 All arithmetic is exact rational arithmetic; the package never touches
@@ -21,6 +22,11 @@ a ``kzero`` verb pays only for the modules it uses.
 _EXPORTS = {
     "classpoly": ("ClassPoly", "binomial", "parse_poly"),
     "classseries": ("ClassSeries", "binomial_series", "macdonald_series"),
+    "discrete": (
+        "AffineMap", "CentralIsometryClass", "crystal_chi", "crystal_quotient_class",
+        "descriptor_class", "has_unique_fixed_point", "orbifold_euler",
+        "quotient_euler_from_fixed_data",
+    ),
     "permgroups": (
         "PermGroup", "Permutation", "burnside_quotient_class", "cyclic_product_class",
         "permutation_product_class", "symmetric_product_class",
@@ -31,12 +37,7 @@ _EXPORTS = {
         "w_class",
     ),
     "posets": ("IntersectionPoset", "inclusion_exclusion", "intersection_poset"),
-    "quotients": (
-        "AffineMap", "CentralIsometryClass", "StratifiedGSpace", "burnside_class",
-        "centralizer_sum_class", "crystal_chi", "crystal_quotient_class", "descriptor_class",
-        "has_unique_fixed_point", "orbifold_euler", "orbit_sum_class",
-        "quotient_euler_from_fixed_data",
-    ),
+    "quotients": ("StratifiedGSpace", "burnside_class", "centralizer_sum_class", "orbit_sum_class"),
     "simplicial": ("SimplicialComplex", "full_simplex"),
     "zerocycles": ("ZeroCycleTable", "closed_series", "ratio_series", "sp_vector_class"),
 }

@@ -74,10 +74,13 @@ import sys
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
 
-from .errors import InputSyntaxError, PreconditionError
+from .errors import InputSyntaxError, PreconditionError, read_field
 
 if TYPE_CHECKING:
     from fractions import Fraction
+    from types import SimpleNamespace
+
+    from .classseries import ClassSeries
 
 Scalar = Union[int, "Fraction"]
 PolyLike = Union["ClassPoly", int, "Fraction"]
@@ -610,3 +613,28 @@ def parse_poly(text: str) -> ClassPoly:
     if not text.strip():
         raise PolyParseError("empty polynomial text")
     return _Parser(text).parse()
+
+
+# -- command line ----------------------------------------------------------------
+
+
+def render(value: ClassPoly | ClassSeries, latex: bool) -> str:
+    """How a verb prints a class or a series: its canonical text, or its LaTeX with ``latex``."""
+    return value.latex() if latex else str(value)
+
+
+def cmd_eval(args: SimpleNamespace) -> None:
+    poly = parse_poly(args.expr)
+    if not args.at:
+        print(render(poly, args.latex))
+        return
+    assignment: dict[str, int] = {}
+    for item in args.at:
+        name, _, value = item.partition("=")
+        message = f"bad --at {item!r}"
+        name = name.strip()
+        read_field(ClassPoly.var, name, InputSyntaxError, message)  # checks the name
+        if name in assignment:
+            raise InputSyntaxError(f"{message}: {name} is assigned twice")
+        assignment[name] = read_field(int, value, InputSyntaxError, message)
+    print(render(ClassPoly.const(poly.evaluate(assignment)), args.latex))

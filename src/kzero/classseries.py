@@ -22,12 +22,16 @@ for ``N`` the order plus one.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .classpoly import (
-    MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, join_terms, sum_of_products,
+    MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, join_terms, parse_poly, render,
+    sum_of_products,
 )
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 class NonUnitConstantTermError(PreconditionError):
@@ -179,3 +183,9 @@ def macdonald_series(p: PolyLike, order: int) -> ClassSeries:
     """
     return binomial_series(-as_class(p), 1, 1, order=order)
 
+
+# -- command line ----------------------------------------------------------------
+
+
+def cmd_symprod_series(args: SimpleNamespace) -> None:
+    print(render(macdonald_series(parse_poly(args.X), args.order), args.latex))

@@ -3,10 +3,13 @@
 Three failure families matter to callers (and to the command line tool, which
 maps them to distinct exit codes): input that could not be parsed, input
 that parsed fine but violates a documented precondition of an operation, and
-independent routes to one result that give different values.
+independent routes to one result that give different values.  One input
+error is shared by two modules: ``GSpaceFormatError``, raised by the G-space
+reader of :mod:`kzero.quotients` and the file readers of :mod:`kzero.discrete`.
 
-Every input file is read through ``data_lines`` and ``read_field``, so all
-formats share one rule for comments, blank lines and line-numbered errors.
+The verbs open every input file with ``read_file``, and every format is read
+through ``data_lines`` and ``read_field``, so all formats share one rule for
+comments, blank lines and line-numbered errors.
 """
 
 from __future__ import annotations
@@ -28,6 +31,20 @@ class DOutOfRangeError(PreconditionError):
 
 class RouteDisagreementError(RuntimeError):
     """Raised when independent routes to the same result give different values."""
+
+
+class GSpaceFormatError(InputSyntaxError):
+    """A stratified G-space, descriptor, or isometry file is malformed."""
+
+
+def read_file(path: str) -> str:
+    """The text of the UTF-8 file at ``path``; a file that cannot be read is an
+    ``InputSyntaxError`` naming the path and the reason."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputSyntaxError(f"cannot read {path}: {e.strerror or e}") from None
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

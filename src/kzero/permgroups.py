@@ -51,10 +51,13 @@ import re
 from collections import Counter
 from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
 
-from .classpoly import ClassPoly, PolyLike, as_class, binomial
-from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
+from .classpoly import ClassPoly, PolyLike, as_class, binomial, parse_poly, render
+from .errors import InputSyntaxError, PreconditionError, data_lines, read_field, read_file
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 MAX_DEGREE = 8
@@ -66,6 +69,14 @@ MAX_ORDER = factorial(MAX_DEGREE)
 Also the largest ``degree=`` a group or G-space file may give: a group of at most this
 order acts faithfully on at most this many points (Cayley)."""
 
+MAX_IMAGES = 10**6
+"""Most images a listed ``PermGroup`` stores: its order times its degree.  The element
+list holds that many point references (about 8 MB at this cap), so a group past it is
+refused before any element is listed, such as the cyclic group of a 40320-cycle, which
+would need 1.6 * 10**9.  The cap leaves room for every group of order at most
+``MAX_ORDER`` on at most 24 points and for the cyclic group of a 1000-cycle.  A
+transposition on 40320 points needs 80640."""
+
 MAX_CYCLIC_ORDER = 10**12
 """Largest n accepted by ``cyclic_product_class``, which factors n by trial division
 up to its square root: at most 10**6 steps."""
@@ -76,8 +87,8 @@ class DegreeTooLargeError(PreconditionError):
 
 
 class OrderCapExceededError(PreconditionError):
-    """A group has more than ``MAX_ORDER`` elements, read off its stabilizer chain
-    before any element is listed."""
+    """A group has more than ``MAX_ORDER`` elements, or its order times its degree passes
+    ``MAX_IMAGES``, read off its stabilizer chain before any element is listed."""
 
 
 class PermParseError(InputSyntaxError):
@@ -252,7 +263,8 @@ class PermGroup:
 
     ``PermGroup(degree, generators)`` builds the chain of the group the generators
     generate (``_stabilizer_chain``), reads ``order`` off it and refuses a group past
-    ``MAX_ORDER`` elements before any element is listed.  The elements are listed on
+    ``MAX_ORDER`` elements, or past ``MAX_IMAGES`` images (order times degree), before any
+    element is listed.  The elements are listed on
     first use, by ``elements``, iteration, ``in``, ``conjugacy_classes`` or
     ``centralizer``, as the sorted products of one transversal element per level.  So
     every group is bounded by its order, and no element list can be handed in beside
@@ -372,7 +384,8 @@ def _stabilizer_chain(degree: int, generators: Sequence[Permutation]) -> list[li
     The work is a stack, not recursion.  Each step pushes items of its own level or the
     next, so an item is popped only when every deeper level is complete, and the sift of
     a new generator is exact.  The product of the transversal lengths never exceeds
-    |G|, so a group past ``MAX_ORDER`` is refused as soon as it passes.
+    |G|, so a group past ``MAX_ORDER``, or whose order times ``degree`` passes
+    ``MAX_IMAGES``, is refused as soon as it passes.
     """
     identity = Permutation.identity(degree)
     levels: list[tuple[int, list[Permutation], dict[int, Permutation]]] = []  # (b, S_k, {j: u_j})
@@ -400,8 +413,13 @@ def _stabilizer_chain(degree: int, generators: Sequence[Permutation]) -> list[li
             j = x[b - 1]
             if j not in transversal:
                 transversal[j] = x
-                if prod(len(t) for _, _, t in levels) > MAX_ORDER:
+                order = prod(len(t) for _, _, t in levels)
+                if order > MAX_ORDER:
                     raise OrderCapExceededError(f"group order passes the cap of {MAX_ORDER}")
+                if order * degree > MAX_IMAGES:
+                    raise OrderCapExceededError(
+                        f"group order times degree {degree} passes the cap of {MAX_IMAGES} images"
+                    )
                 todo += [(k, s * x, False) for s in gens]
             else:  # the residue u_j^-1 x fixes b
                 residue = x if j == b else transversal[j].inverse() * x
@@ -538,3 +556,17 @@ def _divisors_with_phi(n: int) -> list[tuple[int, int]]:
         pairs += powers
         q += 1
     return pairs
+
+
+# -- command line ----------------------------------------------------------------
+
+
+def cmd_permprod(args: SimpleNamespace) -> None:
+    degree, gens = parse_group_generators(read_file(args.group))
+    check_degree(degree)
+    G = PermGroup.generate(degree, gens)
+    print(render(permutation_product_class(G, parse_poly(args.X)), args.latex))
+
+
+def cmd_cycprod(args: SimpleNamespace) -> None:
+    print(render(cyclic_product_class(args.n, parse_poly(args.X)), args.latex))

@@ -46,11 +46,16 @@ when the f-vector takes its Möbius route, or to be printed.
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, check_digits
-from .errors import DOutOfRangeError, PreconditionError
+from .classpoly import (
+    MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, check_digits, parse_poly, render,
+)
+from .errors import DOutOfRangeError, PreconditionError, read_file
 from .simplicial import EmptyComplexError, SimplicialComplex, full_simplex
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 
 class DimensionConditionError(PreconditionError):
@@ -254,3 +259,43 @@ def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:
     sign = (-1) ** (m_dim * (n + 1))
     inner = _power_sum(enumerate(_h_numbers(K)), (-1) ** m_dim * chi, 1, n)
     return chi ** n - sign * chi * inner
+
+
+# -- command line ----------------------------------------------------------------
+
+
+def _print_complement(K: SimplicialComplex, result: ClassPoly, args: SimpleNamespace) -> None:
+    """Print a complement class of K, below K's intersection poset when ``--show-poset``
+    asked for one; the class is computed first, so a refused input prints nothing."""
+    if args.show_poset:
+        from .posets import intersection_poset
+
+        for line in intersection_poset(K).render().splitlines():
+            print(f"# {line}")
+    print(render(result, args.latex))
+
+
+def cmd_polyprod(args: SimpleNamespace) -> None:
+    K = SimplicialComplex.from_text(read_file(args.complex))
+    pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
+    print(render(polyhedral_product_class(K, pair), args.latex))
+
+
+def cmd_complement(args: SimpleNamespace) -> None:
+    K = SimplicialComplex.from_text(read_file(args.complex))
+    pair = PolyPair(parse_poly(args.X), parse_poly(args.A))
+    _print_complement(K, polyhedral_product_complement_class(K, pair), args)
+
+
+def cmd_fatwedge(args: SimpleNamespace) -> None:
+    print(render(fat_wedge_class(args.n, args.d, parse_poly(args.X)), args.latex))
+
+
+def cmd_config(args: SimpleNamespace) -> None:
+    K = SimplicialComplex.from_text(read_file(args.complex))
+    print(render(delta_config_class(K, parse_poly(args.X)), args.latex))
+
+
+def cmd_config_complement(args: SimpleNamespace) -> None:
+    K = SimplicialComplex.from_text(read_file(args.complex))
+    _print_complement(K, m_complement_class(K, parse_poly(args.X)), args)

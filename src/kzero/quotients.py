@@ -1,5 +1,5 @@
-"""Quotients of stratified group actions, orbifold Euler characteristics,
-crystallographic quotients, and affine fixed-point tests.
+"""Quotients of stratified finite-group actions: stratified G-spaces and their
+three quotient routes.
 
 A stratified G-space is a space cut into finitely many strata, each with a
 known class, on which a finite group G acts by permuting the strata; an
@@ -18,44 +18,44 @@ they must agree:
   orbits of the centralizer C(g) on the strata fixed by g, of
   [S] / |{h in C(g) : h S = S}|.
 
-The centralizer sum is the form that extends to infinite discrete groups:
-an action descriptor is a list of (label, class, order) rows, one per
-stratum orbit fixed by a finite-order conjugacy representative, giving the
-representative's label, the stratum class and the order of the stabilizer
-intersection; its class is the same double sum taken over the rows.
-
-Independently, the orbifold Euler characteristic of a cocompact action on a
-cell complex is e(Gamma, X) = sum over cell orbit representatives of
-(-1)^dim / |stabilizer|; summing e over centralizers of finite-order
-conjugacy representatives gives the Euler characteristic of the quotient.
-For a crystallographic group acting on R^n this collapses to
-chi(R^n/Gamma) = sum of 1/|C(gamma)| over conjugacy classes of central
-isometries, the isometries gamma whose linear part phi has
-det(phi - id) != 0 — exactly the condition that the affine map has a unique
-fixed point.
+The ``quotient`` verb computes all three and refuses to print when they
+disagree.  The centralizer sum is the form that extends to infinite discrete
+groups; action descriptors, orbifold and crystallographic Euler
+characteristics and affine fixed points live in :mod:`kzero.discrete`, so a
+G-space job compiles none of them.  Their names are still readable from this
+module: each is imported from :mod:`kzero.discrete` on first use (PEP 562).
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class, parse_poly
-from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
+from .classpoly import ClassPoly, PolyLike, as_class, parse_poly, render
+from .errors import GSpaceFormatError, RouteDisagreementError, data_lines, read_field, read_file
 
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from types import SimpleNamespace
 
     from .permgroups import PermGroup, Permutation
 
+_FORWARDED = (
+    "AffineMap", "CentralIsometryClass", "DimensionMismatchError", "crystal_chi",
+    "crystal_quotient_class", "descriptor_class", "has_unique_fixed_point", "orbifold_euler",
+    "parse_affine_map_text", "parse_cells_text", "parse_descriptor_text",
+    "parse_isometry_classes_text", "quotient_euler_from_fixed_data",
+)
+"""The names that moved to :mod:`kzero.discrete`, read from there on first use."""
 
-class DimensionMismatchError(PreconditionError):
-    """An affine map's matrix and translation sizes disagree."""
 
+def __getattr__(name: str):
+    """Import a name that moved to :mod:`kzero.discrete` on first use and keep it here."""
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import discrete
 
-class GSpaceFormatError(InputSyntaxError):
-    """A stratified G-space, descriptor, or isometry file is malformed."""
+    value = globals()[name] = getattr(discrete, name)
+    return value
 
 
 class StratifiedGSpace:
@@ -187,147 +187,6 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
     return total
 
 
-# -- descriptors for infinite discrete groups --------------------------------
-
-
-def descriptor_class(rows: Iterable[tuple[str, PolyLike, int]]) -> ClassPoly:
-    """Sum of stratum class / stabilizer order over the (label, class, order) rows."""
-    total = ClassPoly.zero()
-    for label, cls, order in rows:
-        if order < 1:
-            raise PreconditionError(f"stabilizer order must be >= 1, got {order} in entry {label!r}")
-        total = total + as_class(cls) / order
-    return total
-
-
-# -- orbifold Euler characteristics ------------------------------------------
-
-
-def orbifold_euler(cells: Iterable[tuple[int, int]]) -> Fraction:
-    """e(Gamma, X) = sum over cell orbit representatives of (-1)^dim / |stabilizer|."""
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for dim, stabilizer_order in cells:
-        if dim < 0:
-            raise PreconditionError(f"cell dimension must be >= 0, got {dim}")
-        if stabilizer_order < 1:
-            raise PreconditionError(f"stabilizer order must be >= 1, got {stabilizer_order}")
-        total += Fraction((-1) ** dim, stabilizer_order)
-    return total
-
-
-def quotient_euler_from_fixed_data(
-    fixed_sets: Iterable[Iterable[tuple[int, int]]]
-) -> Fraction:
-    """chi of the quotient as the sum of e(C(gamma), X^gamma) over finite-order
-    conjugacy representatives gamma, each given by its cell orbit data."""
-    from fractions import Fraction
-
-    return sum((orbifold_euler(cells) for cells in fixed_sets), Fraction(0))
-
-
-# -- crystallographic groups --------------------------------------------------
-
-
-class CentralIsometryClass(NamedTuple):
-    """A conjugacy class of central isometries and its centralizer order."""
-
-    label: str
-    centralizer_order: int
-
-
-def crystal_chi(classes: Sequence[CentralIsometryClass]) -> Fraction:
-    """chi(R^n / Gamma) = sum of 1 / |C(gamma)|; 0 with no central isometries.
-
-    Warns when the sum is not an integer, since the quotient of R^n by a
-    crystallographic group has integral Euler characteristic.
-    """
-    from fractions import Fraction
-
-    total = Fraction(0)
-    for c in classes:
-        if c.centralizer_order < 1:
-            raise PreconditionError(
-                f"centralizer order must be >= 1, got {c.centralizer_order} for {c.label!r}"
-            )
-        total += Fraction(1, c.centralizer_order)
-    if total.denominator != 1:
-        warnings.warn(f"crystallographic Euler characteristic {total} is not an integer")
-    return total
-
-
-def crystal_quotient_class(classes: Sequence[CentralIsometryClass]) -> ClassPoly:
-    """[R^n / Gamma] = chi * [point]."""
-    return ClassPoly.const(crystal_chi(classes))
-
-
-# -- affine maps ---------------------------------------------------------------
-
-
-class _Affine(NamedTuple):
-    linear: tuple[tuple[Fraction, ...], ...]
-    translation: tuple[Fraction, ...]
-
-
-class AffineMap(_Affine):
-    """x -> linear @ x + translation with exact rational entries."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls, linear: tuple[tuple[Fraction, ...], ...], translation: tuple[Fraction, ...]
-    ) -> AffineMap:
-        n = len(translation)
-        if len(linear) != n or any(len(row) != n for row in linear):
-            raise DimensionMismatchError(
-                f"linear part must be {n}x{n} to match a translation of length {n}"
-            )
-        return super().__new__(cls, linear, translation)
-
-    @classmethod
-    def _make(cls, fields: Iterable[tuple]) -> AffineMap:
-        """Build through ``__new__``, so ``_replace`` checks its fields too."""
-        return cls(*fields)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.translation)
-
-
-def has_unique_fixed_point(f: AffineMap) -> bool:
-    """True iff det(linear - id) != 0, i.e. x = Ax + v has exactly one solution."""
-    n = f.dimension
-    rows = [
-        [f.linear[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    return _det(rows) != 0
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-enough Gaussian elimination."""
-    from fractions import Fraction
-
-    n = len(rows)
-    rows = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
-
-
 # -- file formats ---------------------------------------------------------------
 
 
@@ -390,68 +249,17 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
         raise GSpaceFormatError(str(e)) from None
 
 
-def parse_descriptor_text(text: str) -> list[tuple[str, ClassPoly, int]]:
-    """Read an action descriptor: one ``<label> c=<int> class=<poly>`` line per row.
-
-    Returns the (label, class, order) rows in file order.
-    """
-    rows: list[tuple[str, ClassPoly, int]] = []
-    for lineno, line in data_lines(text):
-        parts = line.split(None, 2)
-        if len(parts) != 3 or not parts[1].startswith("c=") or not parts[2].startswith("class="):
-            raise GSpaceFormatError(f"line {lineno}: expected '<label> c=<int> class=<poly>'")
-        c = read_field(int, parts[1][2:], GSpaceFormatError, f"line {lineno}: bad stabilizer order")
-        cls = read_field(parse_poly, parts[2][6:], GSpaceFormatError, f"line {lineno}: bad class")
-        rows.append((parts[0], cls, c))
-    return rows
+# -- command line ----------------------------------------------------------------
 
 
-def parse_isometry_classes_text(text: str) -> list[CentralIsometryClass]:
-    """Read central isometry classes: one ``<label> c=<int>`` line per class."""
-    out: list[CentralIsometryClass] = []
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) != 2 or not parts[1].startswith("c="):
-            raise GSpaceFormatError(f"line {lineno}: expected '<label> c=<int>', got {line!r}")
-        c = read_field(int, parts[1][2:], GSpaceFormatError, f"line {lineno}: bad order")
-        out.append(CentralIsometryClass(parts[0], c))
-    return out
-
-
-def parse_cells_text(text: str) -> list[tuple[int, int]]:
-    """Read orbifold cell data: one ``<dim> <stabilizer order>`` line per cell orbit."""
-    out: list[tuple[int, int]] = []
-    for lineno, line in data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise GSpaceFormatError(f"line {lineno}: expected '<dim> <stab order>', got {line!r}")
-        message = f"line {lineno}: bad integer"
-        out.append(tuple(read_field(int, p, GSpaceFormatError, message) for p in parts))
-    return out
-
-
-def parse_affine_map_text(text: str) -> AffineMap:
-    """Read an affine map: ``dim=<n>``, n ``row <q> ...`` lines, one ``t <q> ...`` line."""
-    dim: int | None = None
-    by_kind: dict[str, list[tuple[Fraction, ...]]] = {"row": [], "t": []}
-    for lineno, line in data_lines(text):
-        if dim is None:
-            if not line.startswith("dim="):
-                raise GSpaceFormatError(f"line {lineno}: expected 'dim=<int>' first")
-            dim = read_field(int, line[4:], GSpaceFormatError, f"line {lineno}: bad dimension")
-            if dim < 1:
-                raise GSpaceFormatError(f"line {lineno}: dimension must be >= 1")
-            continue
-        kind, *entries = line.split()
-        if kind not in by_kind:
-            raise GSpaceFormatError(f"line {lineno}: expected 'row' or 't', got {line!r}")
-        message = f"line {lineno}: bad rational entry"
-        values = [read_field(parse_poly, p, GSpaceFormatError, message) for p in entries]
-        if not all(v.is_constant() for v in values):
-            raise GSpaceFormatError(f"{message}: an entry is an integer or p/q")
-        if len(values) != dim:
-            raise GSpaceFormatError(f"line {lineno}: expected {dim} entries, got {len(values)}")
-        by_kind[kind].append(tuple(v.constant_term() for v in values))
-    if dim is None or len(by_kind["row"]) != dim or len(by_kind["t"]) != 1:
-        raise GSpaceFormatError("affine map needs dim=<n>, n row lines, and one t line")
-    return AffineMap(tuple(by_kind["row"]), by_kind["t"][0])
+def cmd_quotient(args: SimpleNamespace) -> None:
+    space = parse_gspace_text(read_file(args.space))
+    result = centralizer_sum_class(space)
+    check = burnside_class(space)
+    orbit = orbit_sum_class(space)
+    if result != check or result != orbit:
+        raise RouteDisagreementError(
+            f"quotient routes disagree: centralizer sum {result}, "
+            f"Burnside {check}, orbit sum {orbit}"
+        )
+    print(render(result, args.latex))

@@ -27,11 +27,14 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class, sum_of_products
+from .classpoly import ClassPoly, PolyLike, as_class, parse_poly, render, sum_of_products
 from .classseries import ClassSeries, binomial_series, macdonald_series
 from .errors import DOutOfRangeError, PreconditionError
+
+if TYPE_CHECKING:
+    from types import SimpleNamespace
 
 DegreeVector = tuple[int, ...]
 
@@ -157,3 +160,22 @@ def ratio_series(m: int, n: int, x_class: PolyLike, order: int) -> ClassSeries:
     if m < 1 or n < 1:
         raise PreconditionError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     return binomial_series(as_class(x_class), m * n, 1, order=order)
+
+
+# -- command line ----------------------------------------------------------------
+
+
+def cmd_zerocycles(args: SimpleNamespace) -> None:
+    if args.table:
+        table = ZeroCycleTable(args.m, args.n, parse_poly(args.X), args.order)
+        texts: dict[int, str] = {}  # permuted degree vectors share one class object
+        for d, value in table.entries():
+            if id(value) not in texts:
+                texts[id(value)] = render(value, args.latex)
+            print(f"{','.join(map(str, d))}: {texts[id(value)]}")
+        return
+    print(render(closed_series(args.m, args.n, parse_poly(args.X), args.order), args.latex))
+
+
+def cmd_ratio(args: SimpleNamespace) -> None:
+    print(render(ratio_series(args.m, args.n, parse_poly(args.X), args.order), args.latex))

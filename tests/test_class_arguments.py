@@ -6,6 +6,7 @@ import pytest
 
 from kzero.classpoly import ClassPoly, as_class, binomial
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
+from kzero.discrete import descriptor_class
 from kzero.permgroups import (
     PermGroup,
     burnside_quotient_class,
@@ -21,7 +22,7 @@ from kzero.polyhedral import (
     m_complement_class,
     w_class,
 )
-from kzero.quotients import StratifiedGSpace, descriptor_class
+from kzero.quotients import StratifiedGSpace
 from kzero.simplicial import SimplicialComplex
 from kzero.zerocycles import ZeroCycleTable, closed_series, ratio_series, sp_vector_class
 

@@ -6,6 +6,7 @@ import importlib
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero import cli
 from kzero.cli import main
-from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_ORDER, PermGroup, Permutation
+from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
 
 EXAMPLE_COMPLEX = "n=5\n1,2,3\n3,4\n3,5\n"
 LINE_GRAPH = "n=5\n1,2\n2,3\n3,4\n4,5\n"
@@ -541,6 +542,26 @@ def test_a_transposition_on_the_largest_degree_prints_at_once(tmp_path, capsys):
                      "action 1 a->b b->a\n")
     start = time.perf_counter()
     assert run(capsys, "quotient", "--space", str(space)) == (0, "x\n", "")
+    assert time.perf_counter() - start < 2.0
+
+
+def test_a_cycle_on_the_largest_degree_is_refused_before_its_elements_are_listed(tmp_path):
+    # 40320 elements of degree 40320 would be 1.6 * 10**9 images, about 13 GB; the child
+    # gets 1 GiB of address space, so code that stores them fails rather than swaps
+    cycle = " ".join(map(str, range(1, MAX_ORDER + 1)))
+    space = tmp_path / "space.txt"
+    space.write_text(f"stratum a class=1\ngroup degree={MAX_ORDER}\ngen ({cycle})\n")
+    assert MAX_ORDER * MAX_ORDER > MAX_IMAGES
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", "quotient", "--space", str(space)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert_refused(proc.returncode, proc.stdout, proc.stderr)
     assert time.perf_counter() - start < 2.0
 
 

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, so the modules it finds loaded are the
 ones the code under test imported, not ones an earlier test pulled in.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -127,6 +128,17 @@ def test_a_verb_without_a_poset_leaves_posets_unloaded(argv, tmp_path):
     assert "kzero.posets" not in loaded_by(argv, tmp_path)
 
 
+def test_quotient_leaves_the_discrete_group_module_unloaded(tmp_path):
+    assert "kzero.discrete" not in loaded_by(FILE_VERBS["quotient"], tmp_path)
+
+
+@pytest.mark.parametrize("verb", ("quotient-descriptor", "orbifold-euler", "crystal", "fixed-point"))
+def test_a_discrete_group_verb_leaves_quotients_and_permgroups_unloaded(verb, tmp_path):
+    loaded = loaded_by(FILE_VERBS[verb], tmp_path)
+    assert "kzero.discrete" in loaded
+    assert {"kzero.quotients", "kzero.permgroups"}.isdisjoint(loaded)
+
+
 PLAIN_ARGVS = {**RING_VERBS, **FILE_VERBS, "fatwedge": FATWEDGE}
 """A plain argv of each verb, which ``main`` reads off the verb table."""
 
@@ -179,10 +191,44 @@ def test_every_export_is_the_object_of_its_home_module():
     homes, wrong, listed = report
     assert wrong == []
     assert homes == [f"kzero.{m}" for m in (
-        "classpoly", "classseries", "permgroups", "polyhedral", "posets", "quotients",
+        "classpoly", "classseries", "discrete", "permgroups", "polyhedral", "posets", "quotients",
         "simplicial", "zerocycles",
     )]
     assert listed
+
+
+MOVED_TO_DISCRETE = (
+    "AffineMap", "CentralIsometryClass", "DimensionMismatchError", "crystal_chi",
+    "crystal_quotient_class", "descriptor_class", "has_unique_fixed_point", "orbifold_euler",
+    "parse_affine_map_text", "parse_cells_text", "parse_descriptor_text",
+    "parse_isometry_classes_text", "quotient_euler_from_fixed_data",
+)
+"""The discrete-group names that ``kzero.quotients`` forwards to ``kzero.discrete``."""
+
+
+def test_every_moved_name_is_one_object_in_quotients_and_discrete():
+    loaded_first, different = fresh(
+        "import json, sys, kzero.quotients as q\n"
+        "loaded_first = 'kzero.discrete' in sys.modules\n"
+        "import kzero.discrete as d\n"
+        "print(json.dumps([loaded_first, [n for n in sys.argv[1:] if getattr(q, n) is not getattr(d, n)]]))",
+        *MOVED_TO_DISCRETE,
+    )
+    assert not loaded_first  # a moved name is imported on first use, not with quotients
+    assert different == []
+
+
+def test_g_space_format_error_is_one_class_in_errors_quotients_and_discrete():
+    from kzero import discrete, errors, quotients
+
+    assert quotients.GSpaceFormatError is discrete.GSpaceFormatError is errors.GSpaceFormatError
+
+
+def test_quotients_still_refuses_an_unknown_name():
+    import kzero.quotients
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kzero.quotients.no_such_name
 
 
 def test_star_import_binds_every_export():
@@ -200,3 +246,42 @@ def test_an_unknown_name_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no_such_name"):
         kzero.no_such_name
+
+
+PACKAGE = Path(SRC) / "kzero"
+
+
+def test_the_cli_defines_no_handler_and_each_home_defines_its_own():
+    import importlib
+
+    from kzero import cli
+
+    assert [name for name in vars(cli) if name.startswith("cmd_")] == []
+    for verb, (_, home, _) in cli.VERBS.items():
+        module = importlib.import_module(f"kzero.{home}")
+        assert callable(getattr(module, "cmd_" + verb.replace("-", "_"), None)), verb
+
+
+def imports_of_cli(path: Path) -> list[int]:
+    """Line numbers of every import of ``kzero.cli`` in ``path``, at any depth: ``import
+    kzero.cli``, ``from kzero.cli import ...``, ``from .cli import ...`` and ``from . import cli``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "kzero" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            names = [module, *(f"{module}.{a.name}" for a in node.names)]
+        else:
+            continue
+        if "kzero.cli" in names:
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_the_cli(path):
+    # under ``python -m kzero.cli`` the CLI runs as ``__main__``; importing it again
+    # would compile it twice
+    assert imports_of_cli(path) == []

@@ -4,16 +4,15 @@ import pytest
 
 from kzero.classpoly import MAX_DIGITS, PolyTooLargeError
 from kzero.cli import main
-from kzero.errors import InputSyntaxError
-from kzero.permgroups import parse_group_generators
-from kzero.quotients import (
-    GSpaceFormatError,
+from kzero.discrete import (
     parse_affine_map_text,
     parse_cells_text,
     parse_descriptor_text,
-    parse_gspace_text,
     parse_isometry_classes_text,
 )
+from kzero.errors import GSpaceFormatError, InputSyntaxError
+from kzero.permgroups import parse_group_generators
+from kzero.quotients import parse_gspace_text
 from kzero.simplicial import ComplexFormatError, SimplicialComplex
 
 GSPACE = (

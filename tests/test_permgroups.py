@@ -125,6 +125,14 @@ def test_generation_cap(monkeypatch):
         PermGroup.generate(6, PermGroup.symmetric(6).generators)
 
 
+def test_the_image_cap_refuses_order_times_degree_past_it():
+    # order times degree: S_8 is 322560 images, C_1000 is 10**6, at the cap
+    assert PermGroup.symmetric(8).order * 8 <= permgroups.MAX_IMAGES
+    assert PermGroup.cyclic(1000).order * 1000 == permgroups.MAX_IMAGES
+    with pytest.raises(OrderCapExceededError, match="images"):
+        PermGroup.cyclic(1001)
+
+
 @st.composite
 def generating_sets(draw):
     degree = draw(st.integers(1, 8))

@@ -7,28 +7,29 @@ from fractions import Fraction
 import pytest
 
 from kzero.classpoly import ClassPoly
-from kzero.errors import InputSyntaxError, PreconditionError
-from kzero.permgroups import PermGroup, Permutation
-from kzero.quotients import (
+from kzero.discrete import (
     AffineMap,
     CentralIsometryClass,
     DimensionMismatchError,
-    GSpaceFormatError,
-    StratifiedGSpace,
-    burnside_class,
-    centralizer_sum_class,
     crystal_chi,
     crystal_quotient_class,
     descriptor_class,
     has_unique_fixed_point,
     orbifold_euler,
-    orbit_sum_class,
     parse_affine_map_text,
     parse_cells_text,
     parse_descriptor_text,
-    parse_gspace_text,
     parse_isometry_classes_text,
     quotient_euler_from_fixed_data,
+)
+from kzero.errors import GSpaceFormatError, InputSyntaxError, PreconditionError
+from kzero.permgroups import PermGroup, Permutation
+from kzero.quotients import (
+    StratifiedGSpace,
+    burnside_class,
+    centralizer_sum_class,
+    orbit_sum_class,
+    parse_gspace_text,
 )
 from util import brute_force_orbits, random_gspace, solve_affine_fixed_points
 
