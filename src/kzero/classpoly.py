@@ -50,7 +50,8 @@ value is read as its (numerator, denominator), an ``int`` ``n`` as ``(n, 1)``,
 so a verb that reads and prints integers and ``p/q`` literals never imports
 ``fractions``.  ``Fraction`` values appear only where the API returns them
 (``terms``, ``constant_term``, ``evaluate``), and only those import it;
-rendering reduces each coefficient with one integer gcd.
+``eval --at`` prints the integer pair that ``evaluate`` reduces.  Rendering
+reduces each coefficient with one integer gcd.
 
 Size caps
 ---------
@@ -69,7 +70,6 @@ coefficient and of the values times their exponents, passes that limit.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
@@ -350,22 +350,29 @@ class ClassPoly:
         number's numerator and denominator.  A term whose bound passes the bit
         length of ``10**MAX_DIGITS`` raises :class:`PolyTooLargeError`.
         """
+        from fractions import Fraction
+
+        return Fraction(*self._evaluate_pair(assignment))
+
+    def _evaluate_pair(self, assignment: Mapping[str, Scalar]) -> tuple[int, int]:
+        """``evaluate`` as a (numerator, denominator) pair, not reduced: the terms summed
+        over one common denominator, ``den`` times each value's denominator to the
+        highest power its variable takes."""
         missing = [v for v in self._vars if v not in assignment]
         if missing:
             raise MissingVariableError(f"no value assigned to {', '.join(missing)}")
-        from fractions import Fraction
-
         pairs = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
         bits = [max(abs(n), d).bit_length() for n, d in pairs]
-        values = [Fraction(n, d) for n, d in pairs]
-        total = Fraction(0)
         for e, c in self._terms.items():
             if max(abs(c), self._den).bit_length() + sum(map(mul, e, bits)) > _DIGIT_BITS:
                 raise PolyTooLargeError(f"a term of the value may pass {MAX_DIGITS} digits")
-            for value, k in zip(values, e):
-                c *= value ** k
+        tops = [max(column) for column in zip(*self._terms)]
+        total = 0
+        for e, c in self._terms.items():
+            for (n, d), k, top in zip(pairs, e, tops):
+                c *= n ** k * d ** (top - k)
             total += c
-        return total / self._den
+        return total, self._den * math.prod(d ** top for (_, d), top in zip(pairs, tops))
 
     # -- comparison --------------------------------------------------------
 
@@ -507,21 +514,27 @@ def binomial(p: PolyLike, k: int) -> ClassPoly:
 
 # -- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/])")
+_DIGITS = "0123456789"
+_NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_" + _DIGITS
 
 
 def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``: ASCII digit runs, ASCII names and the operators
+    ``-+*^()/``, with whitespace (``str.isspace``) between them skipped."""
     tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise PolyParseError(f"unexpected character {rest[0]!r} in polynomial {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
+    pos, end = 0, len(text)
+    while pos < end:
+        start, c = pos, text[pos]
+        pos += 1
+        if c.isspace():
+            continue
+        run = _DIGITS if c in _DIGITS else _NAME_CHARS if c in _NAME_CHARS else None
+        if run:
+            while pos < end and text[pos] in run:
+                pos += 1
+        elif c not in "-+*^()/":
+            raise PolyParseError(f"unexpected character {c!r} in polynomial {text!r}")
+        tokens.append(text[start:pos])
     return tokens
 
 
@@ -637,4 +650,5 @@ def cmd_eval(args: SimpleNamespace) -> None:
         if name in assignment:
             raise InputSyntaxError(f"{message}: {name} is assigned twice")
         assignment[name] = read_field(int, value, InputSyntaxError, message)
-    print(render(ClassPoly.const(poly.evaluate(assignment)), args.latex))
+    n, d = poly._evaluate_pair(assignment)
+    print(render(ClassPoly._make((), {(): n}, d), args.latex))

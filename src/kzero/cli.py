@@ -12,10 +12,16 @@ its home in ``VERBS``; ``main`` imports that module alone, so a job compiles
 only its own handler and formulas.  No handler module imports this one: under
 ``python -m kzero.cli`` it runs as ``__main__``, and such an import would
 compile it a second time.
+
+``main()`` with no argv is the process, as ``python -m kzero.cli`` and the
+``kzero`` console script call it: once the verb is done it freezes the
+collector (``gc.freeze``), so the interpreter's exit does not walk every
+object that compiling and running kzero left behind.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -152,8 +158,18 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the verb of ``argv`` and return its exit code.
+
+    With no argv, ``main`` is the process: it reads ``sys.argv`` and, however the
+    verb ends (an exit from argparse or a traceback too), freezes the collector before
+    it returns, so the exit skips the collection of the heap kzero built.  The stdio
+    flush, ``atexit`` and module teardown still run.  With an argv, the caller's
+    collector is left as it is."""
     if argv is None:
-        argv = sys.argv[1:]
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
     args = read_argv(argv)
     if args is None:
         # Help and usage errors come from argparse.  A verb needs only its own

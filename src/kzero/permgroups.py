@@ -47,7 +47,6 @@ indices and (element, action) pairs the same way.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from math import factorial, prod
 from operator import itemgetter
@@ -130,7 +129,19 @@ def closures(items: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) 
     return out
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+def _cycle_bodies(text: str) -> tuple[list[str], str]:
+    """The bodies of the ``(...)`` groups with no parenthesis inside, in order, and
+    the text left once they are cut out."""
+    pieces = text.split(")")
+    bodies, left = [], []
+    for piece in pieces[:-1]:
+        head, opened, body = piece.rpartition("(")
+        if opened:
+            bodies.append(body)
+            left.append(head)
+        else:
+            left.append(piece + ")")
+    return bodies, "".join(left) + pieces[-1]
 
 
 class Permutation(tuple):
@@ -161,16 +172,16 @@ class Permutation(tuple):
         stripped = text.strip()
         if not stripped:
             raise PermParseError("empty permutation text")
-        body = _CYCLE_RE.sub("", stripped)
-        if body.strip():
-            raise PermParseError(f"stray text {body.strip()!r} in permutation {text!r}")
+        bodies, stray = _cycle_bodies(stripped)
+        if stray.strip():
+            raise PermParseError(f"stray text {stray.strip()!r} in permutation {text!r}")
         images = list(range(1, degree + 1))
         seen: set[int] = set()
-        for m in _CYCLE_RE.finditer(stripped):
-            parts = [p for p in re.split(r"[,\s]+", m.group(1).strip()) if p]
+        for body in bodies:
+            parts = body.replace(",", " ").split()
             if not parts:
                 continue
-            message = f"bad entry in cycle {m.group(0)!r}"
+            message = f"bad entry in cycle {f'({body})'!r}"
             entries = [read_field(int, p, PermParseError, message) for p in parts]
             for v in entries:
                 if not 1 <= v <= degree:

@@ -6,7 +6,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kzero import classpoly
 from kzero.classpoly import (
     MAX_DIGITS,
     ClassPoly,
@@ -17,7 +20,7 @@ from kzero.classpoly import (
     parse_poly,
 )
 
-from util import random_poly
+from util import random_poly, regex_tokens
 
 x = ClassPoly.var("x")
 a = ClassPoly.var("a")
@@ -199,6 +202,24 @@ def test_parse_rejects_bad_syntax():
     for bad in ["", "x +", "x ^ a", "x^-2", "(x", "x)", "1/0", "x/2", "2x", "x**2", "$", "(x 2)", "1/x"]:
         with pytest.raises(PolyParseError):
             parse_poly(bad)
+
+
+ODD_CHARACTERS = "\u0663\uff13\u00a0\u2003\u00e9"
+"""An Arabic-Indic and a fullwidth 3, which ``int`` reads but the syntax does not, two
+Unicode spaces and a non-ASCII letter."""
+
+
+def token_outcome(read, text: str):
+    try:
+        return read(text)
+    except PolyParseError as e:
+        return str(e)
+
+
+@given(st.text(st.characters(max_codepoint=127) | st.sampled_from([*ODD_CHARACTERS, *"-+*^()/ x1"])))
+@settings(max_examples=500, deadline=None)
+def test_the_token_scan_reads_as_the_regular_expression(text):
+    assert token_outcome(classpoly._tokenize, text) == token_outcome(regex_tokens, text)
 
 
 def test_integer_coercion_in_expressions():

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import math
@@ -854,6 +855,71 @@ def test_output_to_a_closed_pipe_exits_1_with_empty_stderr(unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+FREEZE_REPORT = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print(f'frozen {gc.get_freeze_count()}', file=sys.stderr))\n"
+)
+"""Child code that reports, at exit, how many objects the collector has frozen."""
+
+ENTRIES = {
+    "python -m": "import runpy; runpy.run_module('kzero.cli', run_name='__main__', alter_sys=True)",
+    "main()": "from kzero.cli import main; sys.exit(main())",
+}
+"""The two ways a process enters kzero: as ``python -m kzero.cli`` and as the console
+script, which calls ``main()``."""
+
+ENTRY_ARGVS = {
+    "exit 0": (["eval", "(x+1)^3"], 0),
+    "exit 2, a parse error": (["eval", "x+"], 2),
+    "exit 2 from argparse": (["cycprod", "--n", "abc", "--X", "x"], 2),
+    "exit 3": (["eval", "x+a", "--at", "x=1"], 3),
+}
+
+
+def run_entry(code: str, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", FREEZE_REPORT + code, *argv],
+        env=child_env(), timeout=60, **kwargs,
+    )
+
+
+def frozen_count(stderr: bytes) -> tuple[int, bytes]:
+    """The count the exit report gave, and stderr before that report."""
+    rest, _, count = stderr.rpartition(b"frozen ")
+    return int(count), rest
+
+
+@pytest.mark.parametrize("name", ENTRY_ARGVS)
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_process_entry_freezes_the_collector_and_keeps_its_output(entry, name):
+    argv, code = ENTRY_ARGVS[name]
+    before = run_entry("from kzero.cli import main; sys.exit(main(sys.argv[1:]))", argv, capture_output=True)
+    after = run_entry(ENTRIES[entry], argv, capture_output=True)
+    (unfrozen, stderr_before), (frozen, stderr_after) = map(frozen_count, (before.stderr, after.stderr))
+    assert unfrozen == 0 < frozen  # main(argv) leaves the collector as it is
+    assert (after.returncode, after.stdout, stderr_after) == (code, before.stdout, stderr_before)
+    assert before.returncode == code
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_process_entry_freezes_the_collector_on_a_closed_pipe(entry):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_entry(ENTRIES[entry], ["eval", "(x+1)^300"], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    count, stderr = frozen_count(proc.stderr)
+    assert (proc.returncode, stderr) == (1, b"")
+    assert count > 0
+
+
+def test_main_with_an_argv_leaves_the_collector_as_it_is(capsys):
+    state = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "eval", "x") == (0, "x\n", "")
+    assert (gc.get_freeze_count(), gc.isenabled()) == state
 
 
 @pytest.mark.parametrize("x", ["1", "x"])

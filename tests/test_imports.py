@@ -161,8 +161,13 @@ FRACTION_FREE_ARGVS = {
     "permprod": ["permprod", "--group", "group.txt", "--X", "x"],
     "fatwedge": FATWEDGE,
     "fatwedge with p/q": ["fatwedge", "--n", "6", "--d", "3", "--X", "1/3*x^2 + y"],
+    # the --at forms of the series and cli workloads of perfbench/jobs.py
+    "eval --at": ["eval", "(x+3)^40*(x-1)^3", "--at", "x=-7"],
+    "eval --at with p/q": ["eval", "(3/5*x - a + 1)^9", "--at", "x=4", "--at", "a=-2"],
+    "eval --at, two names": ["eval", "(x+2)^5 - 7*a", "--at", "x=-3", "--at", "a=2"],
 }
-"""Argvs whose verbs return no ``Fraction``; ``eval`` without ``--at``."""
+"""Argvs of every verb but the three that compute a ``Fraction`` (``orbifold-euler``,
+``crystal`` and ``fixed-point``), ``eval`` with and without ``--at``."""
 
 
 def test_importing_the_ring_adds_no_fractions_module():

@@ -35,6 +35,7 @@ from util import (
     partitions_with_weights,
     permutation_of_cycle_type,
     random_subgroup,
+    regex_from_cycles,
 )
 
 X = ClassPoly.var("x")
@@ -50,6 +51,24 @@ def test_cycle_notation_round_trip():
     assert str(Permutation.identity(4)) == "()"
     assert Permutation.from_cycles("()", 3) == Permutation.identity(3)
     assert Permutation.from_cycles("(2, 3, 1)", 3) == Permutation([2, 3, 1])
+
+
+def cycles_outcome(read, text: str):
+    try:
+        return read(text, 9)
+    except PermParseError as e:
+        return str(e)
+
+
+CYCLE_TEXT = st.text(st.sampled_from([*"\u0663\uff13\u00a0\u2003\u00e9", *"123456789 ,\t()"]), max_size=8)
+"""Cycle bodies and stray text over entries, separators, parentheses, two digits that
+``int`` reads but are not ASCII, two Unicode spaces and a non-ASCII letter."""
+
+
+@given(st.lists(CYCLE_TEXT.map("({})".format) | CYCLE_TEXT | st.characters(max_codepoint=127), max_size=4).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_the_cycle_scan_reads_as_the_regular_expressions(text):
+    assert cycles_outcome(Permutation.from_cycles, text) == cycles_outcome(regex_from_cycles, text)
 
 
 def test_composition_applies_right_factor_first():

@@ -1,7 +1,8 @@
 """Import rules read from the source: no module of the package imports an
 underscore name from a sibling module or reads an underscore attribute that it
 does not define itself, the package and its CLI import no calculator module at
-start-up, and the CLI imports no ``argparse`` at start-up."""
+start-up, the CLI imports no ``argparse`` at start-up, no module imports ``re``,
+and only the CLI freezes the collector."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,37 @@ def test_cli_start_up_imports_no_argparse():
     # argparse and the gettext and locale it loads cost milliseconds a job; only help
     # and usage errors need them, so ``build_parser`` imports argparse itself.
     assert [m for m in start_up_imports_of("cli") if m.split(".")[0] == "argparse"] == []
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level name of every module that ``path`` imports anywhere, function
+    bodies included; relative imports aside."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_imports_re(path):
+    # compiling a pattern costs a fresh process 0.04-0.2 ms; the scanners are str methods
+    assert "re" not in imported_modules(path)
+
+
+def freezes_the_collector(path: Path) -> bool:
+    """Whether ``path`` names ``gc.freeze``, as an attribute or an import."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "freeze" and ast.unparse(node.value) == "gc":
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "gc" and "freeze" in (a.name for a in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_freezes_the_collector():
+    # freezing is for the process that exits after ``main``; a library module that froze
+    # would keep a caller's garbage from ever being collected
+    assert [path.stem for path in MODULES if freezes_the_collector(path)] == ["cli"]

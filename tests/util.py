@@ -8,15 +8,17 @@ test), deliberately avoiding the library code paths they check.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
 from typing import Iterator, Sequence
 
-from kzero.classpoly import ClassPoly, binomial
+from kzero.classpoly import ClassPoly, PolyParseError, binomial
+from kzero.errors import read_field
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
-from kzero.permgroups import PermGroup, Permutation
+from kzero.permgroups import PermGroup, PermParseError, Permutation
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
 from kzero.simplicial import SimplicialComplex
@@ -276,6 +278,57 @@ def random_small_facet_complex(rng: random.Random, n_min: int = 5, n_max: int = 
         K = SimplicialComplex(n, facets)
         if len(K.facets) >= 2:
             return K
+
+
+_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*^()/])")
+
+
+def regex_tokens(text: str) -> list[str]:
+    """The polynomial tokens of ``text`` read by one regular expression: a reference
+    for the string scan of ``parse_poly``, raising the same error."""
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise PolyParseError(f"unexpected character {rest[0]!r} in polynomial {text!r}")
+        tokens.append(m.group(1))
+        pos = m.end()
+    return tokens
+
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def regex_from_cycles(text: str, degree: int) -> Permutation:
+    """``Permutation.from_cycles`` with its cycles found by regular expressions: a
+    reference for its string scan, raising the same errors."""
+    stripped = text.strip()
+    if not stripped:
+        raise PermParseError("empty permutation text")
+    body = _CYCLE_RE.sub("", stripped)
+    if body.strip():
+        raise PermParseError(f"stray text {body.strip()!r} in permutation {text!r}")
+    images = list(range(1, degree + 1))
+    seen: set[int] = set()
+    for m in _CYCLE_RE.finditer(stripped):
+        parts = [p for p in re.split(r"[,\s]+", m.group(1).strip()) if p]
+        if not parts:
+            continue
+        message = f"bad entry in cycle {m.group(0)!r}"
+        entries = [read_field(int, p, PermParseError, message) for p in parts]
+        for v in entries:
+            if not 1 <= v <= degree:
+                raise PermParseError(f"entry {v} outside 1..{degree} in {text!r}")
+            if v in seen:
+                raise PermParseError(f"entry {v} repeated in {text!r}")
+            seen.add(v)
+        for i, v in enumerate(entries):
+            images[v - 1] = entries[(i + 1) % len(entries)]
+    return Permutation(images)
 
 
 def random_subgroup(rng: random.Random, n: int) -> PermGroup:
