@@ -8,10 +8,10 @@ product (X, A)^K decomposes along the faces of K (after Cooper) into
 sum over faces sigma of (x - a)^|sigma| a^(n - |sigma|), the empty face
 included.  Read in the basis of its strata, that is the one sum
 
-    [(X, A)^K] = sum_j h_j x^j a^(n - j),    h_j = sum_k (-1)^(k - j) C(k, j) f_k,
+    [(X, A)^K] = sum_j h_j x^j a^(n - j),
 
-where f_k counts the faces of size k, so the h_j are the coefficients of
-sum_k f_k (t - 1)^k; the complex with no faces at all yields a^n.  The
+where the h-numbers h_j are the coefficients of the sum over faces sigma of
+(t - 1)^|sigma|; the complex with no faces at all yields a^n.  The
 complement in X^n is x^n - [(X, A)^K].  By Rota's crosscut theorem -h_j is
 the sum of the Möbius function over the nodes of size j of the intersection
 poset of the facets, so the complement is the inclusion-exclusion over that
@@ -37,10 +37,10 @@ and
 
 while the complement M(K, X) = X^n - Delta_K(X) has class x^n - [Delta_K(X)].
 
-Every complex formula reads the h-numbers of one f-vector,
-``SimplicialComplex.f_vector``, and sums their powers through one helper, so
-none expands a power of x - a or x - 1; the intersection poset is built only
-when the f-vector takes its Möbius route, or to be printed.
+Every complex formula reads the h-numbers of K, ``SimplicialComplex.h_numbers``,
+and sums their powers through one helper, so none expands a power of x - a or
+x - 1; the intersection poset is built only when the h-numbers take their
+Möbius route, or to be printed.
 """
 
 from __future__ import annotations
@@ -102,17 +102,8 @@ def _power_sum(terms: Iterable[tuple[int, int]], x: PolyLike, a: PolyLike, n: in
     return sum((c * x ** j * a ** (n - j) for j, c in terms if c), 0)
 
 
-def _h_numbers(K: SimplicialComplex) -> list[int]:
-    """The coefficients h_j of sum_k f_k (t - 1)^k, f the f-vector of K, by Horner's rule."""
-    h: list[int] = []
-    for c in reversed(K.f_vector()):
-        h = [lo - hi for lo, hi in zip([0, *h], [*h, 0])]  # h * (t - 1)
-        h[0] += c
-    return h
-
-
 def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
-    """[(X, A)^K] = sum_j h_j x^j a^(n-j), the h_j read off the f-vector; a^n when K has no faces.
+    """[(X, A)^K] = sum_j h_j x^j a^(n-j), h = K.h_numbers(); a^n when K has no faces.
 
     -h_j is the sum of mu over the intersection poset's nodes of size j, so these
     are the powers inclusion-exclusion over the poset takes.  They are taken in
@@ -121,7 +112,7 @@ def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
     x, a = pair.x_class, pair.a_class
     if K.is_empty():
         return a ** K.n
-    return _power_sum(reversed(list(enumerate(_h_numbers(K)))), x, a, K.n)
+    return _power_sum(reversed(list(enumerate(K.h_numbers()))), x, a, K.n)
 
 
 def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
@@ -201,7 +192,7 @@ def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
     if K.is_empty():
         return ClassPoly.zero()
     _check_dimension_condition(K)
-    return x * _power_sum(enumerate(_h_numbers(K)), x, 1, K.n)
+    return x * _power_sum(enumerate(K.h_numbers()), x, 1, K.n)
 
 
 def delta_config_class_disjoint(
@@ -257,7 +248,7 @@ def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:
     _check_dimension_condition(K)
     n = K.n
     sign = (-1) ** (m_dim * (n + 1))
-    inner = _power_sum(enumerate(_h_numbers(K)), (-1) ** m_dim * chi, 1, n)
+    inner = _power_sum(enumerate(K.h_numbers()), (-1) ** m_dim * chi, 1, n)
     return chi ** n - sign * chi * inner
 
 

@@ -26,16 +26,17 @@ the strict supersets of sigma are the AND of those bitsets over sigma's
 vertices.  One more bitset per Möbius value then gives the sum of mu over
 them as a sum of value times popcount.
 
-The complex formulas do not run on the poset: they read the f-vector of
-:mod:`kzero.simplicial`, which takes its Möbius route through
-``intersection_poset`` only when enumerating the faces would cost more.  The
-poset itself is printed by ``--show-poset``.  ``inclusion_exclusion`` stays
-as the route the test suite checks the complements against: for a
-``class_of`` that depends on sigma only through |sigma| (as the stratum
-classes x^|sigma| a^(n - |sigma|) of polyhedral products and x^(|sigma| + 1)
-of diagonal arrangements do), it first adds up mu over the nodes of each
-size and then evaluates ``class_of`` once per size whose sum is nonzero,
-passing the first node of that size as the representative.
+The complex formulas do not run on the poset: they read the h-numbers of
+:mod:`kzero.simplicial`, which take their Möbius route through
+``intersection_poset`` only when listing the faces would cost more; -h_j is
+then the sum of mu over the nodes of size j.  The poset itself is printed by
+``--show-poset``.  ``inclusion_exclusion`` stays as the route the test suite
+checks the complements against: for a ``class_of`` that depends on sigma only
+through |sigma| (as the stratum classes x^|sigma| a^(n - |sigma|) of
+polyhedral products and x^(|sigma| + 1) of diagonal arrangements do), it
+first adds up mu over the nodes of each size and then evaluates ``class_of``
+once per size whose sum is nonzero, passing the first node of that size as the
+representative.
 """
 
 from __future__ import annotations

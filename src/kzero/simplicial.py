@@ -17,14 +17,17 @@ decreasing size, and each is kept unless it lies inside a kept face of
 strictly larger size.  Two distinct faces of equal size are never nested, so
 a pure complex such as a skeleton needs no subset test at all.
 
-The f-vector (``f_vector``) is the one face count the complex formulas read.
-Its route is chosen from counts known before any work.  A skeleton of the
-full simplex (all C(n, s) faces of one size s as facets) has the closed form
-f_k = C(n, k) for k <= s.  Otherwise the faces are enumerated when the sum
-over facets of 2^|F| is small against the pairs of facets; past that, the
-counts are read off the intersection poset of the facets (Rota 1964):
-f_k = sum over its non-bottom nodes sigma of -mu(sigma) * C(|sigma|, k).  So
-one facet on 24 vertices is two poset nodes, not 2^24 faces.
+The h-numbers (``h_numbers``) are the one face count the complex formulas
+read: h_j is the coefficient of t^j in the sum over faces sigma of
+(t - 1)^|sigma|.  The route is chosen from counts known before any work.  A
+skeleton of the full simplex (all C(n, s) faces of one size s as facets) has
+h_j = (-1)^(s - j) C(n, j) C(n - j - 1, s - j) for s < n; the full simplex has
+h_n = 1 and no other.  Otherwise the faces are listed, and h_j is the sum
+over sizes k of (-1)^(k - j) C(k, j) f_k, f_k the faces of size k, when the
+sum over facets of 2^|F| is small against the pairs of facets; past that,
+-h_j is the sum of mu over the nodes of size j of the intersection poset of
+the facets (Rota 1964).  So one facet on 5000 vertices is two poset nodes,
+not 2^5000 faces.
 
 File format (one complex per file): a line ``n=<int>`` followed by one facet
 per line as comma-separated vertices.  Blank lines and ``#`` comments are
@@ -131,38 +134,42 @@ class SimplicialComplex(_Complex):
         """Every face, the empty simplex included, sorted by (size, lexicographic)."""
         return sorted(self._faces(), key=lambda s: (len(s), s))
 
-    def f_vector(self) -> list[int]:
-        """Entry k is the number of faces of size k, the empty face included; [] when
-        there are no faces.  The route is chosen as the module docstring says."""
+    def h_numbers(self) -> list[int]:
+        """Entry j is the coefficient of t^j in the sum over faces sigma of (t - 1)^|sigma|;
+        [] when there are no faces.  The route is chosen as the module docstring says."""
         facets = self.facets
         if not facets:
             return []
-        size = len(facets[-1])  # facets are sorted by size, so this is the largest
-        if len(facets[0]) == size and len(facets) == comb(self.n, size):
-            return [comb(self.n, k) for k in range(size + 1)]
-        # In-process on a 2-vCPU Xeon VM with Python 3.11, listing a face cost about a 32nd
-        # of what the poset route spent per pair of facets; the 256 pairs stand for
-        # importing and starting the poset code, about 1.5 ms.
+        n, size = self.n, len(facets[-1])  # facets are sorted by size, so this is the largest
+        if len(facets[0]) == size and len(facets) == comb(n, size):
+            if size == n:  # the full simplex
+                return [0] * n + [1]
+            return [(-1) ** (size - j) * comb(n, j) * comb(n - j - 1, size - j) for j in range(size + 1)]
+        # In-process (2-vCPU Xeon VM, Python 3.11) on facets of 6-12 vertices, a facet pair cost
+        # the poset route about 32 listed faces on n = 60-200 and 128-256 on n = 12-16; 128 here
+        # made the former about 4x slower.  The 256 pairs stand for the poset import, about 1.5 ms.
         pairs = len(facets) * (len(facets) - 1) // 2
         if sum(1 << len(f) for f in facets) <= 32 * (pairs + 256):
-            return self._f_vector_by_faces()
-        return self._f_vector_by_mobius()
+            return self._h_by_faces()
+        return self._h_by_mobius()
 
-    def _f_vector_by_faces(self) -> list[int]:
-        counts = Counter(map(len, self._faces()))
-        return [counts[k] for k in range(len(counts))]
+    def _h_by_faces(self) -> list[int]:
+        counts = Counter(map(len, self._faces()))  # f_k, the number of faces of size k
+        return [sum((-1) ** (k - j) * comb(k, j) * f for k, f in counts.items() if k >= j)
+                for j in range(len(counts))]
 
-    def _f_vector_by_mobius(self) -> list[int]:
+    def _h_by_mobius(self) -> list[int]:
         from .posets import intersection_poset
 
-        weight: Counter[int] = Counter()  # per node size: minus the sum of mu over those nodes
+        h = [0] * (self.dim + 2)
         for node in intersection_poset(self).nodes[1:]:
-            weight[len(node.vertex_set)] -= node.mobius
-        return [sum(w * comb(s, k) for s, w in weight.items()) for k in range(self.dim + 2)]
+            h[len(node.vertex_set)] -= node.mobius
+        return h
 
     def face_count_by_size(self) -> dict[int, int]:
-        """Number of faces of each size, by increasing size: the f-vector as a dict."""
-        return dict(enumerate(self.f_vector()))
+        """Number of faces of each size, by increasing size: f_k = sum_j h_j C(j, k)."""
+        h = self.h_numbers()
+        return {k: sum(c * comb(j, k) for j, c in enumerate(h) if c) for k in range(len(h))}
 
     def skeleton(self, d: int) -> SimplicialComplex:
         """The subcomplex of faces of dimension at most d; d = -1 keeps only the empty face."""

@@ -455,6 +455,25 @@ def test_a_product_over_a_400_vertex_facet_prints_at_once(tmp_path, n, x, want):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["config", "--X", "1"], "1\n"),
+    (["polyprod", "--X", "1", "--A", "1"], "1\n"),
+    (["complement", "--X", "1", "--A", "1"], "0\n"),
+], ids=["config", "polyprod", "complement"])
+def test_a_verb_over_a_5000_vertex_facet_prints_at_once(tmp_path, argv, want):
+    # the h-numbers were once folded from the f-vector by Horner's rule, quadratic in the
+    # facet: 3.4-4.3 s a verb here
+    path = tmp_path / "facet.txt"
+    path.write_text("n=10001\n" + ",".join(map(str, range(1, 5001))) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
 def test_an_evaluation_with_terms_in_range_still_prints(capsys):
     value = "7" * 2000
     assert run(capsys, "eval", "x^2 - y^2", "--at", f"x={value}", "--at", f"y={value}") == (0, "0\n", "")

@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero.simplicial import (
     ComplexFormatError,
@@ -13,7 +15,7 @@ from kzero.simplicial import (
     VertexOutOfRangeError,
     full_simplex,
 )
-from util import brute_force_facets, disjoint_union, facet_list_cases, random_complex
+from util import brute_force_facets, disjoint_union, facet_list_cases, horner_h_numbers, random_complex
 
 
 def test_facets_are_filtered_to_maximal_faces():
@@ -100,33 +102,61 @@ def test_skeleton_face_counts_match_binomials():
             assert all(k <= d + 1 for k in counts)
 
 
-def f_vector_cases() -> list[SimplicialComplex]:
-    """``facet_list_cases()``, every skeleton of the full simplex on n <= 9 vertices,
-    and single facets, some on more vertices than they hold."""
-    cases = [SimplicialComplex(n, faces) for n, faces in facet_list_cases()]
-    cases += [full_simplex(n).skeleton(d) for n in range(1, 10) for d in range(-1, n)]
+def skeleton_cases() -> list[SimplicialComplex]:
+    """Every skeleton of the full simplex on n <= 12 vertices, the empty simplex on 0 included."""
+    skeleta = [full_simplex(n).skeleton(d) for n in range(1, 13) for d in range(-1, n)]
+    return [SimplicialComplex(0, [[]]), *skeleta]
+
+
+def face_count_cases() -> list[SimplicialComplex]:
+    """``facet_list_cases()``, ``skeleton_cases()``, and single facets, some on more
+    vertices than they hold."""
+    cases = [SimplicialComplex(n, faces) for n, faces in facet_list_cases()] + skeleton_cases()
     cases += [SimplicialComplex(n, [range(1, size + 1)]) for n in (12, 14) for size in (0, 1, 5, 12)]
     return cases
 
 
-def counted_faces(K: SimplicialComplex) -> list[int]:
+def counted_faces(K: SimplicialComplex) -> dict[int, int]:
     counts = Counter(map(len, K.all_faces()))
-    return [counts[k] for k in range(len(counts))]
+    return {k: counts[k] for k in range(len(counts))}
 
 
-@pytest.mark.parametrize("route", ["f_vector", "_f_vector_by_faces", "_f_vector_by_mobius"])
-def test_every_f_vector_route_counts_the_faces(route):
-    for K in f_vector_cases():
-        if K.is_empty():
-            assert K.f_vector() == []
-            continue
-        assert getattr(K, route)() == counted_faces(K), K
+H_ROUTES = ["h_numbers", "_h_by_faces", "_h_by_mobius"]
 
 
-def test_one_big_facet_has_binomial_face_counts():
+def assert_route_matches_horner(K: SimplicialComplex, route: str) -> None:
+    h = K.h_numbers() if K.is_empty() else getattr(K, route)()
+    assert h == horner_h_numbers(K) and all(type(c) is int for c in h), K
+
+
+@pytest.mark.parametrize("route", H_ROUTES)
+def test_every_h_route_matches_the_horner_fold(route):
+    for K in face_count_cases():
+        assert_route_matches_horner(K, route)
+
+
+def test_a_skeleton_takes_the_closed_form_and_matches_the_horner_fold(monkeypatch):
+    for route in H_ROUTES[1:]:
+        monkeypatch.setattr(SimplicialComplex, route, None)  # calling a route now raises
+    for K in skeleton_cases():
+        assert_route_matches_horner(K, "h_numbers")
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from(H_ROUTES))
+@settings(max_examples=300, deadline=None)
+def test_every_h_route_matches_the_horner_fold_on_random_complexes(rng, route):
+    assert_route_matches_horner(random_complex(rng, 1, 10), route)
+
+
+def test_face_counts_are_the_counted_faces():
+    for K in face_count_cases():
+        assert K.face_count_by_size() == counted_faces(K), K
+
+
+def test_one_big_facet_has_one_h_number_and_binomial_face_counts():
     K = SimplicialComplex(30, [range(3, 27)])
-    assert K.f_vector() == [math.comb(24, k) for k in range(25)]
-    assert K.face_count_by_size() == dict(enumerate(K.f_vector()))
+    assert K.h_numbers() == [0] * 24 + [1]
+    assert K.face_count_by_size() == {k: math.comb(24, k) for k in range(25)}
 
 
 def test_skeleton_of_empty_complex_stays_empty():

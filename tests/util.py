@@ -189,6 +189,17 @@ def random_complex(rng: random.Random, n_min: int = 1, n_max: int = 7) -> Simpli
     return SimplicialComplex(n, facets)
 
 
+def horner_h_numbers(K: SimplicialComplex) -> list[int]:
+    """The coefficients of sum_k f_k (t - 1)^k, f_k the number of faces of size k in
+    ``all_faces()``, folded by Horner's rule; [] when K has no faces."""
+    counts = Counter(map(len, K.all_faces()))
+    h: list[int] = []
+    for k in reversed(range(len(counts))):
+        h = [lo - hi for lo, hi in zip([0, *h], [*h, 0])]  # h * (t - 1)
+        h[0] += counts[k]
+    return h
+
+
 def random_facet_list(rng: random.Random) -> tuple[int, list[list[int]]]:
     """A vertex count and a facet list that may repeat faces, nest them or hold the empty face."""
     n = rng.randint(0, 8)
