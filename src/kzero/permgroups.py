@@ -40,14 +40,15 @@ A group is its stabilizer chain, built from the generators by Knuth's sifting
 Schreier-Sims: the order is the product of the chain's orbit lengths, known
 before any element is listed, and the elements are listed on demand as the
 products of one transversal element per level.  Every other set the group
-layer builds is a breadth-first ``closure``: a conjugacy class is a member
-closed under conjugation by the generators, and ``quotients`` closes stratum
-indices and (element, action) pairs the same way.
+layer builds is closed breadth first under the generators: ``class_walk``
+closes each conjugacy class under conjugation, reading off generators of its
+representative's centralizer, and ``quotients`` closes strata with ``closures``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import filterfalse
 from math import factorial, prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
@@ -68,13 +69,13 @@ MAX_ORDER = factorial(MAX_DEGREE)
 Also the largest ``degree=`` a group or G-space file may give: a group of at most this
 order acts faithfully on at most this many points (Cayley)."""
 
-MAX_IMAGES = 10**6
+MAX_IMAGES = 4 * 10**6
 """Most images a listed ``PermGroup`` stores: its order times its degree.  The element
-list holds that many point references (about 8 MB at this cap), so a group past it is
-refused before any element is listed, such as the cyclic group of a 40320-cycle, which
-would need 1.6 * 10**9.  The cap leaves room for every group of order at most
-``MAX_ORDER`` on at most 24 points and for the cyclic group of a 1000-cycle.  A
-transposition on 40320 points needs 80640."""
+list holds that many point references (about 32 MB at this cap), so a group past it is
+refused before any element is listed, such as the cyclic group of a 40320-cycle.  The
+cap leaves room for any group of order at most ``MAX_ORDER`` on at most 99 points and
+for the cyclic group of a 2000-cycle.  A G-space of G on n points with m strata lists a
+group on n + m points, so ``quotients`` holds |G| * (n + m) to this cap."""
 
 MAX_CYCLIC_ORDER = 10**12
 """Largest n accepted by ``cyclic_product_class``, which factors n by trial division
@@ -97,34 +98,20 @@ class PermParseError(InputSyntaxError):
 T = TypeVar("T")
 
 
-def closure(start: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) -> set[T]:
-    """Everything reached from ``start`` by applying ``moves`` again and again, found
-    breadth first.  Stops as soon as more than ``limit`` items are found and returns
-    those, so a result longer than ``limit`` means the closure overflowed."""
-    found = set(start)
-    frontier = list(found)
-    while frontier:
-        fresh: list[T] = []
-        for item in frontier:
-            for move in moves:
-                image = move(item)
-                if image not in found:
-                    found.add(image)
-                    if len(found) > limit:
-                        return found
-                    fresh.append(image)
-        frontier = fresh
-    return found
-
-
-def closures(items: Iterable[T], moves: Sequence[Callable[[T], T]], limit: int) -> list[tuple[T, ...]]:
-    """The distinct closures of ``items``, each sorted, in the order of their first item."""
+def closures(items: Iterable[T], moves: Sequence[Callable[[T], T]]) -> list[tuple[T, ...]]:
+    """The distinct closures of ``items`` under ``moves``, found breadth first, each
+    sorted, in the order of their first item."""
     seen: set[T] = set()
     out: list[tuple[T, ...]] = []
     for item in items:
         if item not in seen:
-            found = closure([item], moves, limit)
-            seen |= found
+            seen.add(item)
+            found = [item]
+            for x in found:  # the list grows as the walk finds more
+                for move in moves:
+                    if (y := move(x)) not in seen:
+                        seen.add(y)
+                        found.append(y)
             out.append(tuple(sorted(found)))
     return out
 
@@ -339,12 +326,11 @@ class PermGroup:
         """Every element, sorted: each product u_1 u_2 ... u_m of one transversal element
         per level of the chain, listed once and kept."""
         if self._elements is None:
-            first, *rest = self._transversals or [[Permutation.identity(self._degree)]]
-            elements = first
-            for level in rest:
-                # e * u is e read at u's images: one getter per u serves every e
-                getters = [itemgetter(*[j - 1 for j in u]) for u in level]
-                elements = [Permutation._make(get(e)) for e in elements for get in getters]
+            *rest, elements = self._transversals or [[Permutation.identity(self._degree)]]
+            for level in reversed(rest):
+                # u * e is u read at e's images; the list before the last is |G| / |first level|
+                getters = (itemgetter(*[j - 1 for j in e]) for e in elements)
+                elements = [Permutation._make(get(u)) for get in getters for u in level]
             self._elements = tuple(sorted(elements))
         return self._elements
 
@@ -361,12 +347,35 @@ class PermGroup:
             self._element_set = frozenset(self.elements)
         return g in self._element_set
 
+    def class_walk(self) -> Iterator[tuple[list[Permutation], set[Permutation]]]:
+        """Per conjugacy class, by its least member g: the members, g first, and generators
+        of g's centralizer C(g).  A breadth-first walk from g conjugates each member c by
+        each generator s and records t_c with t_c g t_c^-1 = c: t_g = 1, and a new member
+        d = s c s^-1 gets t_d = s t_c.  C(g) is g's stabilizer under conjugation, so the
+        t_d^-1 s t_c generate it (Schreier's lemma; Seress 2003, section 4.2)."""
+        identity = Permutation.identity(self._degree)
+        pairs = [(s, s.inverse()) for s in self._generators]
+        seen: set[Permutation] = set()
+        for g in filterfalse(seen.__contains__, self.elements):
+            conjugator = {g: identity}
+            members = [g]
+            centralizing: set[Permutation] = set()
+            for c in members:  # the list grows as the walk finds more
+                t = conjugator[c]
+                for s, s_inv in pairs:
+                    d = Permutation._make([s[c[j - 1] - 1] for j in s_inv])
+                    if d in conjugator:
+                        centralizing.add(conjugator[d].inverse() * s * t)
+                    else:
+                        conjugator[d] = s * t
+                        members.append(d)
+            seen.update(members)
+            yield members, centralizing
+
     def conjugacy_classes(self) -> list[tuple[Permutation, tuple[Permutation, ...]]]:
-        """(representative, members) per class, by least member; each class is a member
-        closed under conjugation by the generators, and its least member represents it."""
-        conjugations = [lambda g, s=s, t=s.inverse(): Permutation._make([s[g[j - 1] - 1] for j in t])
-                        for s in self._generators]
-        return [(c[0], c) for c in closures(self.elements, conjugations, self.order)]
+        """(representative, members) per class, by least member, which represents it; each
+        class is a member closed under conjugation by the generators (``class_walk``)."""
+        return [(members[0], tuple(sorted(members))) for members, _ in self.class_walk()]
 
     def centralizer(self, g: Permutation) -> tuple[Permutation, ...]:
         """The elements that commute with g, sorted."""

@@ -15,8 +15,8 @@ they must agree:
   which is the sum of the classes of the strata g fixes;
 
 * centralizer sum: sum over conjugacy class representatives g, and over
-  orbits of the centralizer C(g) on the strata fixed by g, of
-  [S] / |{h in C(g) : h S = S}|.
+  orbits of the centralizer C(g), closed under its Schreier generators, on
+  the strata fixed by g, of [S] / |{h in C(g) : h S = S}|.
 
 The ``quotient`` verb computes all three and refuses to print when they
 disagree.  The centralizer sum is the form that extends to infinite discrete
@@ -28,16 +28,17 @@ module: each is imported from :mod:`kzero.discrete` on first use (PEP 562).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 from .classpoly import ClassPoly, PolyLike, as_class, parse_poly, render
-from .errors import GSpaceFormatError, RouteDisagreementError, data_lines, read_field, read_file
+from .errors import GSpaceFormatError, PreconditionError, RouteDisagreementError, data_lines, read_field
+from .errors import read_file
+from .permgroups import MAX_IMAGES, OrderCapExceededError, PermGroup, Permutation, closures, read_group_line
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
-
-    from .permgroups import PermGroup, Permutation
 
 _FORWARDED = (
     "AffineMap", "CentralIsometryClass", "DimensionMismatchError", "crystal_chi",
@@ -62,13 +63,14 @@ class StratifiedGSpace:
     """Finitely many labeled strata with classes, and a stratum-permuting G-action.
 
     The action is given on the group's generators as permutations of the
-    strata (by index, 1-based).  Construction closes the pair (identity,
-    identity) under the (generator, action) pairs; these generate a subgroup of
-    G x S_m, so the action extends to a homomorphism on G exactly when no
-    element is reached with two images, and |G| + 1 pairs are enough to find
-    one.  It also checks that strata in one orbit carry equal classes; the model
-    reads "g maps stratum S isomorphically onto stratum gS", so unequal classes
-    in an orbit are inconsistent input.
+    strata (by index, 1-based).  Each generator of G on n points, joined with
+    its strata permutation shifted onto n+1..n+m, is one permutation; these
+    generate H <= G x S_m, which maps onto G.  The action extends to a
+    homomorphism exactly when |H| = |G| (else the identity has two images),
+    read off H's chain once |G| * (n + m), the images H lists, is held to
+    ``MAX_IMAGES``.  H's elements, sorted by their G part, are the action
+    table.  Strata in one orbit must carry equal classes: the model reads
+    "g maps stratum S isomorphically onto stratum gS".
     """
 
     def __init__(
@@ -77,8 +79,6 @@ class StratifiedGSpace:
         group: PermGroup,
         generator_action: Sequence[Permutation],
     ):
-        from .permgroups import closures
-
         self._labels = tuple(label for label, _ in strata)
         self._classes = tuple(as_class(cls) for _, cls in strata)
         if len(set(self._labels)) != len(self._labels):
@@ -86,41 +86,29 @@ class StratifiedGSpace:
         if not strata:
             raise ValueError("need at least one stratum")
         self._group = group
-        gens = group.generators
-        if len(generator_action) != len(gens):
+        if len(generator_action) != len(group.generators):
             raise ValueError("one strata permutation per group generator required")
-        m = len(strata)
-        for perm in generator_action:
-            if perm.degree != m:
-                raise ValueError(
-                    f"strata permutation degree {perm.degree} does not match {m} strata"
-                )
-        self._action = self._extend(gens, generator_action, m)
+        m, n = len(strata), group.degree
+        for a in generator_action:
+            if a.degree != m:
+                raise ValueError(f"strata permutation degree {a.degree} does not match {m} strata")
+        if group.order * (n + m) > MAX_IMAGES:
+            raise OrderCapExceededError(f"G-space group order {group.order} times (degree {n} + stratum "
+                                        f"count {m}) passes the cap of {MAX_IMAGES} images")
+        joint = [Permutation([*s, *(j + n for j in a)]) for s, a in zip(group.generators, generator_action)]
+        try:
+            self._joint = PermGroup(n + m, joint)
+        except OrderCapExceededError:  # a cap that a copy of G fits under: |H| > |G|
+            self._joint = None
+        if self._joint is None or self._joint.order != group.order:
+            raise ValueError("generator actions do not extend to a homomorphism (conflict at ())")
         moves = [lambda i, a=a: a[i] - 1 for a in generator_action]
-        self._orbits = tuple(closures(range(m), moves, m))
+        self._orbits = tuple(closures(range(m), moves))
         for orbit in self._orbits:
-            first = self._classes[orbit[0]]
             for i in orbit[1:]:
-                if self._classes[i] != first:
-                    raise ValueError(
-                        f"strata {self._labels[orbit[0]]!r} and {self._labels[i]!r} share an "
-                        "orbit but have different classes"
-                    )
-
-    def _extend(
-        self, gens: tuple[Permutation, ...], gen_action: Sequence[Permutation], m: int
-    ) -> dict[Permutation, Permutation]:
-        from .permgroups import Permutation, closure
-
-        start = (Permutation.identity(self._group.degree), Permutation.identity(m))
-        moves = [lambda pair, s=s, a=a: (s * pair[0], a * pair[1]) for s, a in zip(gens, gen_action)]
-        action: dict[Permutation, Permutation] = {}
-        for g, img in closure([start], moves, self._group.order):
-            if action.setdefault(g, img) != img:
-                raise ValueError(
-                    f"generator actions do not extend to a homomorphism (conflict at {g})"
-                )
-        return action
+                if self._classes[i] != self._classes[orbit[0]]:
+                    raise ValueError(f"strata {self._labels[orbit[0]]!r} and {self._labels[i]!r} share an "
+                                     "orbit but have different classes")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -134,16 +122,25 @@ class StratifiedGSpace:
     def group(self) -> PermGroup:
         return self._group
 
+    def _strata_images(self, g: Permutation) -> tuple[int, ...]:
+        """a(g) as images of the points n+1..n+m, read off the joint element (g, a(g))."""
+        elements, n = self._joint.elements, self._group.degree
+        h = elements[min(bisect_left(elements, g), len(elements) - 1)]
+        if h[:n] != g:
+            raise KeyError(g)
+        return h[n:]
+
     def action_of(self, g: Permutation) -> Permutation:
         """The strata permutation induced by the group element g."""
-        return self._action[g]
+        return Permutation(j - self._group.degree for j in self._strata_images(g))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """G-orbits on stratum indices (0-based), each sorted, ordered by least element."""
         return self._orbits
 
     def fixed_strata(self, g: Permutation) -> list[int]:
-        return [i for i, j in enumerate(self._action[g]) if j == i + 1]
+        n = self._group.degree
+        return [i for i, j in enumerate(self._strata_images(g)) if j == n + i + 1]
 
 
 def orbit_sum_class(space: StratifiedGSpace) -> ClassPoly:
@@ -166,24 +163,19 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
     """[X/G] summed over conjugacy representatives and centralizer orbits.
 
     For each conjugacy class representative g, the centralizer C(g) permutes
-    the strata fixed by g; each C(g)-orbit contributes the class of a
-    representative stratum S divided by the order of
-    {h in C(g) : h S = S}.
+    the strata fixed by g; each C(g)-orbit O, closed under the generators that
+    ``PermGroup.class_walk`` gives, contributes the class of a stratum S in it
+    divided by |{h in C(g) : h S = S}| = |C(g)| / |O| = |G| / (|class| |O|).
     """
+    G = space.group
     total = ClassPoly.zero()
-    for g, _members in space.group.conjugacy_classes():
-        fixed = space.fixed_strata(g)
+    for members, centralizing in G.class_walk():
+        fixed = space.fixed_strata(members[0])
         if not fixed:
             continue
-        centralizer = space.group.centralizer(g)
-        seen: set[int] = set()
-        for i in fixed:
-            if i in seen:
-                continue
-            images = [space.action_of(h)[i] - 1 for h in centralizer]
-            seen.update(images)
-            stabilizer_order = images.count(i)
-            total = total + space.classes[i] / stabilizer_order
+        moves = [lambda i, a=space.action_of(h): a[i] - 1 for h in centralizing]
+        for orbit in closures(fixed, moves):
+            total = total + space.classes[orbit[0]] / (G.order // (len(members) * len(orbit)))
     return total
 
 
@@ -198,8 +190,6 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
     a group file; one ``action <k> [<label>-><label> ...]`` line per generator
     (k is the 1-based generator number; unmentioned labels stay fixed).
     """
-    from .permgroups import PermGroup, Permutation, read_group_line
-
     strata: list[tuple[str, ClassPoly]] = []
     degree: int | None = None
     gens: list[Permutation] = []
@@ -221,10 +211,10 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
             k = read_field(int, parts[1], GSpaceFormatError, f"line {lineno}: bad gen number")
             if k in action_lines:
                 raise GSpaceFormatError(f"line {lineno}: a second action line for generator {k}")
-            pairs = [piece.split("->", 1) for piece in parts[2:]]
-            message = f"line {lineno}: bad mapping"
-            action_lines[k] = read_field(dict, pairs, GSpaceFormatError, message)
-            if len(action_lines[k]) != len(pairs):
+            if bad := next((piece for piece in parts[2:] if "->" not in piece), None):
+                raise GSpaceFormatError(f"line {lineno}: bad mapping {bad!r}, expected '<label>-><label>'")
+            action_lines[k] = dict(piece.split("->", 1) for piece in parts[2:])
+            if len(action_lines[k]) != len(parts) - 2:
                 raise GSpaceFormatError(f"line {lineno}: a label is mapped twice")
         else:
             raise GSpaceFormatError(f"line {lineno}: unrecognized line {line!r}")
@@ -242,9 +232,10 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
         gen_action.append(read_field(Permutation, images, GSpaceFormatError, message))
     if action_lines:
         raise GSpaceFormatError(f"action lines for nonexistent generators: {sorted(action_lines)}")
-    group = PermGroup.generate(degree, gens)
     try:
-        return StratifiedGSpace(strata, group, gen_action)
+        return StratifiedGSpace(strata, PermGroup.generate(degree, gens), gen_action)
+    except PreconditionError:  # a cap: exit 3, not a format error
+        raise
     except ValueError as e:
         raise GSpaceFormatError(str(e)) from None
 

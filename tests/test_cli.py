@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -152,7 +153,8 @@ def test_a_second_action_line_for_one_generator_exits_2(tmp_path, capsys, action
 
 def test_quotient_on_an_action_that_breaks_a_relation_exits_2(tmp_path, capsys):
     # (1 2) acts trivially and (1 2 3) as a 3-cycle, but (1 2)(1 2 3)(1 2) = (1 2 3)^-1.
-    # The (element, action) pairs then reach each element of S3 with three images.
+    # The joined (generator, action) permutations then generate a group 3 times the order
+    # of S3, and each element of S3, the named identity too, has three images.
     path = tmp_path / "space.txt"
     path.write_text(
         "stratum s1 class=1\nstratum s2 class=1\nstratum s3 class=1\n"
@@ -583,6 +585,71 @@ def test_a_cycle_on_the_largest_degree_is_refused_before_its_elements_are_listed
     )
     assert_refused(proc.returncode, proc.stdout, proc.stderr)
     assert time.perf_counter() - start < 2.0
+
+
+def quotient_in_a_child(tmp_path: Path, text: str) -> tuple[float, tuple[int, str, str]]:
+    """Seconds and (exit code, stdout, stderr) of a child running ``quotient`` on ``text``."""
+    path = tmp_path / "space.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", "quotient", "--space", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    return time.perf_counter() - start, (proc.returncode, proc.stdout, proc.stderr)
+
+
+def s8_space_text(strata: list[str], actions: list[str]) -> str:
+    """S_8 by (1 2) and (1 2 ... 8) on the named strata, each ``label class``."""
+    lines = [f"stratum {s}" for s in strata] + ["group degree=8", "gen (1 2)", "gen (1 2 3 4 5 6 7 8)"]
+    return "\n".join(lines + actions) + "\n"
+
+
+def s8_on_subsets_text(k: int) -> str:
+    """S_8 on the k-subsets of 1..8, each of class x^2+y, and a fixed stratum of class 2*y."""
+    subsets = list(combinations(range(1, 9), k))
+    label = {s: "s" + "_".join(map(str, s)) for s in subsets}
+    gens = [Permutation.from_cycles("(1 2)", 8), Permutation.from_cycles("(1 2 3 4 5 6 7 8)", 8)]
+    actions = [" ".join([f"action {i}", *(f"{label[s]}->{label[tuple(sorted(map(g, s)))]}" for s in subsets)])
+               for i, g in enumerate(gens, 1)]
+    return s8_space_text([f"{label[s]} class=x^2+y" for s in subsets] + ["pt class=2*y"], actions)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_s8_on_its_subsets_prints_the_orbit_sum(tmp_path, k):
+    # 40320 * (8 + 28) and 40320 * (8 + 56) images: under MAX_IMAGES, so the class prints
+    assert 40320 * (8 + 57) <= MAX_IMAGES
+    assert quotient_in_a_child(tmp_path, s8_on_subsets_text(k))[1] == (0, "x^2 + 3*y\n", "")
+
+
+@pytest.mark.parametrize("kind, d", [("C", 1000), ("D", 500)])
+def test_a_cyclic_or_dihedral_group_on_one_stratum_prints_at_once(tmp_path, kind, d):
+    # every centralizer was once scanned out of all of G for each class: 115 s for C_1000
+    gens = ["(" + " ".join(map(str, range(1, d + 1))) + ")"]
+    if kind == "D":
+        gens.append("".join(f"({i} {d + 1 - i})" for i in range(1, d // 2 + 1)))
+    text = f"stratum a class=x\ngroup degree={d}\n" + "".join(f"gen {g}\n" for g in gens)
+    seconds, outcome = quotient_in_a_child(tmp_path, text)
+    assert outcome == (0, "x\n", "")
+    assert seconds < 2, f"{seconds:.2f} s"
+
+
+def test_s8_with_1000_fixed_strata_is_refused_at_once(tmp_path):
+    # 40320 * (8 + 1000) images pass MAX_IMAGES; unbounded, this ran 43 s and printed
+    assert 40320 * (8 + 1000) > MAX_IMAGES
+    seconds, outcome = quotient_in_a_child(tmp_path, s8_space_text([f"s{i} class=x" for i in range(1000)], []))
+    assert_refused(*outcome)
+    assert "40320 times (degree 8 + stratum count 1000)" in outcome[2]
+    assert seconds < 2, f"{seconds:.2f} s"
+
+
+def test_s8_whose_transposition_acts_as_a_9_cycle_exits_2(tmp_path):
+    # the joint group passes MAX_ORDER, and that is read as |H| > |G|, not as a cap
+    nine = " ".join(f"s{i}->s{(i + 1) % 9}" for i in range(9))
+    text = s8_space_text([f"s{i} class=x" for i in range(9)], [f"action 1 {nine}"])
+    seconds, outcome = quotient_in_a_child(tmp_path, text)
+    assert outcome == (2, "", "error: generator actions do not extend to a homomorphism (conflict at ())\n")
+    assert seconds < 2, f"{seconds:.2f} s"
 
 
 def test_a_group_degree_at_the_order_cap_still_reads(tmp_path, capsys):

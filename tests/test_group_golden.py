@@ -25,46 +25,27 @@ import io
 import json
 import random
 import sys
-from itertools import combinations
+from math import isqrt
 from pathlib import Path
 from typing import Iterator
 
 from kzero.classpoly import parse_poly
 from kzero.cli import main
 from kzero.permgroups import (
-    MAX_CYCLIC_ORDER, MAX_ORDER, PermGroup, Permutation, burnside_quotient_class, permutation_product_class,
+    MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation, burnside_quotient_class, permutation_product_class,
 )
 from kzero.quotients import StratifiedGSpace, burnside_class, centralizer_sum_class, orbit_sum_class
-from util import random_gspace, random_subgroup
+from util import named_generators, random_gspace, random_subgroup, subset_space
 
 GOLDEN = Path(__file__).parent / "data" / "group_golden.json"
 
 X_CLASSES = ["x", "x+1", "2*x-a"]
 """X for ``permprod`` and ``cycprod``, and for the library's quotient classes."""
 
-CLASS_POOL = ["x", "x^2+a", "1", "x-1", "3"]
-"""Classes given to the orbits of a k-subset space, in turn."""
-
 
 def _both(value) -> str:
     """``str`` and ``latex`` of a class."""
     return f"{value}\n{value.latex()}"
-
-
-def _perm(images: list[int]) -> Permutation:
-    return Permutation([v + 1 for v in images])
-
-
-def named_generators(kind: str, n: int) -> list[Permutation]:
-    rotation = _perm([(i + 1) % n for i in range(n)])
-    if kind == "S":
-        return [_perm([1, 0, *range(2, n)]), rotation] if n >= 2 else []
-    if kind == "A":  # (1 2 3) and an n- or (n-1)-cycle of odd length: both even
-        cycle = rotation if n % 2 else _perm([0, *((i % (n - 1)) + 1 for i in range(1, n))])
-        return [_perm([1, 2, 0, *range(3, n)]), cycle]
-    if kind == "C":
-        return [rotation]
-    return [rotation, _perm([n - 1 - i for i in range(n)])]  # D
 
 
 def group_text(degree: int, gens: list[Permutation]) -> str:
@@ -101,30 +82,6 @@ def gspace_lines(space: StratifiedGSpace) -> list[str]:
     return lines
 
 
-def subset_space(kind: str, n: int, k: int) -> StratifiedGSpace:
-    """The group of ``kind`` on 1..n permuting the k-subsets, plus one fixed stratum
-    ``pt``; the orbits take the classes of ``CLASS_POOL`` in turn."""
-    gens = named_generators(kind, n)
-    subsets = list(combinations(range(1, n + 1), k))
-    index = {s: i for i, s in enumerate(subsets)}
-    maps = [[index[tuple(sorted(g(v) for v in s))] for s in subsets] for g in gens]
-    classes: list[str | None] = [None] * len(subsets)
-    orbits = 0
-    for start in range(len(subsets)):
-        if classes[start] is None:
-            cls, frontier = CLASS_POOL[orbits % len(CLASS_POOL)], [start]
-            classes[start], orbits = cls, orbits + 1
-            while frontier:
-                i = frontier.pop()
-                for f in maps:
-                    if classes[f[i]] is None:
-                        classes[f[i]] = cls
-                        frontier.append(f[i])
-    strata = [("s" + "_".join(map(str, s)), cls) for s, cls in zip(subsets, classes)] + [("pt", "x*a")]
-    action = [Permutation([j + 1 for j in f] + [len(subsets) + 1]) for f in maps]
-    return StratifiedGSpace([(label, parse_poly(c)) for label, c in strata], PermGroup(n, gens), action)
-
-
 NAMED_GROUPS = [(kind, n) for n in range(1, 8) for kind in "SACD" if n >= 3 or kind in "SC"]
 """(kind, degree) of S_n and C_n for n <= 7, and of A_n and D_n for 3 <= n <= 7."""
 
@@ -143,13 +100,14 @@ QUOTIENT_ARGVS = [["quotient", "--space", "FILE"], ["quotient", "--space", "FILE
 REFUSED_SPACES = {
     "order past MAX_ORDER": "stratum a class=1\ngroup degree=9\ngen (1 2)\ngen (1 2 3 4 5 6 7 8 9)\n",
     "degree past MAX_ORDER": f"stratum a class=1\ngroup degree={MAX_ORDER + 1}\ngen (1 2)\n",
-    "images past MAX_IMAGES": "stratum a class=1\ngroup degree=1001\ngen ("
-                              + " ".join(map(str, range(1, 1002))) + ")\n",
+    "images past MAX_IMAGES": f"stratum a class=1\ngroup degree={isqrt(MAX_IMAGES) + 1}\ngen ("
+                              + " ".join(map(str, range(1, isqrt(MAX_IMAGES) + 2))) + ")\n",
     "not a homomorphism": "stratum a class=x\nstratum b class=x\ngroup degree=3\ngen (1 2 3)\naction 1 a->b b->a\n",
     "unequal classes in an orbit": "stratum a class=x\nstratum b class=y\ngroup degree=2\ngen (1 2)\n"
                                    "action 1 a->b b->a\n",
     "unknown label": "stratum a class=x\ngroup degree=2\ngen (1 2)\naction 1 a->c\n",
     "not a permutation": "stratum a class=x\nstratum b class=x\ngroup degree=2\ngen (1 2)\naction 1 a->b\n",
+    "mapping without an arrow": "stratum a class=x\ngroup degree=2\ngen (1 2)\naction 1 a\n",
     "second action line": "stratum a class=x\ngroup degree=2\ngen (1 2)\naction 1\naction 1\n",
     "label mapped twice": "stratum a class=x\nstratum b class=x\ngroup degree=2\ngen (1 2)\n"
                           "action 1 a->b a->a\n",

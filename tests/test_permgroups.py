@@ -145,11 +145,11 @@ def test_generation_cap(monkeypatch):
 
 
 def test_the_image_cap_refuses_order_times_degree_past_it():
-    # order times degree: S_8 is 322560 images, C_1000 is 10**6, at the cap
+    # order times degree: S_8 is 322560 images, C_2000 is 4 * 10**6, at the cap
     assert PermGroup.symmetric(8).order * 8 <= permgroups.MAX_IMAGES
-    assert PermGroup.cyclic(1000).order * 1000 == permgroups.MAX_IMAGES
+    assert PermGroup.cyclic(2000).order * 2000 == permgroups.MAX_IMAGES
     with pytest.raises(OrderCapExceededError, match="images"):
-        PermGroup.cyclic(1001)
+        PermGroup.cyclic(2001)
 
 
 @st.composite
@@ -212,6 +212,18 @@ def test_conjugacy_classes_match_conjugating_by_every_element():
     groups += [PermGroup.symmetric(n) for n in range(1, 7)]
     for G in groups:
         assert G.conjugacy_classes() == brute_force_conjugacy_classes(G), G.generators
+
+
+def test_the_class_walk_gives_each_centralizer_by_schreier_generators():
+    rng = random.Random(17)
+    groups = [random_subgroup(rng, rng.randint(1, 6)) for _ in range(30)]
+    groups += [PermGroup.symmetric(n) for n in range(1, 6)] + [PermGroup.cyclic(9)]
+    for G in groups:
+        walks = list(G.class_walk())
+        assert [(members[0], tuple(sorted(members))) for members, _ in walks] == G.conjugacy_classes()
+        for members, centralizing in walks:
+            assert members[0] == min(members)
+            assert PermGroup(G.degree, sorted(centralizing)).elements == G.centralizer(members[0])
 
 
 def test_symmetric_group_class_equation():

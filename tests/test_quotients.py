@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kzero.classpoly import ClassPoly
 from kzero.discrete import (
@@ -31,7 +33,14 @@ from kzero.quotients import (
     orbit_sum_class,
     parse_gspace_text,
 )
-from util import brute_force_orbits, random_gspace, solve_affine_fixed_points
+from util import (
+    brute_force_orbits,
+    pair_closure_action,
+    random_gspace,
+    scanned_centralizer_sum,
+    solve_affine_fixed_points,
+    subset_space,
+)
 
 ONE = ClassPoly.one()
 
@@ -113,6 +122,61 @@ def test_action_must_respect_every_relation():
     with pytest.raises(ValueError):
         StratifiedGSpace(strata, G, [Permutation.identity(3),
                                      Permutation.from_cycles("(1 2 3)", 3)])
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_the_joint_chain_agrees_with_the_pair_closure(seed, broken):
+    # the joint group's order decides what closing (element, action) pairs decides, and
+    # its sorted elements are the pairs' action table
+    rng = random.Random(seed)
+    space = random_gspace(rng)
+    G, m = space.group, len(space.labels)
+    actions = [space.action_of(s) for s in G.generators]
+    if broken:
+        actions[rng.randrange(len(actions))] = Permutation(rng.sample(range(1, m + 1), m))
+    table = pair_closure_action(G, actions, m)
+    strata = [(label, ONE) for label in space.labels]
+    if table is None:
+        with pytest.raises(ValueError, match=r"homomorphism \(conflict at \(\)\)"):
+            StratifiedGSpace(strata, G, actions)
+    else:
+        joint = StratifiedGSpace(strata, G, actions)
+        assert {g: joint.action_of(g) for g in G} == table
+        assert all(joint.fixed_strata(g) == [i for i in range(m) if table[g](i + 1) == i + 1] for g in G)
+
+
+def test_an_element_outside_the_group_has_no_action():
+    space = circle_space()
+    for g in (Permutation.identity(3), Permutation([2, 1, 3])):
+        with pytest.raises(KeyError):
+            space.action_of(g)
+
+
+def test_the_image_cap_holds_order_times_degree_plus_strata(monkeypatch):
+    from kzero import quotients
+
+    monkeypatch.setattr(quotients, "MAX_IMAGES", 2 * (2 + 4))  # the circle fits exactly
+    assert centralizer_sum_class(circle_space()) == ONE
+    monkeypatch.setattr(quotients, "MAX_IMAGES", 2 * (2 + 4) - 1)
+    with pytest.raises(PreconditionError, match=r"order 2 times \(degree 2 \+ stratum count 4\)"):
+        circle_space()
+
+
+@pytest.mark.parametrize("kind, n, k", [
+    ("C", 6, 2), ("C", 7, 3), ("C", 8, 4), ("D", 5, 2), ("D", 6, 3), ("D", 7, 2),
+    ("S", 4, 2), ("S", 5, 1), ("S", 5, 2), ("A", 5, 2),
+])
+def test_the_centralizer_route_matches_scanning_every_centralizer_on_subsets(kind, n, k):
+    space = subset_space(kind, n, k)
+    assert centralizer_sum_class(space) == scanned_centralizer_sum(space) == orbit_sum_class(space)
+
+
+def test_the_centralizer_route_matches_scanning_every_centralizer_on_random_spaces():
+    rng = random.Random(2026)
+    for _ in range(40):
+        space = random_gspace(rng)
+        assert centralizer_sum_class(space) == scanned_centralizer_sum(space)
 
 
 def test_strata_in_one_orbit_need_equal_classes():

@@ -11,11 +11,11 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, gcd
 from typing import Iterator, Sequence
 
-from kzero.classpoly import ClassPoly, PolyParseError, binomial
+from kzero.classpoly import ClassPoly, PolyParseError, binomial, parse_poly
 from kzero.errors import read_field
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
 from kzero.permgroups import PermGroup, PermParseError, Permutation
@@ -535,6 +535,90 @@ def random_gspace(rng: random.Random, max_strata: int = 20) -> StratifiedGSpace:
                 images[src - 1] = lookup[s * rep]
         gen_action.append(Permutation(images))
     return StratifiedGSpace(strata, G, gen_action)
+
+
+CLASS_POOL = ["x", "x^2+a", "1", "x-1", "3"]
+"""Classes given to the orbits of a k-subset space, in turn."""
+
+
+def _perm(images: list[int]) -> Permutation:
+    return Permutation([v + 1 for v in images])
+
+
+def named_generators(kind: str, n: int) -> list[Permutation]:
+    rotation = _perm([(i + 1) % n for i in range(n)])
+    if kind == "S":
+        return [_perm([1, 0, *range(2, n)]), rotation] if n >= 2 else []
+    if kind == "A":  # (1 2 3) and an n- or (n-1)-cycle of odd length: both even
+        cycle = rotation if n % 2 else _perm([0, *((i % (n - 1)) + 1 for i in range(1, n))])
+        return [_perm([1, 2, 0, *range(3, n)]), cycle]
+    if kind == "C":
+        return [rotation]
+    return [rotation, _perm([n - 1 - i for i in range(n)])]  # D
+
+
+def subset_space(kind: str, n: int, k: int) -> StratifiedGSpace:
+    """The group of ``kind`` on 1..n permuting the k-subsets, plus one fixed stratum
+    ``pt``; the orbits take the classes of ``CLASS_POOL`` in turn."""
+    gens = named_generators(kind, n)
+    subsets = list(combinations(range(1, n + 1), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    maps = [[index[tuple(sorted(g(v) for v in s))] for s in subsets] for g in gens]
+    classes: list[str | None] = [None] * len(subsets)
+    orbits = 0
+    for start in range(len(subsets)):
+        if classes[start] is None:
+            cls, frontier = CLASS_POOL[orbits % len(CLASS_POOL)], [start]
+            classes[start], orbits = cls, orbits + 1
+            while frontier:
+                i = frontier.pop()
+                for f in maps:
+                    if classes[f[i]] is None:
+                        classes[f[i]] = cls
+                        frontier.append(f[i])
+    strata = [("s" + "_".join(map(str, s)), cls) for s, cls in zip(subsets, classes)] + [("pt", "x*a")]
+    action = [Permutation([j + 1 for j in f] + [len(subsets) + 1]) for f in maps]
+    return StratifiedGSpace([(label, parse_poly(c)) for label, c in strata], PermGroup(n, gens), action)
+
+
+def pair_closure_action(
+    G: PermGroup, generator_action: Sequence[Permutation], m: int
+) -> dict[Permutation, Permutation] | None:
+    """Each element of G with its strata permutation, by closing the pair (identity,
+    identity) under the (generator, generator action) pairs breadth first; None when the
+    actions do not extend to a homomorphism, that is when some element is reached with
+    two permutations.  The walk stops once more than |G| pairs are found, since then two
+    of them share an element."""
+    found = {(Permutation.identity(G.degree), Permutation.identity(m))}
+    frontier = list(found)
+    while frontier and len(found) <= G.order:
+        fresh = []
+        for g, a in frontier:
+            for s, b in zip(G.generators, generator_action):
+                pair = (s * g, b * a)
+                if pair not in found:
+                    found.add(pair)
+                    fresh.append(pair)
+        frontier = fresh
+    table = dict(found)
+    return table if len(table) == len(found) else None
+
+
+def scanned_centralizer_sum(space: StratifiedGSpace) -> ClassPoly:
+    """The centralizer sum with every centralizer scanned out of all of G: for each class
+    representative g and each orbit of C(g) on the strata g fixes, [S] divided by the
+    number of elements of C(g) that fix S, all read off the images under each h in C(g)."""
+    G = space.group
+    total = ClassPoly.zero()
+    for g, _ in brute_force_conjugacy_classes(G):
+        centralizer = [h for h in G if h * g == g * h]
+        seen: set[int] = set()
+        for i in space.fixed_strata(g):
+            if i not in seen:
+                images = [space.action_of(h)(i + 1) - 1 for h in centralizer]
+                seen.update(images)
+                total = total + space.classes[i] / images.count(i)
+    return total
 
 
 def count_arrangement_points(K: SimplicialComplex, c: int) -> int:
