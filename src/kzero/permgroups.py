@@ -39,14 +39,16 @@ identity.
 A group is its stabilizer chain, built from the generators by Knuth's sifting
 Schreier-Sims: the order is the product of the chain's orbit lengths, known
 before any element is listed, and the elements are listed on demand as the
-products of one transversal element per level.  Every other set the group
-layer builds is closed breadth first under the generators: ``class_walk``
+products of one transversal element per level, which then replace the chain: a
+listed group holds one sorted table, and ``in`` bisects it.  Every other set the
+group layer builds is closed breadth first under the generators: ``class_walk``
 closes each conjugacy class under conjugation, reading off generators of its
 representative's centralizer, and ``quotients`` closes strata with ``closures``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import filterfalse
 from math import factorial, prod
@@ -257,19 +259,18 @@ class Permutation(tuple):
 
 
 class PermGroup:
-    """A finite group of permutations of 1..n, held as its stabilizer chain.
+    """A finite group of permutations of 1..n: its stabilizer chain, then its sorted list.
 
     ``PermGroup(degree, generators)`` builds the chain of the group the generators
-    generate (``_stabilizer_chain``), reads ``order`` off it and refuses a group past
-    ``MAX_ORDER`` elements, or past ``MAX_IMAGES`` images (order times degree), before any
-    element is listed.  The elements are listed on
-    first use, by ``elements``, iteration, ``in``, ``conjugacy_classes`` or
-    ``centralizer``, as the sorted products of one transversal element per level.  So
-    every group is bounded by its order, and no element list can be handed in beside
-    the generators.
+    generate (``_stabilizer_chain``), keeps ``order``, the product of its orbit lengths,
+    and refuses a group past ``MAX_ORDER`` elements, or ``MAX_IMAGES`` images (order times
+    degree), before any element is listed.  ``elements``, iteration, ``in`` and
+    ``class_walk`` list the elements on first use, as the sorted products of one transversal
+    element per level, and the list replaces the chain; ``in`` bisects it.  So every group
+    is bounded by its order, and no element list can be handed in beside the generators.
     """
 
-    __slots__ = ("_degree", "_generators", "_transversals", "_elements", "_element_set")
+    __slots__ = ("_degree", "_generators", "_order", "_transversals", "_elements")
 
     def __init__(self, degree: int, generators: Iterable[Permutation]):
         gens = tuple(generators)
@@ -279,8 +280,8 @@ class PermGroup:
         self._degree = degree
         self._generators = gens
         self._transversals = _stabilizer_chain(degree, gens)
+        self._order = prod(map(len, self._transversals))
         self._elements: tuple[Permutation, ...] | None = None
-        self._element_set: frozenset[Permutation] | None = None
 
     @classmethod
     def generate(cls, degree: int, generators: Iterable[Permutation]) -> PermGroup:
@@ -324,7 +325,7 @@ class PermGroup:
     @property
     def elements(self) -> tuple[Permutation, ...]:
         """Every element, sorted: each product u_1 u_2 ... u_m of one transversal element
-        per level of the chain, listed once and kept."""
+        per level of the chain, listed once and kept in place of the chain."""
         if self._elements is None:
             *rest, elements = self._transversals or [[Permutation.identity(self._degree)]]
             for level in reversed(rest):
@@ -332,20 +333,20 @@ class PermGroup:
                 getters = (itemgetter(*[j - 1 for j in e]) for e in elements)
                 elements = [Permutation._make(get(u)) for get in getters for u in level]
             self._elements = tuple(sorted(elements))
+            self._transversals = None
         return self._elements
 
     @property
     def order(self) -> int:
         """|G|, the product of the chain's orbit lengths; lists no element."""
-        return prod(map(len, self._transversals))
+        return self._order
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.elements)
 
     def __contains__(self, g: Permutation) -> bool:
-        if self._element_set is None:
-            self._element_set = frozenset(self.elements)
-        return g in self._element_set
+        i = bisect_left(self.elements, g)
+        return i < self._order and self._elements[i] == g
 
     def class_walk(self) -> Iterator[tuple[list[Permutation], set[Permutation]]]:
         """Per conjugacy class, by its least member g: the members, g first, and generators
@@ -376,11 +377,6 @@ class PermGroup:
         """(representative, members) per class, by least member, which represents it; each
         class is a member closed under conjugation by the generators (``class_walk``)."""
         return [(members[0], tuple(sorted(members))) for members, _ in self.class_walk()]
-
-    def centralizer(self, g: Permutation) -> tuple[Permutation, ...]:
-        """The elements that commute with g, sorted."""
-        # h(g(1)) == g(h(1)) rejects most h before the two products
-        return tuple(h for h in self.elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h)
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self._degree}, order={self.order})"

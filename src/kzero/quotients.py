@@ -11,8 +11,8 @@ they must agree:
   representative (setwise stabilizers act trivially, so each orbit
   contributes a single copy);
 
-* Burnside average: (1/|G|) sum over g of the class of the fixed set of g,
-  which is the sum of the classes of the strata g fixes;
+* Burnside average: (1/|G|) sum over g of the class of the fixed set of g, the
+  strata g fixes, counted in one pass over the action table's pairs (g, a(g));
 
 * centralizer sum: sum over conjugacy class representatives g, and over
   orbits of the centralizer C(g), closed under its Schreier generators, on
@@ -153,9 +153,11 @@ def orbit_sum_class(space: StratifiedGSpace) -> ClassPoly:
 
 def burnside_class(space: StratifiedGSpace) -> ClassPoly:
     """[X/G] = (1/|G|) sum over g of [X^g], with [X^g] the sum over strata fixed by g;
-    each stratum's class is added once, times the number of elements fixing it."""
-    fixing = Counter(i for g in space.group for i in space.fixed_strata(g))
-    total = sum((count * space.classes[i] for i, count in fixing.items()), ClassPoly.zero())
+    each stratum's class is added once, times the number of elements fixing it, counted
+    in one pass over H's list: g fixes stratum i exactly when (g, a(g)) fixes n + i + 1."""
+    n = space.group.degree
+    fixing = Counter(i for h in space._joint.elements for i, j in enumerate(h[n:], n + 1) if i == j)
+    total = sum((count * space.classes[i - n - 1] for i, count in fixing.items()), ClassPoly.zero())
     return total / space.group.order
 
 
@@ -163,17 +165,17 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
     """[X/G] summed over conjugacy representatives and centralizer orbits.
 
     For each conjugacy class representative g, the centralizer C(g) permutes
-    the strata fixed by g; each C(g)-orbit O, closed under the generators that
-    ``PermGroup.class_walk`` gives, contributes the class of a stratum S in it
-    divided by |{h in C(g) : h S = S}| = |C(g)| / |O| = |G| / (|class| |O|).
+    the strata fixed by g; each C(g)-orbit O, closed under the distinct strata actions
+    of the generators that ``PermGroup.class_walk`` gives, contributes the class of a
+    stratum S in it divided by |{h in C(g) : h S = S}| = |C(g)| / |O| = |G| / (|class| |O|).
     """
-    G = space.group
+    G, n = space.group, space.group.degree
     total = ClassPoly.zero()
     for members, centralizing in G.class_walk():
         fixed = space.fixed_strata(members[0])
         if not fixed:
             continue
-        moves = [lambda i, a=space.action_of(h): a[i] - 1 for h in centralizing]
+        moves = [lambda i, a=a: a[i] - n - 1 for a in {space._strata_images(h) for h in centralizing}]
         for orbit in closures(fixed, moves):
             total = total + space.classes[orbit[0]] / (G.order // (len(members) * len(orbit)))
     return total

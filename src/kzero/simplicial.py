@@ -7,10 +7,10 @@ hashing are the pair's.  The empty complex (no faces at all) and the complex
 whose only face is the empty simplex are distinct values; the latter arises
 as the (-1)-skeleton.
 
-Simplices are plain sorted tuples of vertices.  Vertex numbering is global
-to the complex: two complexes on the same n share vertices.  Internally a
-simplex is also read as an int bitmask (bit v for vertex v), so that a
-subset test is ``a & ~b == 0`` and a meet is ``a & b``.
+Simplices are plain sorted tuples of vertices.  Vertex numbering is global to the
+complex: two complexes on the same n share vertices.  Internally a simplex is also read
+as an int bitmask (bit v for vertex v), so that a subset test is ``a & ~b == 0`` and a
+meet is ``a & b``; ``to_mask`` and ``from_mask`` take time linear in the mask's size.
 
 The facet filter works by size: the distinct candidate faces are taken in
 decreasing size, and each is kept unless it lies inside a kept face of
@@ -59,8 +59,14 @@ class EmptyComplexError(PreconditionError):
     """An operation needing at least one facet was given a complex without any."""
 
 
-def to_mask(face: Iterable[int]) -> int:
-    """The bitmask of a face: bit v is set for each vertex v."""
+def to_mask(face: Simplex) -> int:
+    """The bitmask of a face: bit v is set for each vertex v.  From 256 vertices up, where setting
+    bits one by one (copying the mask each time) was measured to cost more, it reads a numeral."""
+    if len(face) >= 256:
+        bits = bytearray(b"0") * (max(face) + 1)
+        for v in face:
+            bits[-1 - v] = 49  # the digit 1, bit v counted from the right
+        return int(bits, 2)
     mask = 0
     for v in face:
         mask |= 1 << v
@@ -68,13 +74,8 @@ def to_mask(face: Iterable[int]) -> int:
 
 
 def from_mask(mask: int) -> Simplex:
-    """The sorted vertex tuple of a bitmask, read off its set bits alone."""
-    vs = []
-    while mask:
-        low = mask & -mask
-        vs.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(vs)
+    """The sorted vertex tuple of a bitmask: where its binary numeral, read from the right, has a 1."""
+    return tuple(v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
 
 
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:
@@ -141,7 +142,8 @@ class SimplicialComplex(_Complex):
         if not facets:
             return []
         n, size = self.n, len(facets[-1])  # facets are sorted by size, so this is the largest
-        if len(facets[0]) == size and len(facets) == comb(n, size):
+        # C(n, s) >= n for 0 < s < n, so fewer than n facets skip the (large) binomial
+        if len(facets[0]) == size and (len(facets) >= n or size in (0, n)) and len(facets) == comb(n, size):
             if size == n:  # the full simplex
                 return [0] * n + [1]
             return [(-1) ** (size - j) * comb(n, j) * comb(n - j - 1, size - j) for j in range(size + 1)]

@@ -476,6 +476,24 @@ def test_a_verb_over_a_5000_vertex_facet_prints_at_once(tmp_path, argv, want):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["polyprod", "--X", "1", "--A", "1"], "1\n"),
+    (["complement", "--X", "1", "--A", "1"], "0\n"),
+], ids=["polyprod", "complement"])
+def test_a_verb_over_a_200000_vertex_facet_prints_at_once(tmp_path, argv, want):
+    # the bitmask conversions and the skeleton test's C(n, s) were once quadratic in the
+    # facet: polyprod took 5.6 s here
+    path = tmp_path / "facet.txt"
+    path.write_text("n=400000\n" + ",".join(map(str, range(1, 200001))) + "\n")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
 def test_an_evaluation_with_terms_in_range_still_prints(capsys):
     value = "7" * 2000
     assert run(capsys, "eval", "x^2 - y^2", "--at", f"x={value}", "--at", f"y={value}") == (0, "0\n", "")

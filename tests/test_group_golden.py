@@ -35,7 +35,7 @@ from kzero.permgroups import (
     MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation, burnside_quotient_class, permutation_product_class,
 )
 from kzero.quotients import StratifiedGSpace, burnside_class, centralizer_sum_class, orbit_sum_class
-from util import named_generators, random_gspace, random_subgroup, subset_space
+from util import centralizer, named_generators, random_gspace, random_subgroup, subset_space
 
 GOLDEN = Path(__file__).parent / "data" / "group_golden.json"
 
@@ -55,7 +55,7 @@ def group_text(degree: int, gens: list[Permutation]) -> str:
 def group_lines(degree: int, gens: list[Permutation]) -> list[str]:
     G = PermGroup(degree, gens)
     lines = [f"order {G.order}"]
-    lines += [f"class {rep} {len(members)} {len(G.centralizer(rep))}" for rep, members in G.conjugacy_classes()]
+    lines += [f"class {rep} {len(members)} {len(centralizer(G, rep))}" for rep, members in G.conjugacy_classes()]
     for x in X_CLASSES:
         p = parse_poly(x)
         lines.append(f"permprod {x}: " + _both(permutation_product_class(G, p)))

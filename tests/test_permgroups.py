@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,12 +27,14 @@ from kzero.permgroups import (
 from util import (
     brute_force_conjugacy_classes,
     brute_force_coset_chi,
+    centralizer,
     closure_elements,
     count_coloring_orbits,
     cycle_type_quotient_class,
     cycle_type_quotient_classes,
     gcd_count_cyclic_product_class,
     left_cosets,
+    named_generators,
     partitions_with_weights,
     permutation_of_cycle_type,
     random_subgroup,
@@ -202,8 +205,8 @@ def test_conjugacy_classes_partition_the_group():
         for rep, cls in classes:
             assert rep in cls
             # orbit-stabilizer: |class| * |centralizer| = |G|
-            assert len(cls) * len(G.centralizer(rep)) == G.order
-            assert G.centralizer(rep) == tuple(h for h in G if h * rep == rep * h)
+            assert len(cls) * len(centralizer(G, rep)) == G.order
+            assert centralizer(G, rep) == tuple(h for h in G if h * rep == rep * h)
 
 
 def test_conjugacy_classes_match_conjugating_by_every_element():
@@ -212,6 +215,47 @@ def test_conjugacy_classes_match_conjugating_by_every_element():
     groups += [PermGroup.symmetric(n) for n in range(1, 7)]
     for G in groups:
         assert G.conjugacy_classes() == brute_force_conjugacy_classes(G), G.generators
+
+
+@given(st.randoms(use_true_random=False), st.integers(1, 6))
+@settings(max_examples=100, deadline=None)
+def test_membership_is_membership_in_the_closure(rng, n):
+    G = random_subgroup(rng, n)
+    members = set(closure_elements(n, G.generators))
+    probes = [Permutation(rng.sample(range(1, m + 1), m)) for m in (n - 1, n, n, n + 1) if m for _ in range(4)]
+    probes += [Permutation.identity(n + 1), *members]
+    assert {g: g in G for g in probes} == {g: g in members for g in probes}
+
+
+def test_listing_keeps_order_and_elements():
+    rng = random.Random(23)
+    groups = [random_subgroup(rng, rng.randint(1, 7)) for _ in range(30)]
+    groups += [PermGroup(n, named_generators(kind, n)) for kind in "SACD" for n in range(3, 8)]
+    for G in groups:
+        order = G.order  # read off the chain
+        elements = G.elements  # listed, and the chain dropped
+        assert G.order == len(elements) == order and G.elements is elements
+        assert elements == closure_elements(G.degree, G.generators)
+        listed_by_in = PermGroup(G.degree, G.generators)
+        assert elements[-1] in listed_by_in
+        assert (listed_by_in.order, listed_by_in.elements) == (order, elements)
+
+
+def test_a_listed_group_holds_its_list_and_not_its_chain():
+    # the chain of D_500 holds 500 permutations of degree 500 beside the list's 1000
+    gens = named_generators("D", 500)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        G = PermGroup(500, gens)
+        elements = G.elements
+        held = tracemalloc.get_traced_memory()[0] - base
+        del G
+        alone = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(elements) == 1000
+    assert held < 1.05 * alone, (held, alone)
 
 
 def test_the_class_walk_gives_each_centralizer_by_schreier_generators():
@@ -223,7 +267,7 @@ def test_the_class_walk_gives_each_centralizer_by_schreier_generators():
         assert [(members[0], tuple(sorted(members))) for members, _ in walks] == G.conjugacy_classes()
         for members, centralizing in walks:
             assert members[0] == min(members)
-            assert PermGroup(G.degree, sorted(centralizing)).elements == G.centralizer(members[0])
+            assert PermGroup(G.degree, sorted(centralizing)).elements == centralizer(G, members[0])
 
 
 def test_symmetric_group_class_equation():

@@ -35,6 +35,7 @@ from kzero.quotients import (
 )
 from util import (
     brute_force_orbits,
+    centralizer,
     pair_closure_action,
     random_gspace,
     scanned_centralizer_sum,
@@ -265,14 +266,14 @@ def test_descriptor_matches_finite_centralizer_sum():
             fixed = space.fixed_strata(g)
             if not fixed:
                 continue
-            centralizer = space.group.centralizer(g)
+            commuting = centralizer(space.group, g)
             seen: set[int] = set()
             for i in fixed:
                 if i in seen:
                     continue
-                orbit = {space.action_of(h)(i + 1) - 1 for h in centralizer}
+                orbit = {space.action_of(h)(i + 1) - 1 for h in commuting}
                 seen.update(orbit)
-                stab = sum(1 for h in centralizer if space.action_of(h)(i + 1) == i + 1)
+                stab = sum(1 for h in commuting if space.action_of(h)(i + 1) == i + 1)
                 rows.append((str(g), space.classes[i], stab))
         assert descriptor_class(rows) == orbit_sum_class(space)
 

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kzero import simplicial
 from kzero.simplicial import (
     ComplexFormatError,
     SimplicialComplex,
     VertexOutOfRangeError,
+    from_mask,
     full_simplex,
+    to_mask,
 )
 from util import brute_force_facets, disjoint_union, facet_list_cases, horner_h_numbers, random_complex
 
@@ -142,6 +145,25 @@ def test_a_skeleton_takes_the_closed_form_and_matches_the_horner_fold(monkeypatc
         assert_route_matches_horner(K, "h_numbers")
 
 
+def test_one_facet_or_a_broken_skeleton_skips_the_closed_form(monkeypatch):
+    listed, binomials = [], []
+    for route in H_ROUTES[1:]:
+        monkeypatch.setattr(SimplicialComplex, route, lambda K: listed.append(K) or horner_h_numbers(K))
+    monkeypatch.setattr(simplicial, "comb", lambda n, k: binomials.append((n, k)) or math.comb(n, k))
+    for n in range(2, 10):
+        for size in range(1, n):  # one facet: fewer than n facets of one size 0 < s < n
+            binomials.clear()
+            K = SimplicialComplex(n, [range(1, size + 1)])
+            assert K.h_numbers() == horner_h_numbers(K) and listed.pop() == K and binomials == []
+        for d in range(n - 1):
+            facets = full_simplex(n).skeleton(d).facets
+            others = [SimplicialComplex(n, facets[1:])] if len(facets) > 1 else []  # one facet missing
+            if d + 2 < n:  # an extra facet one size up, which leaves facets of two sizes
+                others.append(SimplicialComplex(n, [*facets, range(1, d + 3)]))
+            for K in others:
+                assert K.h_numbers() == horner_h_numbers(K) and listed.pop() == K, K
+
+
 @given(st.randoms(use_true_random=False), st.sampled_from(H_ROUTES))
 @settings(max_examples=300, deadline=None)
 def test_every_h_route_matches_the_horner_fold_on_random_complexes(rng, route):
@@ -157,6 +179,23 @@ def test_one_big_facet_has_one_h_number_and_binomial_face_counts():
     K = SimplicialComplex(30, [range(3, 27)])
     assert K.h_numbers() == [0] * 24 + [1]
     assert K.face_count_by_size() == {k: math.comb(24, k) for k in range(25)}
+
+
+@given(st.sets(st.integers(0, 150000), max_size=300)
+       | st.builds(lambda low, k: set(range(low, low + k)), st.integers(0, 120000), st.integers(0, 600)))
+@settings(max_examples=200, deadline=None)
+def test_masks_round_trip_against_a_reference(vertices):
+    face = tuple(sorted(vertices))
+    mask = sum(2 ** v for v in face)
+    assert to_mask(face) == mask
+    assert from_mask(mask) == face
+
+
+def test_a_dense_face_past_100000_round_trips():
+    face = (*range(1, 100002), 150000)
+    mask = (1 << 100002) - 2 + (1 << 150000)
+    assert to_mask(face) == mask
+    assert from_mask(mask) == face
 
 
 def test_skeleton_of_empty_complex_stays_empty():

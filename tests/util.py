@@ -367,6 +367,12 @@ def closure_elements(degree: int, gens: Sequence[Permutation]) -> tuple[Permutat
     return tuple(sorted(found))
 
 
+def centralizer(G: PermGroup, g: Permutation) -> tuple[Permutation, ...]:
+    """The elements of G that commute with g, sorted: a scan of all of G."""
+    # h(g(1)) == g(h(1)) rejects most h before the two products
+    return tuple(h for h in G.elements if h[g[0] - 1] == g[h[0] - 1] and h * g == g * h)
+
+
 def partitions_with_weights(n: int) -> list[tuple[tuple[int, ...], int]]:
     """All partitions of n (decreasing) with the count of permutations of that cycle type,
     h_lambda = n! / (product of parts * product of multiplicity factorials)."""
@@ -611,11 +617,11 @@ def scanned_centralizer_sum(space: StratifiedGSpace) -> ClassPoly:
     G = space.group
     total = ClassPoly.zero()
     for g, _ in brute_force_conjugacy_classes(G):
-        centralizer = [h for h in G if h * g == g * h]
+        commuting = centralizer(G, g)
         seen: set[int] = set()
         for i in space.fixed_strata(g):
             if i not in seen:
-                images = [space.action_of(h)(i + 1) - 1 for h in centralizer]
+                images = [space.action_of(h)(i + 1) - 1 for h in commuting]
                 seen.update(images)
                 total = total + space.classes[i] / images.count(i)
     return total
