@@ -122,42 +122,46 @@ class StratifiedGSpace:
     def group(self) -> PermGroup:
         return self._group
 
-    def _strata_images(self, g: Permutation) -> tuple[int, ...]:
-        """a(g) as images of the points n+1..n+m, read off the joint element (g, a(g))."""
-        elements, n = self._joint.elements, self._group.degree
+    def _pair(self, g: Permutation) -> Permutation:
+        """The joint element (g, a(g)) of H, found by bisecting H's list on its G part."""
+        elements = self._joint.elements
         h = elements[min(bisect_left(elements, g), len(elements) - 1)]
-        if h[:n] != g:
+        if h[:self._group.degree] != g:
             raise KeyError(g)
-        return h[n:]
+        return h
+
+    def _images(self, h: Permutation) -> tuple[int, ...]:
+        """a(g) as 0-based stratum indices, read off the joint element h = (g, a(g))."""
+        n = self._group.degree
+        return tuple(j - n - 1 for j in h[n:])
+
+    def _fixed(self, h: Permutation) -> list[int]:
+        """The strata (0-based) that a(g) fixes, read off h = (g, a(g)) with no shift of the rest."""
+        n = self._group.degree
+        return [i - n - 1 for i, j in enumerate(h[n:], n + 1) if i == j]
 
     def action_of(self, g: Permutation) -> Permutation:
         """The strata permutation induced by the group element g."""
-        return Permutation(j - self._group.degree for j in self._strata_images(g))
+        return Permutation(i + 1 for i in self._images(self._pair(g)))
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """G-orbits on stratum indices (0-based), each sorted, ordered by least element."""
         return self._orbits
 
     def fixed_strata(self, g: Permutation) -> list[int]:
-        n = self._group.degree
-        return [i for i, j in enumerate(self._strata_images(g)) if j == n + i + 1]
+        return self._fixed(self._pair(g))
 
 
 def orbit_sum_class(space: StratifiedGSpace) -> ClassPoly:
     """[X/G] as one summand per stratum orbit."""
-    total = ClassPoly.zero()
-    for orbit in space.orbits():
-        total = total + space.classes[orbit[0]]
-    return total
+    return sum((space.classes[orbit[0]] for orbit in space.orbits()), ClassPoly.zero())
 
 
 def burnside_class(space: StratifiedGSpace) -> ClassPoly:
-    """[X/G] = (1/|G|) sum over g of [X^g], with [X^g] the sum over strata fixed by g;
-    each stratum's class is added once, times the number of elements fixing it, counted
-    in one pass over H's list: g fixes stratum i exactly when (g, a(g)) fixes n + i + 1."""
-    n = space.group.degree
-    fixing = Counter(i for h in space._joint.elements for i, j in enumerate(h[n:], n + 1) if i == j)
-    total = sum((count * space.classes[i - n - 1] for i, count in fixing.items()), ClassPoly.zero())
+    """[X/G] = (1/|G|) sum over g of [X^g]: each stratum's class times the number of elements
+    fixing it, counted in one pass over H's list, whose elements are the pairs (g, a(g))."""
+    fixing = Counter(i for h in space._joint.elements for i in space._fixed(h))
+    total = sum((count * space.classes[i] for i, count in fixing.items()), ClassPoly.zero())
     return total / space.group.order
 
 
@@ -169,15 +173,14 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
     of the generators that ``PermGroup.class_walk`` gives, contributes the class of a
     stratum S in it divided by |{h in C(g) : h S = S}| = |C(g)| / |O| = |G| / (|class| |O|).
     """
-    G, n = space.group, space.group.degree
     total = ClassPoly.zero()
-    for members, centralizing in G.class_walk():
+    for members, centralizing in space.group.class_walk():
         fixed = space.fixed_strata(members[0])
         if not fixed:
             continue
-        moves = [lambda i, a=a: a[i] - n - 1 for a in {space._strata_images(h) for h in centralizing}]
+        moves = [lambda i, a=a: a[i] for a in {space._images(space._pair(h)) for h in centralizing}]
         for orbit in closures(fixed, moves):
-            total = total + space.classes[orbit[0]] / (G.order // (len(members) * len(orbit)))
+            total = total + space.classes[orbit[0]] / (space.group.order // (len(members) * len(orbit)))
     return total
 
 

@@ -38,7 +38,7 @@ representation (an empty line reads as a blank, not a facet).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, groupby
+from itertools import accumulate, combinations, groupby
 from math import comb
 from typing import Iterable, NamedTuple, NoReturn
 
@@ -60,22 +60,19 @@ class EmptyComplexError(PreconditionError):
 
 
 def to_mask(face: Simplex) -> int:
-    """The bitmask of a face: bit v is set for each vertex v.  From 256 vertices up, where setting
-    bits one by one (copying the mask each time) was measured to cost more, it reads a numeral."""
-    if len(face) >= 256:
-        bits = bytearray(b"0") * (max(face) + 1)
-        for v in face:
-            bits[-1 - v] = 49  # the digit 1, bit v counted from the right
-        return int(bits, 2)
-    mask = 0
+    """The bitmask of a face: bit v is set for each vertex v, written into bytes read little-endian."""
+    bits = bytearray(max(face, default=0) // 8 + 1)
     for v in face:
-        mask |= 1 << v
-    return mask
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
 
 
 def from_mask(mask: int) -> Simplex:
-    """The sorted vertex tuple of a bitmask: where its binary numeral, read from the right, has a 1."""
-    return tuple(v for v, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    """The sorted vertex tuple of a bitmask: from its lowest vertex up, each run of 0s in its binary
+    numeral, plus one, steps to the next vertex, so a sparse mask costs no Python step per 0."""
+    low = max((mask & -mask).bit_length() - 1, 0)
+    runs = bin(mask >> low).split("1")[1:]
+    return tuple(accumulate((len(run) + 1 for run in reversed(runs)), initial=low - 1))[1:]
 
 
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:

@@ -198,6 +198,13 @@ def test_a_dense_face_past_100000_round_trips():
     assert from_mask(mask) == face
 
 
+@pytest.mark.parametrize("face", [(5, 10**7), (10**7 - 1, 10**7), (10**7,), ()])
+def test_a_sparse_face_on_a_large_top_vertex_round_trips(face):
+    mask = sum(1 << v for v in face)
+    assert to_mask(face) == mask
+    assert from_mask(mask) == face
+
+
 def test_skeleton_of_empty_complex_stays_empty():
     K = SimplicialComplex(5)
     assert K.skeleton(2).is_empty()
