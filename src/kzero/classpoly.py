@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 import sys
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .errors import InputSyntaxError, PreconditionError, read_field
 
@@ -86,6 +86,7 @@ Scalar = Union[int, "Fraction"]
 PolyLike = Union["ClassPoly", int, "Fraction"]
 Variables = tuple[str, ...]
 Terms = dict[tuple[int, ...], int]
+Ring = TypeVar("Ring", "ClassPoly", "ClassSeries")
 
 MAX_TOTAL_DEGREE = 1000
 """Largest total degree a product or power may reach.  Dense products grow
@@ -320,14 +321,7 @@ class ClassPoly:
             g = math.gcd(c, self._den)
             if k * (max(abs(c) // g, self._den // g).bit_length() - 1) >= _DIGIT_BITS:
                 raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
-        result = _ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return square_and_multiply(_ONE, self, k)
 
     def __truediv__(self, scalar: Scalar) -> ClassPoly:
         n, d = _scalar(scalar, "a divisor")
@@ -444,6 +438,17 @@ def join_terms(pairs: list[tuple[bool, str]]) -> str:
 
 
 _ONE = ClassPoly._make((), {(): 1})
+
+
+def square_and_multiply(one: Ring, base: Ring, k: int) -> Ring:
+    """``base`` to the power ``k`` >= 0, from the ring's ``one``, by binary square-and-multiply:
+    the one power loop of ``ClassPoly`` and ``ClassSeries``, which check ``k`` first."""
+    while k:
+        if k & 1:
+            one = one * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return one
 
 
 def sum_of_products(pairs: Iterable[tuple[ClassPoly, ClassPoly]]) -> ClassPoly:

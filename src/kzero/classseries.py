@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .classpoly import (
     MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, join_terms, parse_poly, render,
-    sum_of_products,
+    square_and_multiply, sum_of_products,
 )
 from .errors import PreconditionError
 
@@ -98,14 +98,7 @@ class ClassSeries(tuple):
     def __pow__(self, k: int) -> ClassSeries:
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"series exponent must be a non-negative integer, got {k!r}")
-        result = ClassSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return square_and_multiply(ClassSeries.one(self.order), self, k)
 
     def inverse(self) -> ClassSeries:
         """Multiplicative inverse; requires constant coefficient exactly 1."""

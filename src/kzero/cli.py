@@ -25,7 +25,7 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import InputSyntaxError, PreconditionError, RouteDisagreementError
 
@@ -87,21 +87,16 @@ VERBS: dict[str, tuple[str, str, tuple[tuple[str, dict], ...]]] = {
 arguments."""
 
 
-def build_parser(verbs: Iterable[str] = VERBS) -> argparse.ArgumentParser:
-    """The ``kzero`` parser with a subparser for each of ``verbs`` (by default all of them).
-    A parser for fewer verbs still names all of them in its usage line, so an error it
-    reports after the verb reads as the full parser's would."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``kzero`` parser, with a subparser for each verb."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="kzero",
         description="exact Grothendieck class calculator for stratified spaces",
     )
-    names = list(verbs)
-    every = None if len(names) == len(VERBS) else "{" + ",".join(VERBS) + "}"
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=every)
-    for name in names:
-        help_text, _, arguments = VERBS[name]
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, _, arguments) in VERBS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
@@ -171,11 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             gc.freeze()
     args = read_argv(argv)
-    if args is None:
-        # Help and usage errors come from argparse.  A verb needs only its own
-        # subparser; help and bad verbs need them all.
-        verbs = argv[:1] if argv and argv[0] in VERBS else VERBS
-        args = build_parser(verbs).parse_args(argv, SimpleNamespace())
+    if args is None:  # help and usage errors come from argparse
+        args = build_parser().parse_args(argv, SimpleNamespace())
     from importlib import import_module
 
     home = import_module(f".{VERBS[args.verb][1]}", __package__)

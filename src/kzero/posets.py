@@ -15,37 +15,28 @@ mu(x) = -sum of mu(y) over y strictly below x; inclusion-exclusion then
 expresses the class of a complement as sum of mu(sigma) times the class of
 the stratum at sigma.
 
-Vertex sets are handled as int bitmasks.  The closure first meets each
-pair of facets once, then each newly found set with the facets only: every
-intersection of facets F1 & ... & Fk is reached from F1 by meeting with one
-facet at a time, so no pair of found sets needs to be met.  The nodes below
-sigma are the strict supersets of sigma, which all have larger size and so
-come earlier in the node order.  The recursion finds them without a scan:
-each vertex keeps a bitset of the nodes listed so far that contain it, and
-the strict supersets of sigma are the AND of those bitsets over sigma's
-vertices.  One more bitset per Möbius value then gives the sum of mu over
-them as a sum of value times popcount.
+The nodes above the bottom and their Möbius values are those of
+:func:`kzero.simplicial.meet_mobius`, which owns the meet closure and the
+recursion; this module adds the bottom and the node records.
 
 The complex formulas do not run on the poset: they read the h-numbers of
-:mod:`kzero.simplicial`, which take their Möbius route through
-``intersection_poset`` only when listing the faces would cost more; -h_j is
-then the sum of mu over the nodes of size j.  The poset itself is printed by
-``--show-poset``.  ``inclusion_exclusion`` stays as the route the test suite
-checks the complements against: for a ``class_of`` that depends on sigma only
-through |sigma| (as the stratum classes x^|sigma| a^(n - |sigma|) of
-polyhedral products and x^(|sigma| + 1) of diagonal arrangements do), it
-first adds up mu over the nodes of each size and then evaluates ``class_of``
-once per size whose sum is nonzero, passing the first node of that size as the
-representative.
+:mod:`kzero.simplicial`, whose Möbius route calls ``meet_mobius`` itself, so
+the CLI loads this module only for ``--show-poset``.  ``inclusion_exclusion`` stays as
+the route the test suite checks the complements against: for a ``class_of``
+that depends on sigma only through |sigma| (as the stratum classes
+x^|sigma| a^(n - |sigma|) of polyhedral products and x^(|sigma| + 1) of
+diagonal arrangements do), it first adds up mu over the nodes of each size and
+then evaluates ``class_of`` once per size whose sum is nonzero, passing the
+first node of that size as the representative.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .classpoly import ClassPoly
-from .simplicial import EmptyComplexError, Simplex, SimplicialComplex, from_mask, to_mask
+from .simplicial import EmptyComplexError, Simplex, SimplicialComplex, meet_mobius, to_mask
 
 
 class PosetNode(NamedTuple):
@@ -90,28 +81,8 @@ def intersection_poset(K: SimplicialComplex) -> IntersectionPoset:
     """Build the intersection poset of K's facets and compute its Möbius function."""
     if not K.facets:
         raise EmptyComplexError("intersection poset needs at least one facet")
-    facet_masks = [to_mask(f) for f in K.facets]
-    masks = set(facet_masks)
-    frontier = {f & g for f, g in combinations(facet_masks, 2)} - masks
-    while frontier:
-        masks |= frontier
-        frontier = {s & f for s in frontier for f in facet_masks} - masks
-    nodes = [PosetNode(None, 1)]
-    found = 0  # bit k stands for the k-th vertex set listed, the bottom not counted
-    containing: dict[int, int] = {}  # per vertex: the sets listed so far that contain it
-    with_mobius: dict[int, int] = {}  # per Möbius value: the sets listed so far that have it
-    for k, vs in enumerate(sorted(map(from_mask, masks), key=lambda vs: (-len(vs), vs))):
-        supersets = found
-        for v in vs:
-            supersets &= containing.get(v, 0)
-        mu = -1 - sum(value * (supersets & bits).bit_count() for value, bits in with_mobius.items())
-        nodes.append(PosetNode(vs, mu))
-        bit = 1 << k
-        found |= bit
-        for v in vs:
-            containing[v] = containing.get(v, 0) | bit
-        with_mobius[mu] = with_mobius.get(mu, 0) | bit
-    return IntersectionPoset(tuple(nodes))
+    meets = meet_mobius([to_mask(f) for f in K.facets])
+    return IntersectionPoset((PosetNode(None, 1), *(PosetNode(vs, mu) for vs, mu in meets)))
 
 
 def inclusion_exclusion(

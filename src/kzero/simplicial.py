@@ -19,15 +19,28 @@ a pure complex such as a skeleton needs no subset test at all.
 
 The h-numbers (``h_numbers``) are the one face count the complex formulas
 read: h_j is the coefficient of t^j in the sum over faces sigma of
-(t - 1)^|sigma|.  The route is chosen from counts known before any work.  A
-skeleton of the full simplex (all C(n, s) faces of one size s as facets) has
-h_j = (-1)^(s - j) C(n, j) C(n - j - 1, s - j) for s < n; the full simplex has
-h_n = 1 and no other.  Otherwise the faces are listed, and h_j is the sum
-over sizes k of (-1)^(k - j) C(k, j) f_k, f_k the faces of size k, when the
-sum over facets of 2^|F| is small against the pairs of facets; past that,
--h_j is the sum of mu over the nodes of size j of the intersection poset of
-the facets (Rota 1964).  So one facet on 5000 vertices is two poset nodes,
-not 2^5000 faces.
+(t - 1)^|sigma|.  A skeleton of the full simplex (all C(n, s) faces of one
+size s as facets) has h_j = (-1)^(s - j) C(n, j) C(n - j - 1, s - j) for
+s < n; the full simplex has h_n = 1 and no other.  Otherwise the route is read
+off the facets.  Listing the faces costs the sum over facets F of 2^|F|; the
+poset route starts by meeting every pair of facets, and the faces that F and G
+share number 2^|F & G|.  A running sum of 2^|F & G| over the facet pairs is
+kept, each facet met with the ones before it: once it reaches the sum of
+2^|F|, the faces are listed, and h_j is the sum over sizes k of
+(-1)^(k - j) C(k, j) f_k, f_k the faces of size k.  If it never does, -h_j is
+the sum of mu over the meets of size j in the intersection poset of the facets
+(Rota 1964).  So the check stops within one facet's pairs past sum 2^|F| pairs
+when it lists (each pair adds at least 1), and the poset route meets every
+pair anyway; one facet on 5000 vertices is one meet, not 2^5000 faces.
+
+``meet_mobius`` gives that poset's meets and Möbius values, with no module of
+its own to import.  The closure first meets each pair of facets once, then
+each newly found set with the facets only: every meet F1 & ... & Fk is reached
+from F1 one facet at a time.  The nodes below sigma (its strict supersets) all
+come earlier in size order, and each vertex keeps a bitset of the sets listed
+so far that contain it, so the strict supersets of sigma are the AND of those
+bitsets over sigma's vertices; one more bitset per Möbius value gives the sum
+of mu over them as a sum of value times popcount.
 
 File format (one complex per file): a line ``n=<int>`` followed by one facet
 per line as comma-separated vertices.  Blank lines and ``#`` comments are
@@ -40,7 +53,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, combinations, groupby
 from math import comb
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
@@ -73,6 +86,28 @@ def from_mask(mask: int) -> Simplex:
     low = max((mask & -mask).bit_length() - 1, 0)
     runs = bin(mask >> low).split("1")[1:]
     return tuple(accumulate((len(run) + 1 for run in reversed(runs)), initial=low - 1))[1:]
+
+
+def meet_mobius(facet_masks: list[int]) -> Iterator[tuple[Simplex, int]]:
+    """(vertex set, mu) for every meet of the facets, given as bitmasks, by decreasing size,
+    then lexicographic: the nodes of the intersection poset above its bottom, whose mu is 1."""
+    masks = set(facet_masks)
+    frontier = {f & g for f, g in combinations(facet_masks, 2)} - masks
+    while frontier:
+        masks |= frontier
+        frontier = {s & f for s in frontier for f in facet_masks} - masks
+    containing: dict[int, int] = {}  # per vertex: the sets listed so far that contain it, bit k the k-th
+    with_mobius: dict[int, int] = {}  # per Möbius value: the sets listed so far that have it
+    for k, vs in enumerate(sorted(map(from_mask, masks), key=lambda vs: (-len(vs), vs))):
+        supersets = (1 << k) - 1
+        for v in vs:
+            supersets &= containing.get(v, 0)
+        mu = -1 - sum(value * (supersets & bits).bit_count() for value, bits in with_mobius.items())
+        yield vs, mu
+        bit = 1 << k
+        for v in vs:
+            containing[v] = containing.get(v, 0) | bit
+        with_mobius[mu] = with_mobius.get(mu, 0) | bit
 
 
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:
@@ -134,7 +169,7 @@ class SimplicialComplex(_Complex):
 
     def h_numbers(self) -> list[int]:
         """Entry j is the coefficient of t^j in the sum over faces sigma of (t - 1)^|sigma|;
-        [] when there are no faces.  The route is chosen as the module docstring says."""
+        [] when there are no faces.  The route is read off the facets as the module docstring says."""
         facets = self.facets
         if not facets:
             return []
@@ -144,12 +179,12 @@ class SimplicialComplex(_Complex):
             if size == n:  # the full simplex
                 return [0] * n + [1]
             return [(-1) ** (size - j) * comb(n, j) * comb(n - j - 1, size - j) for j in range(size + 1)]
-        # In-process (2-vCPU Xeon VM, Python 3.11) on facets of 6-12 vertices, a facet pair cost
-        # the poset route about 32 listed faces on n = 60-200 and 128-256 on n = 12-16; 128 here
-        # made the former about 4x slower.  The 256 pairs stand for the poset import, about 1.5 ms.
-        pairs = len(facets) * (len(facets) - 1) // 2
-        if sum(1 << len(f) for f in facets) <= 32 * (pairs + 256):
-            return self._h_by_faces()
+        faces, shared, masks = sum(1 << len(f) for f in facets), 0, []
+        for f in map(to_mask, facets):  # the poset route meets each pair F, G: 2^|F & G| shared faces
+            shared += sum(1 << (f & g).bit_count() for g in masks)
+            if shared >= faces:
+                return self._h_by_faces()
+            masks.append(f)
         return self._h_by_mobius()
 
     def _h_by_faces(self) -> list[int]:
@@ -158,11 +193,9 @@ class SimplicialComplex(_Complex):
                 for j in range(len(counts))]
 
     def _h_by_mobius(self) -> list[int]:
-        from .posets import intersection_poset
-
         h = [0] * (self.dim + 2)
-        for node in intersection_poset(self).nodes[1:]:
-            h[len(node.vertex_set)] -= node.mobius
+        for vertex_set, mu in meet_mobius([to_mask(f) for f in self.facets]):
+            h[len(vertex_set)] -= mu
         return h
 
     def face_count_by_size(self) -> dict[int, int]:

@@ -35,6 +35,7 @@ INPUTS = {
     "classes.txt": "r1 c=2\nr2 c=2\n",
     "map.txt": "dim=2\nrow -1 0\nrow 0 -1\nt 1 0\n",
     "group.txt": "degree=4\ngen (1 2 3 4)\n",
+    "facet.txt": "n=30\n" + ",".join(map(str, range(1, 25))) + "\n",
 }
 """Input files the file verbs below read, by the name their argv gives."""
 
@@ -119,8 +120,10 @@ POSET_FREE_ARGVS = {
     "config": FILE_VERBS["config"],
     "config-complement": ["config-complement", "--complex", "K.txt", "--X", "x"],
     "fatwedge": FATWEDGE,
+    "polyprod on one facet": ["polyprod", "--complex", "facet.txt", "--X", "x", "--A", "a"],
 }
-"""Argvs that print no poset, on a complex whose faces are cheaper to list than its poset."""
+"""Argvs that print no poset: on the path ``K.txt``, and on one facet of 24 of 30 vertices, whose
+h-numbers take the Möbius route (one meet, not 2^24 faces)."""
 
 
 @pytest.mark.parametrize("argv", POSET_FREE_ARGVS.values(), ids=POSET_FREE_ARGVS.keys())

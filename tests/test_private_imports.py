@@ -122,3 +122,12 @@ def test_only_the_cli_freezes_the_collector():
     # freezing is for the process that exits after ``main``; a library module that froze
     # would keep a caller's garbage from ever being collected
     assert [path.stem for path in MODULES if freezes_the_collector(path)] == ["cli"]
+
+
+
+def test_simplicial_imports_nothing_from_posets():
+    # the h-numbers' Möbius route is ``simplicial.meet_mobius``; the dependency runs one way
+    tree = ast.parse((PACKAGE / "simplicial.py").read_text(encoding="utf-8"))
+    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "from .errors import" in " ".join(imports)
+    assert [line for line in imports if "posets" in line] == []
