@@ -39,8 +39,8 @@ while the complement M(K, X) = X^n - Delta_K(X) has class x^n - [Delta_K(X)].
 
 Every complex formula reads the h-numbers of K, ``SimplicialComplex.h_numbers``,
 and sums their powers through one helper, so none expands a power of x - a or
-x - 1; the facets' meets are closed only when the h-numbers take their Möbius
-route, and the intersection poset is built only to be printed.
+x - 1; the facets' meets are closed only by the h-numbers' Möbius route, which
+runs first on a budget, and the intersection poset is built only to be printed.
 """
 
 from __future__ import annotations

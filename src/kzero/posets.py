@@ -36,7 +36,7 @@ from itertools import groupby
 from typing import Callable, NamedTuple
 
 from .classpoly import ClassPoly
-from .simplicial import EmptyComplexError, Simplex, SimplicialComplex, meet_mobius, to_mask
+from .simplicial import EmptyComplexError, Simplex, SimplicialComplex, meet_mobius
 
 
 class PosetNode(NamedTuple):
@@ -81,8 +81,7 @@ def intersection_poset(K: SimplicialComplex) -> IntersectionPoset:
     """Build the intersection poset of K's facets and compute its Möbius function."""
     if not K.facets:
         raise EmptyComplexError("intersection poset needs at least one facet")
-    meets = meet_mobius([to_mask(f) for f in K.facets])
-    return IntersectionPoset((PosetNode(None, 1), *(PosetNode(vs, mu) for vs, mu in meets)))
+    return IntersectionPoset((PosetNode(None, 1), *(PosetNode(vs, mu) for vs, mu in meet_mobius(K.facets))))
 
 
 def inclusion_exclusion(

@@ -21,17 +21,19 @@ The h-numbers (``h_numbers``) are the one face count the complex formulas
 read: h_j is the coefficient of t^j in the sum over faces sigma of
 (t - 1)^|sigma|.  A skeleton of the full simplex (all C(n, s) faces of one
 size s as facets) has h_j = (-1)^(s - j) C(n, j) C(n - j - 1, s - j) for
-s < n; the full simplex has h_n = 1 and no other.  Otherwise the route is read
-off the facets.  Listing the faces costs the sum over facets F of 2^|F|; the
-poset route starts by meeting every pair of facets, and the faces that F and G
-share number 2^|F & G|.  A running sum of 2^|F & G| over the facet pairs is
-kept, each facet met with the ones before it: once it reaches the sum of
-2^|F|, the faces are listed, and h_j is the sum over sizes k of
-(-1)^(k - j) C(k, j) f_k, f_k the faces of size k.  If it never does, -h_j is
-the sum of mu over the meets of size j in the intersection poset of the facets
-(Rota 1964).  So the check stops within one facet's pairs past sum 2^|F| pairs
-when it lists (each pair adds at least 1), and the poset route meets every
-pair anyway; one facet on 5000 vertices is one meet, not 2^5000 faces.
+s < n; the full simplex has h_n = 1 and no other.  Otherwise two routes are
+exact.  Listing the faces writes the sum over facets F of |F| 2^(|F| - 1)
+vertices into face tuples, and h_j is the sum over sizes k of
+(-1)^(k - j) C(k, j) f_k, f_k the faces of size k.  The poset route sums mu
+over the meets of the facets: -h_j is the sum of mu over the meets of size j
+in their intersection poset (Rota 1964).  The poset route runs first, with as
+many steps to spend as listing writes vertices.  Each meet the closure takes
+is a step; once it is closed, the Möbius values are charged up front, one step
+per set and two per vertex of each set (a vertex bitset read, then written).
+Once the steps would outnumber the vertices, the poset route stops and the
+faces are listed, so the meets given up never outnumber them.  One facet on
+5000 vertices is one meet, not 2^5000 faces, and five facets of 24 vertices
+on a shared core of 23 are 15 meets, not 5 * 2^24 faces.
 
 ``meet_mobius`` gives that poset's meets and Möbius values, with no module of
 its own to import.  The closure first meets each pair of facets once, then
@@ -52,8 +54,8 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate, combinations, groupby
-from math import comb
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from math import comb, inf
+from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
@@ -88,26 +90,34 @@ def from_mask(mask: int) -> Simplex:
     return tuple(accumulate((len(run) + 1 for run in reversed(runs)), initial=low - 1))[1:]
 
 
-def meet_mobius(facet_masks: list[int]) -> Iterator[tuple[Simplex, int]]:
-    """(vertex set, mu) for every meet of the facets, given as bitmasks, by decreasing size,
-    then lexicographic: the nodes of the intersection poset above its bottom, whose mu is 1."""
+def meet_mobius(facets: tuple[Simplex, ...], budget: float = inf) -> list[tuple[Simplex, int]] | None:
+    """(vertex set, mu) for every meet of the facets, by decreasing size, then lexicographic: the
+    nodes of the intersection poset above its bottom, whose mu is 1.  None, with no mu computed, once
+    the steps counted in the module docstring number more than ``budget``."""
+    spent = len(facets) * (len(facets) - 1) // 2  # the pairs are met first
+    facet_masks = [to_mask(f) for f in facets] if spent <= budget else []
     masks = set(facet_masks)
     frontier = {f & g for f, g in combinations(facet_masks, 2)} - masks
     while frontier:
         masks |= frontier
-        frontier = {s & f for s in frontier for f in facet_masks} - masks
-    containing: dict[int, int] = {}  # per vertex: the sets listed so far that contain it, bit k the k-th
-    with_mobius: dict[int, int] = {}  # per Möbius value: the sets listed so far that have it
+        spent += len(frontier) * len(facet_masks)
+        frontier = {s & f for s in frontier for f in facet_masks} - masks if spent <= budget else set()
+    spent += len(masks) + 2 * sum(map(int.bit_count, masks))  # each vertex bitset is read, then written
+    if spent > budget:
+        return None
+    # per vertex, and per Möbius value: the sets listed so far that contain it, or have it, bit k the k-th
+    containing, with_mobius, meets = {}, {}, []
     for k, vs in enumerate(sorted(map(from_mask, masks), key=lambda vs: (-len(vs), vs))):
         supersets = (1 << k) - 1
         for v in vs:
             supersets &= containing.get(v, 0)
         mu = -1 - sum(value * (supersets & bits).bit_count() for value, bits in with_mobius.items())
-        yield vs, mu
+        meets.append((vs, mu))
         bit = 1 << k
         for v in vs:
             containing[v] = containing.get(v, 0) | bit
         with_mobius[mu] = with_mobius.get(mu, 0) | bit
+    return meets
 
 
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:
@@ -169,7 +179,7 @@ class SimplicialComplex(_Complex):
 
     def h_numbers(self) -> list[int]:
         """Entry j is the coefficient of t^j in the sum over faces sigma of (t - 1)^|sigma|;
-        [] when there are no faces.  The route is read off the facets as the module docstring says."""
+        [] when there are no faces.  The route is picked as the module docstring says."""
         facets = self.facets
         if not facets:
             return []
@@ -179,22 +189,17 @@ class SimplicialComplex(_Complex):
             if size == n:  # the full simplex
                 return [0] * n + [1]
             return [(-1) ** (size - j) * comb(n, j) * comb(n - j - 1, size - j) for j in range(size + 1)]
-        faces, shared, masks = sum(1 << len(f) for f in facets), 0, []
-        for f in map(to_mask, facets):  # the poset route meets each pair F, G: 2^|F & G| shared faces
-            shared += sum(1 << (f & g).bit_count() for g in masks)
-            if shared >= faces:
-                return self._h_by_faces()
-            masks.append(f)
-        return self._h_by_mobius()
+        meets = meet_mobius(facets, sum(len(f) << len(f) for f in facets) // 2)
+        return self._h_by_faces() if meets is None else self._h_by_mobius(meets)
 
     def _h_by_faces(self) -> list[int]:
         counts = Counter(map(len, self._faces()))  # f_k, the number of faces of size k
         return [sum((-1) ** (k - j) * comb(k, j) * f for k, f in counts.items() if k >= j)
                 for j in range(len(counts))]
 
-    def _h_by_mobius(self) -> list[int]:
+    def _h_by_mobius(self, meets: list[tuple[Simplex, int]] | None = None) -> list[int]:
         h = [0] * (self.dim + 2)
-        for vertex_set, mu in meet_mobius([to_mask(f) for f in self.facets]):
+        for vertex_set, mu in meet_mobius(self.facets) if meets is None else meets:
             h[len(vertex_set)] -= mu
         return h
 

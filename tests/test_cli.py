@@ -497,19 +497,23 @@ def test_a_verb_over_a_200000_vertex_facet_prints_at_once(tmp_path, argv, want):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
+def seeded_complex(n: int, m: int, lo: int, hi: int) -> SimplicialComplex:
+    rng = random.Random(1)
+    return SimplicialComplex(n, [rng.sample(range(1, n + 1), rng.randint(lo, hi)) for _ in range(m)])
+
+
 ROUTE_PICKS = {
-    # facets overlap heavily: the faces are cheaper to list (a rule read off the facet sizes
-    # and pair count took the poset route, 3.0-4.1 s in-process)
-    "150 facets of 10-14 on 20": (20, 150, 10, 14),
-    # facets barely overlap: the poset is cheaper to build (that rule listed the faces, 3.8 s)
-    "900 facets of 10-13 on 600": (600, 900, 10, 13),
+    # facets overlap heavily: listing the faces is cheaper
+    "150 facets of 10-14 on 20": seeded_complex(20, 150, 10, 14),
+    # facets barely overlap: the poset is cheaper
+    "900 facets of 10-13 on 600": seeded_complex(600, 900, 10, 13),
+    # each pair shares 2^23 faces, but the poset has 6 meets
+    "5 facets of 24 on a 23-vertex core": SimplicialComplex(30, [[*range(1, 24), v] for v in range(24, 29)]),
 }
 
 
-@pytest.mark.parametrize("n, m, lo, hi", ROUTE_PICKS.values(), ids=ROUTE_PICKS.keys())
-def test_the_facet_overlaps_pick_a_route_that_prints_at_once(tmp_path, n, m, lo, hi):
-    rng = random.Random(1)
-    K = SimplicialComplex(n, [rng.sample(range(1, n + 1), rng.randint(lo, hi)) for _ in range(m)])
+@pytest.mark.parametrize("K", ROUTE_PICKS.values(), ids=ROUTE_PICKS.keys())
+def test_the_h_route_picked_prints_at_once(tmp_path, K):
     path = tmp_path / "K.txt"
     path.write_text(K.to_text())
     start = time.perf_counter()

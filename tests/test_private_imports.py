@@ -124,7 +124,6 @@ def test_only_the_cli_freezes_the_collector():
     assert [path.stem for path in MODULES if freezes_the_collector(path)] == ["cli"]
 
 
-
 def test_simplicial_imports_nothing_from_posets():
     # the h-numbers' Möbius route is ``simplicial.meet_mobius``; the dependency runs one way
     tree = ast.parse((PACKAGE / "simplicial.py").read_text(encoding="utf-8"))
