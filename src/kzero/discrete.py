@@ -149,36 +149,18 @@ class AffineMap(_Affine):
 
 
 def has_unique_fixed_point(f: AffineMap) -> bool:
-    """True iff det(linear - id) != 0, i.e. x = Ax + v has exactly one solution."""
-    n = f.dimension
-    rows = [
-        [f.linear[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
-    return _det(rows) != 0
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-enough Gaussian elimination."""
+    """True iff det(linear - id) != 0, i.e. x = Ax + v has exactly one solution: eliminating over
+    ``Fraction``s finds a nonzero pivot in every column of linear - id."""
     from fractions import Fraction
 
-    n = len(rows)
-    rows = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+    rows = [[Fraction(x) - (i == j) for j, x in enumerate(row)] for i, row in enumerate(f.linear)]
+    for col in range(f.dimension):
+        pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+            return False
+        rows = [[x - row[col] / pivot[col] * p for x, p in zip(row, pivot)]
+                for row in rows if row is not pivot]
+    return True
 
 
 # -- file formats ---------------------------------------------------------------

@@ -8,14 +8,12 @@ whose only face is the empty simplex are distinct values; the latter arises
 as the (-1)-skeleton.
 
 Simplices are plain sorted tuples of vertices.  Vertex numbering is global to the
-complex: two complexes on the same n share vertices.  Internally a simplex is also read
-as an int bitmask (bit v for vertex v), so that a subset test is ``a & ~b == 0`` and a
-meet is ``a & b``; ``to_mask`` and ``from_mask`` take time linear in the mask's size.
+complex: two complexes on the same n share vertices.
 
 The facet filter works by size: the distinct candidate faces are taken in
-decreasing size, and each is kept unless it lies inside a kept face of
-strictly larger size.  Two distinct faces of equal size are never nested, so
-a pure complex such as a skeleton needs no subset test at all.
+decreasing size, and each is kept unless its vertex set lies inside that of a
+kept face of strictly larger size.  Two distinct faces of equal size are never
+nested, so a pure complex such as a skeleton needs no subset test at all.
 
 The h-numbers (``h_numbers``) are the one face count the complex formulas
 read: h_j is the coefficient of t^j in the sum over faces sigma of
@@ -36,13 +34,18 @@ faces are listed, so the meets given up never outnumber them.  One facet on
 on a shared core of 23 are 15 meets, not 5 * 2^24 faces.
 
 ``meet_mobius`` gives that poset's meets and Möbius values, with no module of
-its own to import.  The closure first meets each pair of facets once, then
-each newly found set with the facets only: every meet F1 & ... & Fk is reached
-from F1 one facet at a time.  The nodes below sigma (its strict supersets) all
-come earlier in size order, and each vertex keeps a bitset of the sets listed
-so far that contain it, so the strict supersets of sigma are the AND of those
-bitsets over sigma's vertices; one more bitset per Möbius value gives the sum
-of mu over them as a sum of value times popcount.
+its own to import.  It reads each facet as an int bitmask over the facets'
+vertices, bit k for the k-th smallest of them, so a meet is ``a & b`` and a mask
+has no more bits than the facets have vertices, however large their labels;
+``to_mask`` and ``from_mask`` take time linear in the mask's size, and every
+node is read back as labels before the nodes are sorted.  The closure first
+meets each pair of facets once, then each newly found set with the facets
+only: every meet F1 & ... & Fk is reached from F1 one facet at a time.  The
+nodes below sigma (its strict supersets) all come earlier in size order, and
+each vertex keeps a bitset of the sets listed so far that contain it, so the
+strict supersets of sigma are the AND of those bitsets over sigma's vertices;
+one more bitset per Möbius value gives the sum of mu over them as a sum of
+value times popcount.
 
 File format (one complex per file): a line ``n=<int>`` followed by one facet
 per line as comma-separated vertices.  Blank lines and ``#`` comments are
@@ -75,7 +78,8 @@ class EmptyComplexError(PreconditionError):
 
 
 def to_mask(face: Simplex) -> int:
-    """The bitmask of a face: bit v is set for each vertex v, written into bytes read little-endian."""
+    """The bitmask of a tuple of vertex numbers: bit v is set for each number v, written into bytes
+    read little-endian."""
     bits = bytearray(max(face, default=0) // 8 + 1)
     for v in face:
         bits[v >> 3] |= 1 << (v & 7)
@@ -83,11 +87,10 @@ def to_mask(face: Simplex) -> int:
 
 
 def from_mask(mask: int) -> Simplex:
-    """The sorted vertex tuple of a bitmask: from its lowest vertex up, each run of 0s in its binary
-    numeral, plus one, steps to the next vertex, so a sparse mask costs no Python step per 0."""
-    low = max((mask & -mask).bit_length() - 1, 0)
-    runs = bin(mask >> low).split("1")[1:]
-    return tuple(accumulate((len(run) + 1 for run in reversed(runs)), initial=low - 1))[1:]
+    """The sorted tuple of the numbers whose bits a mask sets: from bit 0 up, each run of 0s in its
+    binary numeral, plus one, steps to the next number, so a run of 0s costs no Python step."""
+    runs = bin(mask).split("1")[1:]
+    return tuple(accumulate((len(run) + 1 for run in reversed(runs)), initial=-1))[1:]
 
 
 def meet_mobius(facets: tuple[Simplex, ...], budget: float = inf) -> list[tuple[Simplex, int]] | None:
@@ -95,7 +98,9 @@ def meet_mobius(facets: tuple[Simplex, ...], budget: float = inf) -> list[tuple[
     nodes of the intersection poset above its bottom, whose mu is 1.  None, with no mu computed, once
     the steps counted in the module docstring number more than ``budget``."""
     spent = len(facets) * (len(facets) - 1) // 2  # the pairs are met first
-    facet_masks = [to_mask(f) for f in facets] if spent <= budget else []
+    vertices = sorted(set().union(*facets))  # bit k of a mask stands for vertices[k]
+    number = {v: k for k, v in enumerate(vertices)}
+    facet_masks = [to_mask(tuple(map(number.__getitem__, f))) for f in facets] if spent <= budget else []
     masks = set(facet_masks)
     frontier = {f & g for f, g in combinations(facet_masks, 2)} - masks
     while frontier:
@@ -107,7 +112,8 @@ def meet_mobius(facets: tuple[Simplex, ...], budget: float = inf) -> list[tuple[
         return None
     # per vertex, and per Möbius value: the sets listed so far that contain it, or have it, bit k the k-th
     containing, with_mobius, meets = {}, {}, []
-    for k, vs in enumerate(sorted(map(from_mask, masks), key=lambda vs: (-len(vs), vs))):
+    nodes = (tuple(map(vertices.__getitem__, from_mask(m))) for m in masks)
+    for k, vs in enumerate(sorted(nodes, key=lambda vs: (-len(vs), vs))):
         supersets = (1 << k) - 1
         for v in vs:
             supersets &= containing.get(v, 0)
@@ -144,12 +150,11 @@ class SimplicialComplex(_Complex):
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
         candidates = sorted({_as_simplex(f, n) for f in facets}, key=len, reverse=True)
         kept: list[Simplex] = []
-        larger: list[int] = []  # masks of the kept faces larger than the current size
+        larger: list[frozenset[int]] = []  # vertex sets of the kept faces larger than the current size
         for _, same_size in groupby(candidates, key=len):
-            masks = [(f, to_mask(f)) for f in same_size]
-            fresh = [(f, m) for f, m in masks if all(m & ~g for g in larger)]
-            kept.extend(f for f, _ in fresh)
-            larger.extend(m for _, m in fresh)
+            fresh = [f for f in same_size if not any(map(frozenset(f).issubset, larger))]
+            kept.extend(fresh)
+            larger.extend(map(frozenset, fresh))
         return super().__new__(cls, n, tuple(sorted(kept, key=lambda s: (len(s), s))))
 
     @classmethod

@@ -526,6 +526,58 @@ def test_the_h_route_picked_prints_at_once(tmp_path, K):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
 
 
+def complex_in_a_child(tmp_path: Path, argv: list[str], text: str) -> tuple[float, tuple[int, str, str]]:
+    """Seconds and (exit code, stdout, stderr) of a child with 1 GiB of address space running
+    ``argv`` on the complex file ``text``."""
+    path = tmp_path / "K.txt"
+    path.write_text(text)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    return time.perf_counter() - start, (proc.returncode, proc.stdout, proc.stderr)
+
+
+ONE_EDGE_ON_10_BILLION = "n=10000000000\n1,10000000000\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["polyprod", "--X", "x", "--A", "a"],
+     (3, "", "error: result would have total degree 9999999998; the limit is 1000\n")),
+    (["config", "--X", "x"], (0, "x^3\n", "")),
+    (["complement", "--X", "x", "--A", "1", "--show-poset"], None),
+], ids=["polyprod", "config", "complement --show-poset"])
+def test_an_edge_on_the_largest_label_needs_no_mask_of_its_label_size(tmp_path, argv, want):
+    # a mask with one bit per vertex label would take 1.25 GB; the child has 1 GiB of address space
+    seconds, got = complex_in_a_child(tmp_path, argv, ONE_EDGE_ON_10_BILLION)
+    assert seconds < 2, f"{seconds:.2f} s"
+    if want is None:
+        assert_refused(*got)
+    else:
+        assert got == want
+
+
+def facets_near_ten_million(join_one: bool) -> list[list[int]]:
+    """60 seeded facets of 3-6 vertices within 100 of 10^7, vertex 1 joined to each if asked,
+    and each facet's first two vertices as one more candidate face."""
+    rng = random.Random(1)
+    facets = [rng.sample(range(10**7 - 99, 10**7 + 1), rng.randint(3, 6)) for _ in range(60)]
+    facets = [[1, *f] if join_one else f for f in facets]
+    return facets + [f[:2] for f in facets]
+
+
+@pytest.mark.parametrize("join_one", [False, True], ids=["near 10^7", "near 10^7 and vertex 1"])
+def test_facets_on_large_labels_print_at_once(tmp_path, join_one):
+    # the labels reach 10^7 but the faces use 101 of them: work that grows with the labels shows here
+    K = SimplicialComplex(10**7, facets_near_ten_million(join_one))
+    seconds, got = complex_in_a_child(tmp_path, ["polyprod", "--X", "x", "--A", "1"], K.to_text())
+    assert seconds < 2, f"{seconds:.2f} s"
+    want = str(polyhedral_product_class(K, PolyPair(parse_poly("x"), 1)))
+    assert got == (0, want + "\n", "")
+
+
 def test_an_evaluation_with_terms_in_range_still_prints(capsys):
     value = "7" * 2000
     assert run(capsys, "eval", "x^2 - y^2", "--at", f"x={value}", "--at", f"y={value}") == (0, "0\n", "")

@@ -368,6 +368,15 @@ def test_fixed_point_matches_exact_row_reduction():
         assert has_unique_fixed_point(AffineMap(linear, translation)) == (solutions == 1)
 
 
+def test_fixed_point_of_a_map_with_int_entries_is_exact():
+    # linear - id is singular (its third row is 3 * (second - first)), but eliminating it
+    # with float division leaves a nonzero rounding residue as the last pivot
+    linear = ((-2, 8, 6), (5, 8, -1), (24, -3, -20))
+    assert solve_affine_fixed_points(linear, (0, 0, 0)) != 1
+    assert not has_unique_fixed_point(AffineMap(linear, (0, 0, 0)))
+    assert has_unique_fixed_point(AffineMap(((0, -1), (1, 0)), (1, 0)))
+
+
 def test_affine_map_dimension_check():
     with pytest.raises(DimensionMismatchError):
         AffineMap(((Fraction(1), Fraction(0)),), (Fraction(0), Fraction(0)))

@@ -16,6 +16,7 @@ from kzero.simplicial import (
     VertexOutOfRangeError,
     from_mask,
     full_simplex,
+    meet_mobius,
     to_mask,
 )
 from util import brute_force_facets, disjoint_union, facet_list_cases, horner_h_numbers, random_complex
@@ -30,6 +31,16 @@ def test_facets_are_filtered_to_maximal_faces():
 def test_facet_filter_matches_brute_force():
     for n, faces in facet_list_cases():
         assert SimplicialComplex(n, faces).facets == brute_force_facets(faces)
+
+
+def test_shifting_every_label_shifts_the_meets_and_keeps_mu_and_h():
+    shift = 10**7
+    for n, faces in facet_list_cases():
+        K = SimplicialComplex(n, faces)
+        shifted = SimplicialComplex(n + shift, [[v + shift for v in f] for f in faces])
+        want = [(tuple(v + shift for v in vs), mu) for vs, mu in meet_mobius(K.facets)]
+        assert meet_mobius(shifted.facets) == want, (n, faces)
+        assert shifted.h_numbers() == K.h_numbers(), (n, faces)
 
 
 @pytest.mark.parametrize("n, d", [(8, 2), (9, 3)])

@@ -1,0 +1,65 @@
+"""Count the code lines of Python modules.
+
+A code line is a physical line that holds a token of code: blank lines,
+comment lines and the lines of string statements (the docstrings of modules,
+classes and functions, and any other statement that is a bare string) do not
+count.  A line holding both code and a comment counts once.
+
+Prints one ``<count>  <path>`` row per module, then the total.  Each argument
+is a module or a directory, whose ``*.py`` files are read recursively::
+
+    python3 tools/code_lines.py src/kzero
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(source: str) -> set[int]:
+    """The line numbers spanned by string statements: the docstrings of the module, its classes
+    and functions, and any other statement that is a bare string."""
+    return {line for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
+def code_lines(source: str) -> int:
+    """The number of physical lines of ``source`` that hold code outside its docstrings."""
+    lines: set[int] = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in _NOT_CODE:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstring_lines(source))
+
+
+def modules(paths: list[str]) -> list[Path]:
+    found: list[Path] = []
+    for arg in map(Path, paths):
+        found.extend(sorted(arg.rglob("*.py")) if arg.is_dir() else [arg])
+    return found
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    total = 0
+    for path in modules(argv):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path}")
+    print(f"{total:6d}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
