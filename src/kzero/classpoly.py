@@ -60,10 +60,12 @@ is refused with :class:`PolyTooLargeError` before any multiplication, so
 input like ``(x+1)^100000`` fails at once instead of running without bound.
 A number with more than :data:`MAX_DIGITS` decimal digits is refused with
 the same error where it is read (``parse_poly``) or rendered (``str``,
-``latex``), and a power is refused before multiplying once its leading
-coefficient alone must pass that limit.  ``evaluate`` refuses a term before
-taking any power once a bound on its bits, from the bit lengths of the
-coefficient and of the values times their exponents, passes that limit.
+``latex``), and a power is refused before multiplying once a coefficient it
+must have passes that limit: the power of the coefficient of a vertex of the
+Newton polytope, a term extreme in lex order or in one variable's exponent.
+``evaluate`` refuses a term before taking any power once a bound on its bits,
+from the bit lengths of the coefficient and of the values times their
+exponents, passes that limit.
 ``parse_poly`` refuses parentheses nested deeper than :data:`MAX_NESTING`.
 """
 
@@ -316,10 +318,14 @@ class ClassPoly:
             raise ValueError(f"polynomial exponent must be a non-negative integer, got {k!r}")
         if k and self._terms:
             _check_degree(self.total_degree() * k)
-            # c^k is the power's lex-leading coefficient, and each part a of c is >= 2^(bits-1)
-            c = self._terms[max(self._terms)]
-            g = math.gcd(c, self._den)
-            if k * (max(abs(c) // g, self._den // g).bit_length() - 1) >= _DIGIT_BITS:
+            # a term extreme in lex order, or in one exponent with ties broken by lex order, is a
+            # vertex of the Newton polytope, so its c^k is a coefficient of the power; each part a
+            # of a reduced c is >= 2^(bits-1)
+            keys = [None, *(lambda e, i=i: (e[i], e) for i in range(len(self._vars)))]
+            vertices = {pick(self._terms, key=key) for key in keys for pick in (min, max)}
+            bits = max(max(abs(c) // g, self._den // g).bit_length()
+                       for c in map(self._terms.get, vertices) for g in [math.gcd(c, self._den)])
+            if k * (bits - 1) >= _DIGIT_BITS:
                 raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
         return square_and_multiply(_ONE, self, k)
 

@@ -8,7 +8,6 @@ import io
 import math
 import os
 import random
-import resource
 import subprocess
 import sys
 import time
@@ -25,6 +24,7 @@ from kzero.cli import main
 from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
 from kzero.polyhedral import PolyPair, polyhedral_product_class
 from kzero.simplicial import SimplicialComplex
+from util import child_env, kzero_child, run_child
 
 EXAMPLE_COMPLEX = "n=5\n1,2,3\n3,4\n3,5\n"
 LINE_GRAPH = "n=5\n1,2\n2,3\n3,4\n4,5\n"
@@ -45,13 +45,6 @@ DIHEDRAL_DESCRIPTOR = (
     "t1 c=2 class=1\n"
     "t2 c=2 class=1\n"
 )
-
-
-def child_env() -> dict[str, str]:
-    """This environment with ``src`` first on PYTHONPATH, so a child interpreter imports kzero."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -206,13 +199,7 @@ def test_crystal(tmp_path, capsys):
 def test_crystal_non_integer_sum_prints_without_warning(tmp_path):
     path = tmp_path / "classes.txt"
     path.write_text("c0 c=2\nc1 c=3\n")
-    proc = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "kzero.cli", "crystal", "--descriptor", str(path)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-    )
+    proc = run_child(["-W", "default", "-m", "kzero.cli", "crystal", "--descriptor", str(path)], timeout=60)[1]
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5/6\n", "")
 
 
@@ -378,31 +365,33 @@ RUNAWAY_ARGVS = {
     "ratio X=1 order 3000000": ["ratio", "--m", "2", "--n", "1", "--X", "1", "--order", "3000000"],
     "ratio X=x order 1001": ["ratio", "--m", "2", "--n", "1", "--X", "x", "--order", "1001"],
     "zerocycles X=x order 1001": ["zerocycles", "--m", "2", "--n", "1", "--X", "x", "--order", "1001"],
+    # the power pre-check read only the lex-leading coefficient, here 1: these ran past 20 s
+    "eval (x+B)^200, B 1000 nines": ["eval", f"(x+{'9' * 1000})^200"],
+    "eval (x+B*a+1)^200, B 1000 nines": ["eval", f"(x+{'9' * 1000}*a+1)^200"],
+    # the table's product count was computed in full and printed: two tracebacks, then past 20 s
+    "zerocycles table order 3000 nines": ["zerocycles", "--m", "1", "--n", "1", "--X", "x", "--order", "9" * 3000,
+                                          "--table"],
+    "zerocycles table m=10^10 order 10^5": ["zerocycles", "--m", "10000000000", "--n", "1001", "--X", "x",
+                                            "--order", "100000", "--table"],
+    "zerocycles table m=10^10 order 10^6": ["zerocycles", "--m", "10000000000", "--n", "1001", "--X", "x",
+                                            "--order", "1000000", "--table"],
 }
 
 
 @pytest.mark.parametrize("name", RUNAWAY_ARGVS)
 def test_a_runaway_evaluation_or_table_exits_3_at_once_in_a_child(name):
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", *RUNAWAY_ARGVS[name]],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert time.perf_counter() - start < 2
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    seconds, (code, out, err) = kzero_child(*RUNAWAY_ARGVS[name])
+    assert seconds < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_constant_series_at_the_order_limit_still_prints_in_a_child():
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", "symprod-series", "--X", "1", "--order", str(MAX_TOTAL_DEGREE)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert time.perf_counter() - start < 2
+    seconds, got = kzero_child("symprod-series", "--X", "1", "--order", str(MAX_TOTAL_DEGREE))
+    assert seconds < 2
     want = " + ".join(["1", "x", *(f"x^{k}" for k in range(2, MAX_TOTAL_DEGREE + 1))]) + " + O(x^1001)\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
-    assert len(proc.stdout) == 7905
+    assert got == (0, want, "")
+    assert len(got[1]) == 7905
 
 
 LARGE_LABEL_ARGVS = {
@@ -418,12 +407,7 @@ def run_on_facet(tmp_path: Path, argv: list[str], n: int, first: int) -> tuple[f
     on vertices 1..n with the one facet first..first+13."""
     path = tmp_path / f"facet_{first}.txt"
     path.write_text(f"n={n}\n" + ",".join(map(str, range(first, first + 14))) + "\n")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=30,
-    )
-    return time.perf_counter() - start, (proc.returncode, proc.stdout, proc.stderr)
+    return kzero_child(*argv, "--complex", str(path), timeout=30)
 
 
 @pytest.mark.parametrize("n", [10**6, 10**7])
@@ -451,13 +435,9 @@ def test_a_product_over_a_400_vertex_facet_prints_at_once(tmp_path, n, x, want):
     # the product once expanded (x - a)^k for every face size k: past 400 s with X = x + 1
     path = tmp_path / "facet.txt"
     path.write_text(f"n={n}\n" + ",".join(map(str, range(1, 401))) + "\n")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", "polyprod", "--X", x, "--A", "a", "--complex", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=30,
-    )
-    assert time.perf_counter() - start < 2
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+    seconds, got = kzero_child("polyprod", "--X", x, "--A", "a", "--complex", str(path), timeout=30)
+    assert seconds < 2
+    assert got == (0, want + "\n", "")
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -470,13 +450,9 @@ def test_a_verb_over_a_5000_vertex_facet_prints_at_once(tmp_path, argv, want):
     # facet: 3.4-4.3 s a verb here
     path = tmp_path / "facet.txt"
     path.write_text("n=10001\n" + ",".join(map(str, range(1, 5001))) + "\n")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=30,
-    )
-    assert time.perf_counter() - start < 2
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    seconds, got = kzero_child(*argv, "--complex", str(path), timeout=30)
+    assert seconds < 2
+    assert got == (0, want, "")
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -488,13 +464,9 @@ def test_a_verb_over_a_200000_vertex_facet_prints_at_once(tmp_path, argv, want):
     # facet: polyprod took 5.6 s here
     path = tmp_path / "facet.txt"
     path.write_text("n=400000\n" + ",".join(map(str, range(1, 200001))) + "\n")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert time.perf_counter() - start < 2
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+    seconds, got = kzero_child(*argv, "--complex", str(path))
+    assert seconds < 2
+    assert got == (0, want, "")
 
 
 def seeded_complex(n: int, m: int, lo: int, hi: int) -> SimplicialComplex:
@@ -516,14 +488,10 @@ ROUTE_PICKS = {
 def test_the_h_route_picked_prints_at_once(tmp_path, K):
     path = tmp_path / "K.txt"
     path.write_text(K.to_text())
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", "polyprod", "--X", "x", "--A", "1", "--complex", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert time.perf_counter() - start < 2
+    seconds, got = kzero_child("polyprod", "--X", "x", "--A", "1", "--complex", str(path))
+    assert seconds < 2
     want = str(polyhedral_product_class(K, PolyPair(parse_poly("x"), 1)))
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")
+    assert got == (0, want + "\n", "")
 
 
 def complex_in_a_child(tmp_path: Path, argv: list[str], text: str) -> tuple[float, tuple[int, str, str]]:
@@ -531,13 +499,7 @@ def complex_in_a_child(tmp_path: Path, argv: list[str], text: str) -> tuple[floa
     ``argv`` on the complex file ``text``."""
     path = tmp_path / "K.txt"
     path.write_text(text)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", *argv, "--complex", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
-    )
-    return time.perf_counter() - start, (proc.returncode, proc.stdout, proc.stderr)
+    return kzero_child(*argv, "--complex", str(path), address_space=2**30)
 
 
 ONE_EDGE_ON_10_BILLION = "n=10000000000\n1,10000000000\n"
@@ -676,29 +638,16 @@ def test_a_cycle_on_the_largest_degree_is_refused_before_its_elements_are_listed
     space = tmp_path / "space.txt"
     space.write_text(f"stratum a class=1\ngroup degree={MAX_ORDER}\ngen ({cycle})\n")
     assert MAX_ORDER * MAX_ORDER > MAX_IMAGES
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", "quotient", "--space", str(space)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
-    )
-    assert_refused(proc.returncode, proc.stdout, proc.stderr)
-    assert time.perf_counter() - start < 2.0
+    seconds, got = kzero_child("quotient", "--space", str(space), address_space=2**30)
+    assert_refused(*got)
+    assert seconds < 2.0
 
 
 def quotient_in_a_child(tmp_path: Path, text: str) -> tuple[float, tuple[int, str, str]]:
     """Seconds and (exit code, stdout, stderr) of a child running ``quotient`` on ``text``."""
     path = tmp_path / "space.txt"
     path.write_text(text)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", "quotient", "--space", str(path)],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    return time.perf_counter() - start, (proc.returncode, proc.stdout, proc.stderr)
+    return kzero_child("quotient", "--space", str(path))
 
 
 def s8_space_text(strata: list[str], actions: list[str]) -> str:
@@ -808,15 +757,9 @@ def test_pyproject_declares_console_script():
 
 
 def test_module_invocation():
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", "cycprod", "--n", "3", "--X", "x"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "1/3*x^3 + 2/3*x\n"
+    code, out, _ = kzero_child("cycprod", "--n", "3", "--X", "x")[1]
+    assert code == 0
+    assert out == "1/3*x^3 + 2/3*x\n"
 
 
 def test_missing_verb_is_a_usage_error(capsys):
@@ -1148,11 +1091,7 @@ def test_one_facet_on_24_vertices_is_quick(tmp_path, verb, expected):
     # one facet is two poset nodes; listing its 2^24 faces took past 8 s
     path = tmp_path / "K.txt"
     path.write_text("n=25\n" + ",".join(map(str, range(1, 25))) + "\n")
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "kzero.cli", verb, "--complex", str(path), "--X", "y+1", "--A", "1"],
-        capture_output=True, text=True, env=child_env(), timeout=60,
-    )
-    assert time.perf_counter() - start < 2
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{parse_poly(expected)}\n", "")
-    assert f" + {math.comb(24, 12)}*y^" in proc.stdout
+    seconds, got = kzero_child(verb, "--complex", str(path), "--X", "y+1", "--A", "1")
+    assert seconds < 2
+    assert got == (0, f"{parse_poly(expected)}\n", "")
+    assert f" + {math.comb(24, 12)}*y^" in got[1]

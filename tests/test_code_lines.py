@@ -1,8 +1,8 @@
 """Smoke test of ``tools/code_lines.py``, the counter of code lines outside docstrings and comments."""
 
-import subprocess
-import sys
 from pathlib import Path
+
+from util import run_child
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
@@ -10,6 +10,6 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 def test_only_the_statement_is_a_code_line(tmp_path):
     module = tmp_path / "module.py"
     module.write_text('"""A docstring\nover two lines."""\n\n# a comment\nx = 1  # and a trailing one\n')
-    proc = subprocess.run([sys.executable, str(TOOL), str(module)], capture_output=True, text=True, timeout=60)
+    proc = run_child([str(TOOL), str(module)], timeout=60)[1]
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == ["1", str(module), "1", "total"]

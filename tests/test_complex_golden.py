@@ -16,15 +16,11 @@ which prints the name and kind of every entry whose digest changed, for review.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
-import sys
+import tempfile
 from pathlib import Path
 
 from kzero.classpoly import parse_poly
-from kzero.cli import main
 from kzero.errors import PreconditionError
 from kzero.polyhedral import (
     PolyPair,
@@ -36,7 +32,7 @@ from kzero.polyhedral import (
     polyhedral_product_complement_class,
 )
 from kzero.simplicial import SimplicialComplex, full_simplex
-from util import facet_list_cases
+from util import check_golden, digest, facet_list_cases, run_main, write_golden
 
 GOLDEN = Path(__file__).parent / "data" / "complex_golden.json"
 
@@ -105,46 +101,19 @@ def class_lines(n: int, faces: list[list[int]], fat: tuple[int, int] | None) -> 
 def cli_lines(n: int, faces: list[list[int]], path: Path) -> list[str]:
     # the faces as given, so repeated, nested and empty faces reach the file reader
     path.write_text(f"n={n}\n" + "".join(",".join(map(str, f)) + "\n" for f in faces))
-    lines = []
-    for args in VERB_ARGS:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([args[0], "--complex", str(path), *args[1:]])
-        lines.append(json.dumps([args, code, out.getvalue(), err.getvalue()]))
-    return lines
+    return [json.dumps([args, *run_main([args[0], "--complex", str(path), *args[1:]])]) for args in VERB_ARGS]
 
 
-def _digest(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+def digests() -> dict[str, dict[str, str]]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "K.txt"
+        return {name: {"classes": digest(*class_lines(n, faces, fat)), "cli": digest(*cli_lines(n, faces, path))}
+                for name, n, faces, fat in corpus()}
 
 
-def digests(tmp: Path) -> dict[str, dict[str, str]]:
-    return {
-        name: {"classes": _digest(class_lines(n, faces, fat)), "cli": _digest(cli_lines(n, faces, tmp / "K.txt"))}
-        for name, n, faces, fat in corpus()
-    }
-
-
-def test_complex_layer_matches_golden_digests(tmp_path):
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = digests(tmp_path)
-    assert sorted(got) == sorted(want)
-    mismatched = [f"{name} ({kind})" for name in want for kind in ("classes", "cli")
-                  if got[name][kind] != want[name][kind]]
-    assert not mismatched, "output changed for: " + ", ".join(mismatched)
+def test_complex_layer_matches_golden_digests():
+    check_golden(GOLDEN, digests())
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_complex_golden.py --write")
-    import tempfile
-
-    GOLDEN.parent.mkdir(exist_ok=True)
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    with tempfile.TemporaryDirectory() as tmp:
-        table = digests(Path(tmp))
-    for name in sorted(table.keys() | old.keys()):
-        for kind in ("classes", "cli"):
-            if table.get(name, {}).get(kind) != old.get(name, {}).get(kind):
-                print(f"{name} ({kind})")
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_golden(GOLDEN, digests)

@@ -1,11 +1,10 @@
 """Every demo script runs to completion in a fresh interpreter."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from util import run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,10 +16,5 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(demo):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = run_child([str(demo)], timeout=120)[1]
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -19,23 +19,22 @@ which prints the name and kind of every entry whose digest changed, for review.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
 import random
-import sys
+import tempfile
 from math import isqrt
 from pathlib import Path
 from typing import Iterator
 
 from kzero.classpoly import parse_poly
-from kzero.cli import main
 from kzero.permgroups import (
     MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation, burnside_quotient_class, permutation_product_class,
 )
 from kzero.quotients import StratifiedGSpace, burnside_class, centralizer_sum_class, orbit_sum_class
-from util import centralizer, named_generators, random_gspace, random_subgroup, subset_space
+from util import (
+    centralizer, check_golden, digest, named_generators, random_gspace, random_subgroup, run_main, subset_space,
+    write_golden,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "group_golden.json"
 
@@ -213,48 +212,25 @@ def cli_lines(text: str | None, argvs: list[list[str]], path: Path) -> list[str]
         path.unlink()
     lines = []
     for argv in argvs:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(path) if a == "FILE" else a for a in argv])
-        outputs = [s.replace(str(path), "FILE") for s in (out.getvalue(), err.getvalue())]
-        lines.append(json.dumps([argv, code, *outputs]))
+        code, *outputs = run_main([str(path) if a == "FILE" else a for a in argv])
+        lines.append(json.dumps([argv, code, *(s.replace(str(path), "FILE") for s in outputs)]))
     return lines
 
 
-def _digest(lines: list[str]) -> str:
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-def digests(tmp: Path) -> dict[str, dict[str, str]]:
+def digests() -> dict[str, dict[str, str]]:
     table = {}
-    for name, text, argvs, library in corpus():
-        assert name not in table, name
-        table[name] = {"cli": _digest(cli_lines(text, argvs, tmp / "input.txt"))}
-        if library is not None:
-            table[name]["library"] = _digest(library)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text, argvs, library in corpus():
+            assert name not in table, name
+            table[name] = {"cli": digest(*cli_lines(text, argvs, Path(tmp) / "input.txt"))}
+            if library is not None:
+                table[name]["library"] = digest(*library)
     return table
 
 
-def test_group_layer_matches_golden_digests(tmp_path):
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = digests(tmp_path)
-    assert sorted(got) == sorted(want)
-    mismatched = [f"{name} ({kind})" for name in want for kind in want[name] | got[name]
-                  if got[name].get(kind) != want[name].get(kind)]
-    assert not mismatched, "output changed for: " + ", ".join(mismatched)
+def test_group_layer_matches_golden_digests():
+    check_golden(GOLDEN, digests())
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_group_golden.py --write")
-    import tempfile
-
-    GOLDEN.parent.mkdir(exist_ok=True)
-    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    with tempfile.TemporaryDirectory() as tmp:
-        table = digests(Path(tmp))
-    for name in sorted(table.keys() | old.keys()):
-        for kind in sorted(table.get(name, {}).keys() | old.get(name, {}).keys()):
-            if table.get(name, {}).get(kind) != old.get(name, {}).get(kind):
-                print(f"{name} ({kind})")
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_golden(GOLDEN, digests)

@@ -6,14 +6,11 @@ ones the code under test imported, not ones an earlier test pulled in.
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from util import SRC, run_child
 
 RING_VERBS = {
     "eval": ["eval", "x^2 + 1"],
@@ -58,11 +55,7 @@ PERMUTATION_FREE_VERBS = ("quotient-descriptor", "orbifold-euler", "crystal", "f
 
 def fresh(code: str, *args: str):
     """Run ``code`` in a new interpreter with ``src`` on its path; return its last stdout line as JSON."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_child(["-c", code, *args], timeout=60)[1]
     assert (proc.returncode, proc.stderr) == (0, "")
     return json.loads(proc.stdout.splitlines()[-1])
 

@@ -5,18 +5,18 @@ rendering of every item of a fixed corpus of series, 0-cycle tables and
 powers.  Regenerate it only after a deliberate change to the canonical form:
 
     PYTHONPATH=src python tests/test_render_golden.py --write
+
+which prints the name and kind of every entry whose digest changed, for review.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import sys
 from pathlib import Path
 
 from kzero.classpoly import binomial, parse_poly
 from kzero.classseries import binomial_series, macdonald_series
 from kzero.zerocycles import ZeroCycleTable, closed_series, ratio_series
+from util import check_golden, digest, write_golden
 
 GOLDEN = Path(__file__).parent / "data" / "ring_golden.json"
 
@@ -64,25 +64,13 @@ def corpus():
         yield f"{text} | table 2,1 {bound}", _Table(ZeroCycleTable(2, 1, c, bound))
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def digests() -> dict[str, dict[str, str]]:
-    return {name: {"str": _digest(str(obj)), "latex": _digest(obj.latex())} for name, obj in corpus()}
+    return {name: {"str": digest(str(obj)), "latex": digest(obj.latex())} for name, obj in corpus()}
 
 
 def test_rendering_matches_golden_digests():
-    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = digests()
-    assert sorted(got) == sorted(want)
-    mismatched = [f"{name} ({kind})" for name in want for kind in ("str", "latex")
-                  if got[name][kind] != want[name][kind]]
-    assert not mismatched, "rendering changed for: " + ", ".join(mismatched)
+    check_golden(GOLDEN, digests())
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_render_golden.py --write")
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    write_golden(GOLDEN, digests)

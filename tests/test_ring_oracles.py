@@ -12,12 +12,14 @@ series inverses with sympy.
 import re
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kzero.classpoly import ClassPoly, as_class, binomial, parse_poly
+from kzero import classpoly
+from kzero.classpoly import ClassPoly, PolyTooLargeError, as_class, binomial, parse_poly
 from kzero.classseries import ClassSeries, binomial_series
 
 from util import FractionPoly, brute_force_binomial_series, reference_series_text
@@ -28,7 +30,7 @@ coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 
 @st.composite
-def polys(draw, max_terms: int = 4, max_exponent: int = 3) -> ClassPoly:
+def polys(draw, max_terms: int = 4, max_exponent: int = 3, coefficients=coefficients) -> ClassPoly:
     vs = tuple(draw(st.lists(st.sampled_from(VARIABLES), unique=True, max_size=3)))
     exponents = st.tuples(*[st.integers(0, max_exponent)] * len(vs))
     terms = draw(st.dictionaries(exponents, coefficients, max_size=max_terms))
@@ -309,6 +311,21 @@ def test_product_matches_sympy(p, q):
 @settings(max_examples=60, deadline=None)
 def test_power_matches_sympy(p, k):
     assert same(p ** k, sym(p) ** k)
+
+
+@given(polys(coefficients=st.fractions(-2**24, 2**24, max_denominator=2**12)), st.integers(0, 6))
+@example(x + 2**40, 2)  # the constant term is the one a power must take past the limit
+@example(x + 2**40 * a + 1, 2)  # so is the term with the largest exponent of a
+@settings(max_examples=200, deadline=None)
+def test_a_power_refused_by_the_digit_pre_check_has_a_coefficient_past_the_limit(p, k):
+    # 64 bits in place of MAX_DIGITS digits, so powers of small classes cross it both ways
+    with mock.patch.object(classpoly, "_DIGIT_BITS", 64):
+        try:
+            p ** k
+        except PolyTooLargeError as e:
+            assert str(e) == f"power would pass {classpoly.MAX_DIGITS} digits"
+            coefficients = (FractionPoly.of(p) ** k).coeffs.values()
+            assert any(max(abs(c.numerator), c.denominator).bit_length() > 64 for c in coefficients)
 
 
 @given(polys(max_terms=3, max_exponent=2), st.integers(0, 5))

@@ -1,27 +1,113 @@
-"""Shared generators and independent oracles for the test suite.
+"""Shared generators, independent oracles, the child runner and the golden harness.
 
 The oracles here recompute expectations by brute force over finite models
 (a space of class c behaves like a c-point set for every formula under
 test), deliberately avoiding the library code paths they check.
+
+Every test that starts a child interpreter goes through :func:`run_child`, or
+:func:`kzero_child` for a ``kzero`` verb, which put ``src`` first on the child's
+``PYTHONPATH`` (:func:`child_env`), time it, and cap its address space when
+asked.  The golden gates share :func:`digest`, :func:`run_main` (``main`` in
+this process, its output captured), :func:`check_golden` and
+:func:`write_golden`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
+import os
 import random
 import re
+import resource
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 from kzero.classpoly import ClassPoly, PolyParseError, binomial, parse_poly
+from kzero.cli import main
 from kzero.errors import read_field
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
 from kzero.permgroups import PermGroup, PermParseError, Permutation
 from kzero.posets import IntersectionPoset, PosetNode
 from kzero.quotients import StratifiedGSpace
 from kzero.simplicial import SimplicialComplex
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env() -> dict[str, str]:
+    """This environment with ``src`` first on PYTHONPATH, so a child interpreter imports kzero."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+
+
+def run_child(args: Sequence[str], *, timeout: float,
+              address_space: int | None = None) -> tuple[float, subprocess.CompletedProcess]:
+    """Seconds taken and the completed process of ``python args``, run with :func:`child_env`
+    and its text output captured; ``address_space`` bytes bound the child's when given."""
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env(),
+                          timeout=timeout, preexec_fn=limit)
+    return time.perf_counter() - start, proc
+
+
+def kzero_child(*argv: str, timeout: float = 60,
+                address_space: int | None = None) -> tuple[float, tuple[int, str, str]]:
+    """Seconds and (exit code, stdout, stderr) of ``python -m kzero.cli argv`` in a child."""
+    seconds, proc = run_child(["-m", "kzero.cli", *argv], timeout=timeout, address_space=address_space)
+    return seconds, (proc.returncode, proc.stdout, proc.stderr)
+
+
+def digest(*lines: str) -> str:
+    """The sha256 of ``lines`` joined by newlines: one golden digest."""
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``main(argv)`` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def golden_changes(path: Path, table: dict[str, dict[str, str]]) -> list[str]:
+    """``name (kind)`` of every digest of ``table`` that the golden file at ``path`` lacks or
+    holds with another value, and of every one the file holds that ``table`` lacks."""
+    old = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    return [f"{name} ({kind})" for name in sorted(table.keys() | old.keys())
+            for kind in sorted(table.get(name, {}).keys() | old.get(name, {}).keys())
+            if table.get(name, {}).get(kind) != old.get(name, {}).get(kind)]
+
+
+def check_golden(path: Path, table: dict[str, dict[str, str]]) -> None:
+    """Assert that ``table`` matches the golden file at ``path``, naming every entry that does not."""
+    changed = golden_changes(path, table)
+    assert not changed, "output changed for: " + ", ".join(changed)
+
+
+def write_golden(path: Path, digests: Callable[[], dict[str, dict[str, str]]]) -> None:
+    """A golden gate run as ``python <gate> --write``: print every entry of ``digests()``
+    that changed, for review, and rewrite the file at ``path``."""
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: python {sys.argv[0]} --write")
+    table = digests()
+    for change in golden_changes(path, table):
+        print(change)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def random_poly(rng: random.Random, variables: tuple[str, ...] = ("x",), max_degree: int = 3) -> ClassPoly:

@@ -1,22 +1,15 @@
 """Time the two h-number routes of ``SimplicialComplex`` on seeded random families.
 
 For each family and seed (1, 2 and 3), the script builds one complex and
-times, in-process, listing its faces (``_h_by_faces``) and summing Möbius
-values over its meets (``_h_by_mobius``).  It then sets two route rules side
-by side:
-
-* the size rule, which ``h_numbers`` used before, read off counts known up
-  front: list the faces when the sum over facets of 2^|F| is at most
-  32 * (facet pairs + 256);
-* the budget rule of ``h_numbers``: run the poset route while its steps (its
-  meets, then one per set and two per vertex of each set for the Möbius
-  values) stay within the vertices listing would write, the sum over facets
-  of |F| 2^(|F| - 1), and list the faces once they do not.
-
-The size rule's time is the time of the route it picks; the budget rule's is
-the time of ``h_numbers`` itself, so the work it gives up on is counted.  One
-markdown row is printed per family, with times in ms summed over the seeds;
-then the same figures for two larger inputs, seed 1 only.
+times, in-process, listing its faces (``_h_by_faces``), summing Möbius values
+over its meets (``_h_by_mobius``), and ``h_numbers`` itself.  ``h_numbers``
+runs the poset route while its steps (its meets, then one per set and two per
+vertex of each set for the Möbius values) stay within the vertices listing
+would write, the sum over facets of |F| 2^(|F| - 1), and lists the faces once
+they do not; its time counts the work it gives up on.  One markdown row is
+printed per family, with the route ``h_numbers`` picks for each seed and times
+in ms summed over the seeds; then the total of ``h_numbers`` over the
+families, and the same figures for two larger inputs, seed 1 only.
 
 Run from the repository root (takes about ten minutes)::
 
@@ -91,15 +84,7 @@ def seconds(call) -> float:
     return min(rounds)
 
 
-def size_rule(K: SimplicialComplex) -> str:
-    """The route the size rule takes, ``closed`` where ``h_numbers`` takes the closed form."""
-    if budget_rule(K) == "closed":
-        return "closed"
-    pairs = len(K.facets) * (len(K.facets) - 1) // 2
-    return "faces" if sum(1 << len(f) for f in K.facets) <= 32 * (pairs + 256) else "poset"
-
-
-def budget_rule(K: SimplicialComplex) -> str:
+def picked_route(K: SimplicialComplex) -> str:
     """The route ``h_numbers`` takes (``closed`` for the closed form of a skeleton), seen by
     wrapping both routes for one call."""
     taken = []
@@ -115,33 +100,28 @@ def budget_rule(K: SimplicialComplex) -> str:
     return taken[0] if taken else "closed"
 
 
-def row(label: str, complexes: list[SimplicialComplex]) -> tuple[str, float, float]:
-    """The markdown row of a family, and the seconds each rule's routes took."""
-    faces = poset = size_time = budget_time = 0.0
-    picks = {"size": [], "budget": []}
+def row(label: str, complexes: list[SimplicialComplex]) -> tuple[str, float]:
+    """The markdown row of a family, and the seconds ``h_numbers`` took."""
+    faces = poset = by_rule = 0.0
+    picks = []
     for K in complexes:
-        by_faces, by_poset = seconds(K._h_by_faces), seconds(K._h_by_mobius)
-        faces, poset = faces + by_faces, poset + by_poset
-        picks["size"].append(size_rule(K))
-        picks["budget"].append(budget_rule(K))
-        by_rule = seconds(K.h_numbers)
-        size_time += {"faces": by_faces, "poset": by_poset, "closed": by_rule}[picks["size"][-1]]
-        budget_time += by_rule
-    ms = [f"{1000 * t:.1f}" for t in (faces, poset, size_time, budget_time)]
-    text = " | ".join(["", label, *ms[:2], "/".join(picks["size"]), "/".join(picks["budget"]), *ms[2:], ""])
-    return text.strip(), size_time, budget_time
+        faces += seconds(K._h_by_faces)
+        poset += seconds(K._h_by_mobius)
+        picks.append(picked_route(K))
+        by_rule += seconds(K.h_numbers)
+    ms = [f"{1000 * t:.1f}" for t in (faces, poset, by_rule)]
+    return " | ".join(["", label, *ms[:2], "/".join(picks), ms[2], ""]).strip(), by_rule
 
 
 def main() -> None:
-    print("| family | faces ms | poset ms | size rule picks | budget rule picks | size rule ms "
-          "| budget rule ms |")
-    print("| --- | --- | --- | --- | --- | --- | --- |")
-    size_total = budget_total = 0.0
+    print("| family | faces ms | poset ms | route picked | h_numbers ms |")
+    print("| --- | --- | --- | --- | --- |")
+    total = 0.0
     for label, *shape in FAMILIES:
-        text, size_time, budget_time = row(label, [build(seed, *shape) for seed in SEEDS])
-        size_total, budget_total = size_total + size_time, budget_total + budget_time
+        text, by_rule = row(label, [build(seed, *shape) for seed in SEEDS])
+        total += by_rule
         print(text, flush=True)
-    print(f"| all {len(FAMILIES)} families | | | | | {1000 * size_total:.1f} | {1000 * budget_total:.1f} |")
+    print(f"| all {len(FAMILIES)} families | | | | {1000 * total:.1f} |")
     for label, *shape in INPUTS:
         print(row(label, [build(1, *shape)])[0], flush=True)
 
