@@ -2,10 +2,11 @@
 
 One verb per calculator operation; every verb prints its result on the last
 line of stdout in the canonical text form, so outputs are byte-stable and
-re-parseable.  Exit codes: 0 on success, 1 when the reader of stdout closed it
-before the output was written, 2 when an input (file or argument) cannot be
-parsed, 3 when a documented precondition is violated, 4 when the independent
-routes of ``quotient`` disagree.
+re-parseable.  Exit codes: 0 on success, 1 when stdout could not be written
+(with an ``error:`` line, or with nothing on stderr when its reader closed
+it), 2 when an input (file or argument) cannot be parsed, 3 when a documented
+precondition is violated, 4 when the independent routes of ``quotient``
+disagree.
 
 A verb's handler, ``cmd_<verb>``, lives in the module whose formula it calls,
 its home in ``VERBS``; ``main`` imports that module alone, so a job compiles
@@ -14,14 +15,15 @@ only its own handler and formulas.  No handler module imports this one: under
 compile it a second time.
 
 ``main()`` with no argv is the process, as ``python -m kzero.cli`` and the
-``kzero`` console script call it: once the verb is done it freezes the
-collector (``gc.freeze``), so the interpreter's exit does not walk every
-object that compiling and running kzero left behind.
+``kzero`` console script call it: once the verb is done it flushes stdout and
+stderr and ends with ``os._exit``, so neither the interpreter's exit-time
+collection nor its module teardown runs, and neither do ``atexit`` hooks.
+Under a tracer or profiler, under ``python -i`` and after a traceback it
+returns instead, and the interpreter exits as usual.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -155,16 +157,15 @@ def read_argv(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     """Run the verb of ``argv`` and return its exit code.
 
-    With no argv, ``main`` is the process: it reads ``sys.argv`` and, however the
-    verb ends (an exit from argparse or a traceback too), freezes the collector before
-    it returns, so the exit skips the collection of the heap kzero built.  The stdio
-    flush, ``atexit`` and module teardown still run.  With an argv, the caller's
-    collector is left as it is."""
+    With no argv, ``main`` is the process: it reads ``sys.argv`` and, once the verb has
+    returned its code or argparse has exited with one, flushes stdout and stderr and ends
+    the process with ``os._exit``.  So the exit-time collection, module teardown and
+    ``atexit`` hooks do not run.  Under a tracer or profiler (``sys.gettrace()`` or
+    ``sys.getprofile()`` set, as by coverage, ``pdb`` or ``cProfile``) or ``python -i`` it
+    returns the code instead, and a traceback propagates, so the interpreter exits as
+    usual.  With an argv, ``main`` always returns."""
     if argv is None:
-        try:
-            return main(sys.argv[1:])
-        finally:
-            gc.freeze()
+        return _process(sys.argv[1:])
     args = read_argv(argv)
     if args is None:  # help and usage errors come from argparse
         args = build_parser().parse_args(argv, SimpleNamespace())
@@ -176,15 +177,41 @@ def main(argv: list[str] | None = None) -> int:
     try:
         handler(args)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout.  Point fd 1 at the null device, so the flush at exit
-        # cannot raise again (the idiom of the Python docs' note on SIGPIPE).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except tuple(exit_codes) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in exit_codes.items() if isinstance(e, kind))
+    except OSError as e:  # a write to stdout: read_file turns every other OSError into an input error
+        return _write_failed(e)
     return 0
+
+
+def _write_failed(e: OSError) -> int:
+    """Exit code 1 for the write to stdout that raised ``e``, with an ``error:`` line unless
+    the reader closed stdout.  Fd 1 then points at the null device, so no later flush can
+    raise again (the idiom of the Python docs' note on SIGPIPE)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not isinstance(e, BrokenPipeError):
+        print(f"error: cannot write the output: {e.strerror or e}", file=sys.stderr)
+    return 1
+
+
+def _process(argv: list[str]) -> int:
+    """The process of ``main()``: run ``argv``, then flush stdio and end at ``os._exit``
+    unless a tracer, a profiler or ``python -i`` waits for the interpreter's own exit."""
+    try:
+        code = main(argv)
+    except SystemExit as e:  # help and usage errors, from argparse
+        if not isinstance(e.code, int):
+            raise
+        code = e.code
+    if sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect:
+        return code
+    try:
+        sys.stdout.flush()  # what argparse wrote, such as help
+    except OSError as e:
+        code = _write_failed(e)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

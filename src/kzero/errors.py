@@ -7,9 +7,10 @@ independent routes to one result that give different values.  One input
 error is shared by two modules: ``GSpaceFormatError``, raised by the G-space
 reader of :mod:`kzero.quotients` and the file readers of :mod:`kzero.discrete`.
 
-The verbs open every input file with ``read_file``, and every format is read
-through ``data_lines`` and ``read_field``, so all formats share one rule for
-comments, blank lines and line-numbered errors.
+The verbs open every input file with ``read_file``, which reads UTF-8 text of at
+most ``MAX_FILE_BYTES`` bytes, and every format is read through ``data_lines``
+and ``read_field``, so all formats share one rule for comments, blank lines and
+line-numbered errors.
 """
 
 from __future__ import annotations
@@ -37,14 +38,26 @@ class GSpaceFormatError(InputSyntaxError):
     """A stratified G-space, descriptor, or isometry file is malformed."""
 
 
+MAX_FILE_BYTES = 10**7
+"""The most bytes an input file may hold; a longer one, such as ``/dev/zero``, is refused
+after ``MAX_FILE_BYTES + 1`` bytes are read."""
+
+
 def read_file(path: str) -> str:
-    """The text of the UTF-8 file at ``path``; a file that cannot be read is an
-    ``InputSyntaxError`` naming the path and the reason."""
+    """The text of the UTF-8 file at ``path``.  A file that cannot be read or is not UTF-8
+    is an ``InputSyntaxError``, and one of more than ``MAX_FILE_BYTES`` bytes a
+    ``PreconditionError``, each naming the path and the reason."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
     except OSError as e:
         raise InputSyntaxError(f"cannot read {path}: {e.strerror or e}") from None
+    if len(data) > MAX_FILE_BYTES:
+        raise PreconditionError(f"{path} is longer than the limit of {MAX_FILE_BYTES} bytes")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputSyntaxError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def data_lines(text: str) -> Iterator[tuple[int, str]]:

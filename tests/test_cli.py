@@ -2,11 +2,9 @@
 
 import argparse
 import contextlib
-import gc
 import importlib
 import io
 import math
-import os
 import random
 import subprocess
 import sys
@@ -24,7 +22,7 @@ from kzero.cli import main
 from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
 from kzero.polyhedral import PolyPair, polyhedral_product_class
 from kzero.simplicial import SimplicialComplex
-from util import child_env, kzero_child, run_child
+from util import child_env, closed_pipe, kzero_child, run_child
 
 EXAMPLE_COMPLEX = "n=5\n1,2,3\n3,4\n3,5\n"
 LINE_GRAPH = "n=5\n1,2\n2,3\n3,4\n4,5\n"
@@ -973,31 +971,27 @@ def test_a_reader_closing_stdout_after_one_line_gets_exit_1_and_no_traceback():
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_output_to_a_closed_pipe_exits_1_with_empty_stderr(unbuffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the child writes
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "kzero.cli", "eval", "(x+1)^300"],
-            stdout=write_end, stderr=subprocess.PIPE,
-            env=dict(child_env(), PYTHONUNBUFFERED=unbuffered), timeout=60,
-        )
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    with closed_pipe() as stdout:  # the reader is gone before the child writes
+        code, _, err = kzero_child("eval", "(x+1)^300", stdout=stdout, env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert (code, err) == (1, "")
 
 
-FREEZE_REPORT = (
-    "import atexit, gc, sys\n"
-    "atexit.register(lambda: print(f'frozen {gc.get_freeze_count()}', file=sys.stderr))\n"
-)
-"""Child code that reports, at exit, how many objects the collector has frozen."""
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_output_to_a_full_device_exits_1_with_one_error_line(unbuffered):
+    with open("/dev/full", "wb") as full:  # every write fails with ENOSPC
+        code, _, err = kzero_child("eval", "x+1", stdout=full.fileno(), env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert (code, err) == (1, "error: cannot write the output: No space left on device\n")
+
 
 ENTRIES = {
     "python -m": "import runpy; runpy.run_module('kzero.cli', run_name='__main__', alter_sys=True)",
-    "main()": "from kzero.cli import main; sys.exit(main())",
+    "main()": "import sys; from kzero.cli import main; sys.exit(main())",
 }
-"""The two ways a process enters kzero: as ``python -m kzero.cli`` and as the console
-script, which calls ``main()``."""
+"""The two ways a process enters kzero, as ``python -c`` code that other code can precede:
+``python -m kzero.cli``, and the console script, which calls ``main()``."""
+
+LIBRARY_CALL = "import sys; from kzero.cli import main; sys.exit(main(sys.argv[1:]))"
+"""``main`` with an argv, which returns its code to an interpreter that exits as usual."""
 
 ENTRY_ARGVS = {
     "exit 0": (["eval", "(x+1)^3"], 0),
@@ -1007,48 +1001,54 @@ ENTRY_ARGVS = {
 }
 
 
-def run_entry(code: str, argv: list[str], **kwargs) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-c", FREEZE_REPORT + code, *argv],
-        env=child_env(), timeout=60, **kwargs,
-    )
-
-
-def frozen_count(stderr: bytes) -> tuple[int, bytes]:
-    """The count the exit report gave, and stderr before that report."""
-    rest, _, count = stderr.rpartition(b"frozen ")
-    return int(count), rest
+def entry_child(code: str, *args: str, **options) -> tuple[int, str | None, str]:
+    """(exit code, stdout, stderr) of ``python -c code args``, run by ``run_child`` with its
+    ``options``."""
+    proc = run_child(["-c", code, *args], timeout=60, **options)[1]
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.mark.parametrize("name", ENTRY_ARGVS)
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_the_process_entry_freezes_the_collector_and_keeps_its_output(entry, name):
+def test_the_process_entry_gives_the_output_of_main_with_an_argv(entry, name):
     argv, code = ENTRY_ARGVS[name]
-    before = run_entry("from kzero.cli import main; sys.exit(main(sys.argv[1:]))", argv, capture_output=True)
-    after = run_entry(ENTRIES[entry], argv, capture_output=True)
-    (unfrozen, stderr_before), (frozen, stderr_after) = map(frozen_count, (before.stderr, after.stderr))
-    assert unfrozen == 0 < frozen  # main(argv) leaves the collector as it is
-    assert (after.returncode, after.stdout, stderr_after) == (code, before.stdout, stderr_before)
-    assert before.returncode == code
+    returned = entry_child(LIBRARY_CALL, *argv)
+    assert returned[0] == code
+    assert entry_child(ENTRIES[entry], *argv) == returned
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_the_process_entry_freezes_the_collector_on_a_closed_pipe(entry):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = run_entry(ENTRIES[entry], ["eval", "(x+1)^300"], stdout=write_end, stderr=subprocess.PIPE)
-    finally:
-        os.close(write_end)
-    count, stderr = frozen_count(proc.stderr)
-    assert (proc.returncode, stderr) == (1, b"")
-    assert count > 0
+def test_the_process_entry_on_a_closed_pipe_gives_the_output_of_main_with_an_argv(entry):
+    results = []
+    for code in (LIBRARY_CALL, ENTRIES[entry]):
+        with closed_pipe() as stdout:
+            results.append(entry_child(code, "eval", "(x+1)^300", stdout=stdout))
+    assert results[0] == results[1] == (1, None, "")
 
 
-def test_main_with_an_argv_leaves_the_collector_as_it_is(capsys):
-    state = gc.get_freeze_count(), gc.isenabled()
-    assert run(capsys, "eval", "x") == (0, "x\n", "")
-    assert (gc.get_freeze_count(), gc.isenabled()) == state
+ATEXIT_REPORT = "import atexit, sys; atexit.register(lambda: print('atexit ran', file=sys.stderr)); "
+"""Child code that reports on stderr when the interpreter runs its ``atexit`` hooks."""
+
+
+@pytest.mark.parametrize("waiting", ["nothing", "a tracer", "python -i"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_atexit_hooks_run_only_when_something_waits_for_the_interpreter_exit(entry, waiting):
+    # the process entry ends at os._exit, which runs no atexit hook, unless a tracer,
+    # a profiler or an interactive prompt needs the interpreter's own exit
+    flags = ["-i"] if waiting == "python -i" else []
+    tracer = "sys.settrace(lambda *event: None); " if waiting == "a tracer" else ""
+    proc = run_child([*flags, "-c", ATEXIT_REPORT + tracer + ENTRIES[entry], "eval", "(x+1)^3"], timeout=60)[1]
+    assert proc.stdout == "x^3 + 3*x^2 + 3*x + 1\n"
+    assert ("atexit ran\n" in proc.stderr) == (waiting != "nothing")
+    if waiting == "nothing":
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_profiled_verb_prints_its_result_and_the_profile():
+    proc = run_child(["-m", "cProfile", "-m", "kzero.cli", "eval", "x"], timeout=60)[1]
+    result, _, profile = proc.stdout.partition("\n")
+    assert (proc.returncode, result, proc.stderr) == (0, "x", "")
+    assert "function calls" in profile and "ncalls" in profile
 
 
 @pytest.mark.parametrize("x", ["1", "x"])

@@ -2,7 +2,9 @@
 
 from pathlib import Path
 
-from util import run_child
+import pytest
+
+from util import closed_pipe, run_child
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
 
@@ -13,3 +15,10 @@ def test_only_the_statement_is_a_code_line(tmp_path):
     proc = run_child([str(TOOL), str(module)], timeout=60)[1]
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.split() == ["1", str(module), "1", "total"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_output_to_a_closed_pipe_exits_1_with_empty_stderr(unbuffered):
+    with closed_pipe() as stdout:
+        proc = run_child([str(TOOL), str(TOOL)], timeout=60, stdout=stdout, env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert (proc.returncode, proc.stderr) == (1, "")

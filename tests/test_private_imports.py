@@ -2,7 +2,8 @@
 underscore name from a sibling module or reads an underscore attribute that it
 does not define itself, the package and its CLI import no calculator module at
 start-up, the CLI imports no ``argparse`` at start-up, no module imports ``re``,
-and only the CLI freezes the collector."""
+only the CLI ends the process at ``os._exit``, and no module freezes the
+collector."""
 
 import ast
 from pathlib import Path
@@ -29,9 +30,16 @@ def test_no_module_imports_a_private_name_from_a_sibling(path):
     assert private_imports(path) == []
 
 
+PUBLIC_UNDERSCORE_NAMES = {
+    "os._exit": "public, documented os API: it ends the process without the interpreter's exit",
+}
+"""Attributes that start with an underscore but are public API, with the reason each is."""
+
+
 def private_attribute_reads(path: Path) -> list[str]:
-    """Every ``obj._name`` that ``path`` reads, dunders aside, whose ``_name`` the module
-    does not define: as a function, class, assigned name or attribute, or slot."""
+    """Every ``obj._name`` that ``path`` reads, dunders and ``PUBLIC_UNDERSCORE_NAMES``
+    aside, whose ``_name`` the module does not define: as a function, class, assigned name
+    or attribute, or slot."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     defined, read = set(), set()
     for node in ast.walk(tree):
@@ -43,7 +51,8 @@ def private_attribute_reads(path: Path) -> list[str]:
             defined.add(node.attr)
         elif isinstance(node, ast.Assign) and "__slots__" in map(ast.unparse, node.targets):
             defined |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) \
+                and ast.unparse(node) not in PUBLIC_UNDERSCORE_NAMES:
             read.add(node.attr)
     return sorted(a for a in read - defined if a.startswith("_") and not (a.startswith("__") and a.endswith("__")))
 
@@ -108,20 +117,22 @@ def test_no_module_imports_re(path):
     assert "re" not in imported_modules(path)
 
 
-def freezes_the_collector(path: Path) -> bool:
-    """Whether ``path`` names ``gc.freeze``, as an attribute or an import."""
+def names(path: Path, dotted: str) -> bool:
+    """Whether ``path`` names ``module.attribute`` ``dotted``, as an attribute or an import."""
+    module, _, attribute = dotted.rpartition(".")
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr == "freeze" and ast.unparse(node.value) == "gc":
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == dotted:
             return True
-        if isinstance(node, ast.ImportFrom) and node.module == "gc" and "freeze" in (a.name for a in node.names):
+        if isinstance(node, ast.ImportFrom) and node.module == module and attribute in (a.name for a in node.names):
             return True
     return False
 
 
-def test_only_the_cli_freezes_the_collector():
-    # freezing is for the process that exits after ``main``; a library module that froze
-    # would keep a caller's garbage from ever being collected
-    assert [path.stem for path in MODULES if freezes_the_collector(path)] == ["cli"]
+def test_only_the_cli_ends_the_process_and_no_module_freezes_the_collector():
+    # os._exit is for the process that exits after ``main``; in a library module it would
+    # end a caller's process.  It skips the exit-time collection, so gc.freeze has no use.
+    assert [path.stem for path in MODULES if names(path, "os._exit")] == ["cli"]
+    assert [path.stem for path in MODULES if names(path, "gc.freeze")] == []
 
 
 def test_simplicial_imports_nothing_from_posets():

@@ -1,9 +1,11 @@
 """Complexes: facet normalization, skeleta, the text format, disjoint unions."""
 
+import importlib.util
 import math
 import random
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,14 @@ from kzero.simplicial import (
     meet_mobius,
     to_mask,
 )
-from util import brute_force_facets, disjoint_union, facet_list_cases, horner_h_numbers, random_complex
+from util import (
+    brute_force_facets,
+    disjoint_union,
+    facet_list_cases,
+    horner_h_numbers,
+    link_deletion_h_numbers,
+    random_complex,
+)
 
 
 def test_facets_are_filtered_to_maximal_faces():
@@ -179,6 +188,30 @@ def test_one_facet_or_a_broken_skeleton_skips_the_closed_form(monkeypatch):
 @settings(max_examples=300, deadline=None)
 def test_every_h_route_matches_the_horner_fold_on_random_complexes(rng, route):
     assert_route_matches_horner(random_complex(rng, 1, 10), route)
+
+
+def test_the_link_deletion_oracle_matches_the_horner_fold():
+    for n, faces in facet_list_cases():
+        K = SimplicialComplex(n, faces)
+        assert link_deletion_h_numbers(K) == horner_h_numbers(K), K
+
+
+def h_route_families(*kinds: str) -> list[SimplicialComplex]:
+    """The complexes of every seed of the ``tools/h_routes.py`` families whose label starts
+    with one of ``kinds``."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "h_routes.py"
+    spec = importlib.util.spec_from_file_location("h_routes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return [tool.build(seed, *shape) for label, *shape in tool.FAMILIES if label.startswith(kinds)
+            for seed in tool.SEEDS]
+
+
+def test_h_numbers_at_scale_match_link_deletion():
+    # the Horner fold lists every face, so it cannot check these; link-deletion lists none
+    core = range(1, 24)  # five 24-vertex facets on one 23-vertex core: a cone, one step
+    for K in [*h_route_families("large", "dense"), SimplicialComplex(28, [[*core, v] for v in range(24, 29)])]:
+        assert K.h_numbers() == link_deletion_h_numbers(K), K
 
 
 def test_face_counts_are_the_counted_faces():

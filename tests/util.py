@@ -7,7 +7,7 @@ test), deliberately avoiding the library code paths they check.
 Every test that starts a child interpreter goes through :func:`run_child`, or
 :func:`kzero_child` for a ``kzero`` verb, which put ``src`` first on the child's
 ``PYTHONPATH`` (:func:`child_env`), time it, and cap its address space when
-asked.  The golden gates share :func:`digest`, :func:`run_main` (``main`` in
+asked; :func:`closed_pipe` gives a child a stdout whose reader is gone.  The golden gates share :func:`digest`, :func:`run_main` (``main`` in
 this process, its output captured), :func:`check_golden` and
 :func:`write_golden`.
 """
@@ -51,23 +51,37 @@ def child_env() -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
 
 
-def run_child(args: Sequence[str], *, timeout: float,
-              address_space: int | None = None) -> tuple[float, subprocess.CompletedProcess]:
+def run_child(args: Sequence[str], *, timeout: float, address_space: int | None = None,
+              stdout: int = subprocess.PIPE, env: dict[str, str] | None = None,
+              ) -> tuple[float, subprocess.CompletedProcess]:
     """Seconds taken and the completed process of ``python args``, run with :func:`child_env`
-    and its text output captured; ``address_space`` bytes bound the child's when given."""
+    and ``env`` on top of it, no stdin and its text output captured; ``address_space`` bytes
+    bound the child's when given, and a file descriptor ``stdout`` takes the child's stdout."""
     limit = None if address_space is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env(),
+    proc = subprocess.run([sys.executable, *args], stdin=subprocess.DEVNULL, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env={**child_env(), **(env or {})},
                           timeout=timeout, preexec_fn=limit)
     return time.perf_counter() - start, proc
 
 
-def kzero_child(*argv: str, timeout: float = 60,
-                address_space: int | None = None) -> tuple[float, tuple[int, str, str]]:
-    """Seconds and (exit code, stdout, stderr) of ``python -m kzero.cli argv`` in a child."""
-    seconds, proc = run_child(["-m", "kzero.cli", *argv], timeout=timeout, address_space=address_space)
+def kzero_child(*argv: str, timeout: float = 60, **options) -> tuple[float, tuple[int, str, str]]:
+    """Seconds and (exit code, stdout, stderr) of ``python -m kzero.cli argv`` in a child,
+    run by :func:`run_child` with its ``options``."""
+    seconds, proc = run_child(["-m", "kzero.cli", *argv], timeout=timeout, **options)
     return seconds, (proc.returncode, proc.stdout, proc.stderr)
+
+
+@contextlib.contextmanager
+def closed_pipe() -> Iterator[int]:
+    """The write end of a pipe whose reader is gone before anything is written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        yield write_end
+    finally:
+        os.close(write_end)
 
 
 def digest(*lines: str) -> str:
@@ -284,6 +298,58 @@ def horner_h_numbers(K: SimplicialComplex) -> list[int]:
         h = [lo - hi for lo, hi in zip([0, *h], [*h, 0])]  # h * (t - 1)
         h[0] += counts[k]
     return h
+
+
+def link_deletion_h_numbers(K: SimplicialComplex) -> list[int]:
+    """The coefficients of H_K(t), the sum over faces sigma of (t - 1)^|sigma|, by the
+    link-deletion rule H_K = H_{K - v} + (t - 1) H_{lk v}; [] when K has no faces.
+
+    It branches on a vertex in the fewest facets, whose link is the smallest.  Three
+    shortcuts end or shorten a branch: a simplex on s vertices gives t^s, a cone c * L
+    over the vertices c of every facet gives t^|c| H_L, and a disjoint union of L_1 and L_2
+    gives H_1 + H_2 - 1.  Memoized on the facet set; it lists no face and meets no
+    facets."""
+    memo: dict[frozenset[frozenset[int]], list[int]] = {}
+
+    def plus(*polys: list[int]) -> list[int]:
+        return [sum(p[i] for p in polys if i < len(p)) for i in range(max(map(len, polys)))]
+
+    def maximal(faces: set[frozenset[int]]) -> frozenset[frozenset[int]]:
+        kept: list[frozenset[int]] = []
+        for f in sorted(faces, key=len, reverse=True):
+            if not any(f <= g for g in kept):
+                kept.append(f)
+        return frozenset(kept)
+
+    def h(facets: frozenset[frozenset[int]]) -> list[int]:
+        if facets not in memo:
+            memo[facets] = h_of(facets)
+        return memo[facets]
+
+    def h_of(facets: frozenset[frozenset[int]]) -> list[int]:
+        if len(facets) == 1:  # a simplex
+            return [0] * len(next(iter(facets))) + [1]
+        core = frozenset.intersection(*facets)
+        if core:  # a cone over core
+            return [0] * len(core) + h(frozenset(f - core for f in facets))
+        first = next(iter(facets))
+        part, reached, grew = {first}, set(first), True  # the connected part of first
+        while grew:
+            grew = False
+            for f in facets - part:
+                if not reached.isdisjoint(f):
+                    part.add(f)
+                    reached |= f
+                    grew = True
+        if len(part) < len(facets):  # a disjoint union
+            return plus(h(frozenset(part)), h(facets - part), [-1])
+        counts = Counter(u for f in facets for u in f)
+        v = min(counts, key=counts.__getitem__)
+        deletion = h(maximal({f - {v} for f in facets}))
+        link = h(frozenset(f - {v} for f in facets if v in f))
+        return plus(deletion, [-c for c in link], [0, *link])  # + (t - 1) H_lk
+
+    return h(frozenset(map(frozenset, K.facets))) if K.facets else []
 
 
 def random_facet_list(rng: random.Random) -> tuple[int, list[list[int]]]:

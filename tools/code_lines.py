@@ -5,8 +5,10 @@ comment lines and the lines of string statements (the docstrings of modules,
 classes and functions, and any other statement that is a bare string) do not
 count.  A line holding both code and a comment counts once.
 
-Prints one ``<count>  <path>`` row per module, then the total.  Each argument
-is a module or a directory, whose ``*.py`` files are read recursively::
+Prints one ``<count>  <path>`` row per module, then the total; when the reader
+of stdout closes it early, the script exits 1 with nothing on stderr.  Each
+argument is a module or a directory, whose ``*.py`` files are read
+recursively::
 
     python3 tools/code_lines.py src/kzero
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -53,11 +56,18 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     total = 0
-    for path in modules(argv):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    try:
+        for path in modules(argv):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{count:6d}  {path}")
+        print(f"{total:6d}  total")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point fd 1 at the null device, so the flush at exit
+        # cannot raise again (the idiom of the Python docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 
