@@ -11,11 +11,19 @@ Canonical form
 * the variable tuple holds exactly the variables occurring in some term,
   sorted by decreasing name (so ``x`` comes before ``a``);
 * rendering lists terms by decreasing total degree, ties broken by
-  decreasing exponent vector.
+  decreasing exponent vector: by decreasing packed key (below).
 
 Together these make equality structural and printing deterministic: two
 polynomials are equal exactly when they print the same, and ``parse_poly``
 round-trips everything ``str`` emits.
+
+A term is keyed by one int, its packed monomial: the total degree in the top
+slot, then one slot of ``MAX_TOTAL_DEGREE.bit_length()`` bits per variable, in
+the variables' order.  So integer order is print order, the largest key is
+the leading term, key 0 is the constant term, and a product of two terms adds
+their keys: the degree cap, checked before any product, keeps a slot from
+carrying into the next.  A key moves to a larger variable tuple by taking a
+zero slot for each variable it lacks, and a slot that no term uses is dropped.
 
 One term writer, :meth:`ClassPoly.term_texts`, makes every plain and LaTeX
 choice of the text, for a polynomial and for a series coefficient; ``str`` and
@@ -27,13 +35,14 @@ group orders and factorials, never by polynomials.
 Construction
 ------------
 ``ClassPoly(variables, terms)`` is the one validating constructor: it checks
-variable names and exponent vectors and reads ``int`` or ``Fraction``
-coefficients.  Every function that takes a class reads it through
+variable names and exponent vectors, ``int`` exponents >= 0 whose total is at
+most :data:`MAX_TOTAL_DEGREE` so that every slot of the key fits, and reads
+``int`` or ``Fraction`` coefficients.  Every function that takes a class reads it through
 :func:`as_class`: a ``ClassPoly``, or an ``int`` or ``Fraction`` made a constant;
 anything else, a float or a string too, is a ``TypeError``, and so is a
 coefficient, evaluation value or divisor that is not an ``int`` or ``Fraction``.
 The ring operations build their results through the private ``ClassPoly._make``,
-which trusts that the exponent vectors fit the variables; it still puts the
+which trusts that the keys are packed over the variables; it still puts the
 result in canonical form.
 
 A polynomial is stored as integer numerators over one positive common
@@ -43,7 +52,7 @@ is the lcm of the reduced coefficients' denominators and the stored form is
 unique; zero has denominator 1.  Sums scale both operands to the lcm of
 their denominators.  Products multiply numerators and denominators:
 :func:`sum_of_products` adds any number of products into one integer
-accumulation, each exponent vector packed into one int, and reduces the sum
+accumulation, keyed by the sums of the packed keys, and reduces the sum
 once; ``a * b`` is its one-pair case, and a series coefficient another.
 Scalars enter as integer pairs: a coefficient, divisor, operand or evaluation
 value is read as its (numerator, denominator), an ``int`` ``n`` as ``(n, 1)``,
@@ -51,7 +60,8 @@ so a verb that reads and prints integers and ``p/q`` literals never imports
 ``fractions``.  ``Fraction`` values appear only where the API returns them
 (``terms``, ``constant_term``, ``evaluate``), and only those import it;
 ``eval --at`` prints the integer pair that ``evaluate`` reduces.  Rendering
-reduces each coefficient with one integer gcd.
+works a column at a time: the sorted keys, one gcd per coefficient, and each
+variable's exponents read off the keys into a table of its power texts.
 
 Size caps
 ---------
@@ -72,8 +82,9 @@ exponents, passes that limit.
 from __future__ import annotations
 
 import math
-import sys
-from operator import mul
+from functools import reduce
+from itertools import repeat
+from operator import add, floordiv, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar, Union
 
 from .errors import InputSyntaxError, PreconditionError, read_field
@@ -87,13 +98,18 @@ if TYPE_CHECKING:
 Scalar = Union[int, "Fraction"]
 PolyLike = Union["ClassPoly", int, "Fraction"]
 Variables = tuple[str, ...]
-Terms = dict[tuple[int, ...], int]
+Terms = dict[int, int]
 Ring = TypeVar("Ring", "ClassPoly", "ClassSeries")
 
 MAX_TOTAL_DEGREE = 1000
-"""Largest total degree a product or power may reach.  Dense products grow
-fast past it: on a 2-vCPU Xeon VM with Python 3.11, ``(x+1)^1000`` takes
-0.4 s and ``(x+1)^2000`` 2.5 s."""
+"""Largest total degree of a class: the constructor refuses more, and a product or
+power is refused before it is computed.  So it also bounds every slot of a packed
+key, the degree's too, and sets the slot width.  Dense products grow fast past it:
+on a 2-vCPU Xeon VM with Python 3.11, ``(x+1)^1000`` takes 0.4 s and
+``(x+1)^2000`` 2.5 s."""
+
+_SLOT = MAX_TOTAL_DEGREE.bit_length()
+_MASK = (1 << _SLOT) - 1
 
 MAX_DIGITS = 4300
 """Most decimal digits a number may have where it is parsed or rendered:
@@ -167,29 +183,46 @@ def _is_name(v: str) -> bool:
     return isinstance(v, str) and v.isascii() and v.isidentifier()
 
 
-def _remap(terms: Terms, old: Variables, new: Variables) -> Terms:
-    """``terms`` over the variables ``old`` with exponent vectors over the variables
-    ``new``: a variable missing from ``old`` gets exponent 0, and one missing from
-    ``new`` must have exponent 0 in every term."""
-    if old == new:
-        return terms
-    pos = [old.index(v) if v in old else -1 for v in new]
-    return {tuple((*e, 0)[i] for i in pos): c for e, c in terms.items()}
+def _shifts(n: int) -> range:
+    """The offset of each variable's slot in a key over ``n`` variables, in variable order."""
+    return range(_SLOT * (n - 1), -1, -_SLOT)
+
+
+def _exponents(key: int, n: int) -> list[int]:
+    """The exponent vector that ``key`` packs over ``n`` variables."""
+    return [key >> s & _MASK for s in _shifts(n)]
+
+
+def _widened(terms: Terms, old: Variables, new: Variables) -> Terms:
+    """``terms`` keyed over the variables ``new``, which hold ``old`` in its order: a
+    zero slot goes in for each variable missing from ``old``, the lowest first, so the
+    ``j`` slots below it are in place.  The part of a key from bit ``s`` up moves up one
+    slot, times ``2**_SLOT``: the key gains that part times ``_MASK``."""
+    for j, v in enumerate(reversed(new)):
+        if v not in old:
+            s = _SLOT * j
+            terms = {k + (k >> s << s) * _MASK: c for k, c in terms.items()}
+    return terms
 
 
 def _normalized(variables: Variables, terms: Terms, den: int) -> tuple[Variables, Terms, int]:
-    """Integer terms over ``den`` > 0, variables already sorted, in canonical form."""
-    terms = {e: c for e, c in terms.items() if c}
+    """Integer terms over ``den`` > 0, variables already sorted, in canonical form: the
+    slot of a variable that no term uses, found by one OR over the keys, is dropped, the
+    part of each key above it moving down one slot as :func:`_widened` moves it up."""
     g = math.gcd(den, *terms.values())
-    if g > 1:
-        terms = {e: c // g for e, c in terms.items()}
-    used = tuple(v for v, column in zip(variables, zip(*terms)) if any(column))
-    return used, _remap(terms, variables, used), den // g
+    terms = {k: c // g for k, c in terms.items() if c}
+    used, kept = reduce(or_, terms, 0), []
+    for v, s in zip(variables, _shifts(len(variables))):  # from the top, so lower slots stay put
+        if used >> s & _MASK:
+            kept.append(v)
+        else:
+            terms = {k - (k >> s + _SLOT << s) * _MASK: c for k, c in terms.items()}
+    return tuple(kept), terms, den // g
 
 
 class ClassPoly:
     """Immutable exact polynomial in named variables, stored as integer
-    numerators over one positive denominator."""
+    numerators over one positive denominator, keyed by packed monomials."""
 
     __slots__ = ("_vars", "_terms", "_den")
 
@@ -198,29 +231,32 @@ class ClassPoly:
         variables: Iterable[str] = (),
         terms: Mapping[tuple[int, ...], Scalar] | None = None,
     ):
+        """An exponent vector has one ``int`` exponent >= 0 per variable, and a total of at
+        most :data:`MAX_TOTAL_DEGREE`, so every slot of its key fits; any other is a
+        ``ValueError``.  The terms are summed as the ring sums."""
         vs = tuple(variables)
         for v in vs:
             if not _is_name(v):
                 raise ValueError(f"bad variable name {v!r}")
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable name")
-        read = []
+        ordered = tuple(sorted(vs, reverse=True))
+        # one of a variable's exponent adds one to its slot and one to the degree slot
+        units = [(1 << _SLOT * len(vs)) + (1 << _shifts(len(vs))[ordered.index(v)]) for v in vs]
+        monomials = []
         for e, c in (terms or {}).items():
             e = tuple(e)
-            if len(e) != len(vs) or any(k < 0 for k in e):
+            if len(e) != len(vs) or min(e, default=0) < 0 or sum(e) > MAX_TOTAL_DEGREE:
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
-            read.append((e, *_scalar(c, "a coefficient")))
-        den = math.lcm(*(d for _, _, d in read))
-        raw: Terms = {}
-        for e, n, d in read:
-            raw[e] = raw.get(e, 0) + n * (den // d)
-        ordered = tuple(sorted(vs, reverse=True))
-        self._vars, self._terms, self._den = _normalized(ordered, _remap(raw, vs, ordered), den)
+            n, d = _scalar(c, "a coefficient")
+            monomials.append((ClassPoly._make(ordered, {sum(map(mul, e, units)): n}, d), _ONE))
+        p = sum_of_products(monomials)
+        self._vars, self._terms, self._den = p._vars, p._terms, p._den
 
     @classmethod
     def _make(cls, variables: Variables, terms: Terms, den: int = 1) -> ClassPoly:
         """Trusted constructor for ring results: integer numerators over ``den`` > 0,
-        exponent vectors of the variables' length, names valid and sorted."""
+        keys packed over the variables, names valid and sorted."""
         self = object.__new__(cls)
         self._vars, self._terms, self._den = _normalized(variables, terms, den)
         return self
@@ -251,21 +287,22 @@ class ClassPoly:
         return self._vars
 
     def terms(self) -> Iterator[tuple[dict[str, int], Fraction]]:
-        """Yield (monomial as {variable: exponent}, coefficient) pairs."""
+        """Yield (monomial as {variable: exponent}, coefficient) pairs in print order."""
         from fractions import Fraction
 
-        for e, c in self._sorted_terms():
-            yield {v: k for v, k in zip(self._vars, e) if k}, Fraction(c, self._den)
+        for k in sorted(self._terms, reverse=True):
+            exponents = _exponents(k, len(self._vars))
+            yield {v: e for v, e in zip(self._vars, exponents) if e}, Fraction(self._terms[k], self._den)
 
     def constant_term(self) -> Fraction:
         from fractions import Fraction
 
-        return Fraction(self._terms.get((0,) * len(self._vars), 0), self._den)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     def leading_coefficient(self) -> tuple[int, int]:
         """The first printed term's coefficient as (numerator, denominator) in lowest
         terms, read without ``fractions``; the polynomial must not be zero."""
-        c = self._terms[max(self._terms, key=lambda e: (sum(e), e))]
+        c = self._terms[max(self._terms)]
         g = math.gcd(c, self._den)
         return c // g, self._den // g
 
@@ -273,37 +310,28 @@ class ClassPoly:
         return not self._vars
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max(map(sum, self._terms), default=-1)
+        """Total degree, the top slot of the largest key; -1 for the zero polynomial."""
+        return max(self._terms, default=-1) >> _SLOT * len(self._vars)
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: PolyLike) -> ClassPoly:
+    def __add__(self, other: PolyLike, sign: int = 1) -> ClassPoly:
+        """``self + sign * other``, ``sign`` 1 or -1 (``__sub__``): the products of each by a unit."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        vs = tuple(sorted({*self._vars, *other._vars}, reverse=True))
-        den = math.lcm(self._den, other._den)
-        a, b = (_remap(p._terms, p._vars, vs) for p in (self, other))
-        sa, sb = den // self._den, den // other._den
-        return ClassPoly._make(vs, {e: a.get(e, 0) * sa + b.get(e, 0) * sb for e in a | b}, den)
+        return sum_of_products(((self, _ONE), (other, _coerce(sign))))
 
     __radd__ = __add__
 
     def __neg__(self) -> ClassPoly:
-        return ClassPoly._make(self._vars, {e: -c for e, c in self._terms.items()}, self._den)
+        return self * -1
 
     def __sub__(self, other: PolyLike) -> ClassPoly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: PolyLike) -> ClassPoly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: PolyLike) -> ClassPoly:
         other = _coerce(other)
@@ -318,10 +346,11 @@ class ClassPoly:
             raise ValueError(f"polynomial exponent must be a non-negative integer, got {k!r}")
         if k and self._terms:
             _check_degree(self.total_degree() * k)
-            # a term extreme in lex order, or in one exponent with ties broken by lex order, is a
-            # vertex of the Newton polytope, so its c^k is a coefficient of the power; each part a
-            # of a reduced c is >= 2^(bits-1)
-            keys = [None, *(lambda e, i=i: (e[i], e) for i in range(len(self._vars)))]
+            # a term extreme in lex order (its key with the degree slot masked off), or in one
+            # exponent with ties broken by lex order, is a vertex of the Newton polytope, so its
+            # c^k is a coefficient of the power; each part a of a reduced c is >= 2^(bits-1)
+            lex = ((1 << _SLOT * len(self._vars)) - 1).__and__
+            keys = [lex, *(lambda e, s=s: (e >> s & _MASK, lex(e)) for s in _shifts(len(self._vars)))]
             vertices = {pick(self._terms, key=key) for key in keys for pick in (min, max)}
             bits = max(max(abs(c) // g, self._den // g).bit_length()
                        for c in map(self._terms.get, vertices) for g in [math.gcd(c, self._den)])
@@ -335,7 +364,7 @@ class ClassPoly:
             raise ZeroDivisionError("division of a class polynomial by zero")
         if n < 0:
             n, d = -n, -d
-        return ClassPoly._make(self._vars, {e: c * d for e, c in self._terms.items()}, self._den * n)
+        return ClassPoly._make(self._vars, {k: c * d for k, c in self._terms.items()}, self._den * n)
 
     # -- evaluation --------------------------------------------------------
 
@@ -350,12 +379,10 @@ class ClassPoly:
         number's numerator and denominator.  A term whose bound passes the bit
         length of ``10**MAX_DIGITS`` raises :class:`PolyTooLargeError`.
         """
-        from fractions import Fraction
+        return self._value(assignment).constant_term()
 
-        return Fraction(*self._evaluate_pair(assignment))
-
-    def _evaluate_pair(self, assignment: Mapping[str, Scalar]) -> tuple[int, int]:
-        """``evaluate`` as a (numerator, denominator) pair, not reduced: the terms summed
+    def _value(self, assignment: Mapping[str, Scalar]) -> ClassPoly:
+        """``evaluate`` as a constant class, read without ``fractions``: the terms summed
         over one common denominator, ``den`` times each value's denominator to the
         highest power its variable takes."""
         missing = [v for v in self._vars if v not in assignment]
@@ -363,16 +390,18 @@ class ClassPoly:
             raise MissingVariableError(f"no value assigned to {', '.join(missing)}")
         pairs = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
         bits = [max(abs(n), d).bit_length() for n, d in pairs]
-        for e, c in self._terms.items():
+        rows = [(_exponents(k, len(pairs)), c) for k, c in self._terms.items()]
+        for e, c in rows:
             if max(abs(c), self._den).bit_length() + sum(map(mul, e, bits)) > _DIGIT_BITS:
                 raise PolyTooLargeError(f"a term of the value may pass {MAX_DIGITS} digits")
-        tops = [max(column) for column in zip(*self._terms)]
+        tops = [max(column) for column in zip(*(e for e, _ in rows))]
         total = 0
-        for e, c in self._terms.items():
+        for e, c in rows:
             for (n, d), k, top in zip(pairs, e, tops):
                 c *= n ** k * d ** (top - k)
             total += c
-        return total, self._den * math.prod(d ** top for (_, d), top in zip(pairs, tops))
+        return ClassPoly._make((), {0: total},
+                               self._den * math.prod(d ** top for (_, d), top in zip(pairs, tops)))
 
     # -- comparison --------------------------------------------------------
 
@@ -386,12 +415,9 @@ class ClassPoly:
         if self._vars:
             return hash((self._vars, self._den, frozenset(self._terms.items())))
         # a constant equals its scalar, so it hashes like it: a whole one as its int
-        return hash(self._terms.get((), 0)) if self._den == 1 else hash(self.constant_term())
+        return hash(self._terms.get(0, 0)) if self._den == 1 else hash(self.constant_term())
 
     # -- rendering ---------------------------------------------------------
-
-    def _sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self._terms.items(), key=lambda ec: (sum(ec[0]), ec[0]), reverse=True)
 
     def __str__(self) -> str:
         return join_terms(self.term_texts())
@@ -407,16 +433,26 @@ class ClassPoly:
         """The terms in print order as (negative, unsigned text) pairs, plain or LaTeX.
         ``times=(v, k)`` makes them one pair, the coefficient of ``v^k`` in a series: a
         single term takes ``v^k`` as its last factor, after ``\\,`` in LaTeX if it has a
-        variable, and 1 becomes ``v^k``; several terms go in parentheses before ``v^k``."""
+        variable, and 1 becomes ``v^k``; several terms go in parentheses before ``v^k``.
+
+        The texts are made a column at a time: the coefficients reduced by one gcd each,
+        and each variable's exponents read off the keys into a table of its factor texts."""
         sep, power, frac, before = _STYLES[latex]
-        pairs = []
-        for e, c in self._sorted_terms():
-            g = math.gcd(c, self._den)
-            n, d = abs(c) // g, self._den // g
-            check_digits(max(n, d))
-            coeff = str(n) if d == 1 else frac.format(n, d)
-            mono = sep.join([v if k == 1 else power.format(v, k) for v, k in zip(self._vars, e) if k])
-            pairs.append((c < 0, coeff if not mono else (mono if n == d == 1 else coeff + sep + mono)))
+        keys = sorted(self._terms, reverse=True)
+        cs = [self._terms[k] for k in keys]
+        gs = list(map(math.gcd, cs, repeat(self._den)))
+        nums = list(map(floordiv, map(abs, cs), gs))
+        dens = list(map(floordiv, repeat(self._den), gs))
+        check_digits(max(nums + dens, default=0))
+        monos = [""] * len(keys)
+        for v, s in zip(self._vars, _shifts(len(self._vars))):
+            column = [k >> s & _MASK for k in keys]
+            text = {k: sep + (v if k == 1 else power.format(v, k)) for k in set(column)}
+            text[0] = ""
+            monos = list(map(add, monos, map(text.__getitem__, column)))
+        # each monomial starts with sep, which a coefficient of 1 drops
+        pairs = [(c < 0, m[len(sep):] if m and n == d else (str(n) if d == 1 else frac.format(n, d)) + m)
+                 for c, n, d, m in zip(cs, nums, dens, monos)]
         if not times or not pairs:
             return pairs
         v, k = times
@@ -424,7 +460,7 @@ class ClassPoly:
         if k:
             vk = v if k == 1 else power.format(v, k)
             if not self._vars:  # a constant c: c v^k, or v^k for c = +-1
-                body = vk if abs(self._terms[()]) == self._den else body + sep + vk
+                body = vk if abs(self._terms[0]) == self._den else body + sep + vk
             else:
                 body += (before if len(pairs) == 1 else sep) + vk
         return [(neg, body)]
@@ -443,7 +479,7 @@ def join_terms(pairs: list[tuple[bool, str]]) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-_ONE = ClassPoly._make((), {(): 1})
+_ONE = ClassPoly._make((), {0: 1})
 
 
 def square_and_multiply(one: Ring, base: Ring, k: int) -> Ring:
@@ -461,33 +497,25 @@ def sum_of_products(pairs: Iterable[tuple[ClassPoly, ClassPoly]]) -> ClassPoly:
     """The sum of ``a * b`` over the (a, b) pairs, with each product's total degree
     checked in pair order.  Every product is added into one integer accumulation
     over the lcm of the products' denominators, and the sum is put in canonical
-    form once: ``a * b`` is the one-pair case, and a series coefficient the sum
-    over the pairs of factor coefficients whose orders add up to its own."""
+    form once: ``a * b`` is the one-pair case, ``a + b`` the pairs ``(a, 1), (b, 1)``,
+    and a series coefficient the sum over the pairs of factor coefficients whose
+    orders add up to its own."""
     pairs = [(a, b) for a, b in pairs if a._terms and b._terms]
     vs = tuple(sorted({v for a, b in pairs for v in a._vars + b._vars}, reverse=True))
     den = math.lcm(*(a._den * b._den for a, b in pairs))
-    # An exponent vector is packed into one int, one 16-bit slot per variable, so the
-    # product's exponents, each at most its checked total degree, add as the keys add.
-    out: dict[int, int] = {}
+    out: Terms = {}
     for a, b in pairs:
+        # checked first, the degree cap keeps every slot of a product in its width,
+        # so the product of two terms is keyed by the sum of their keys
         _check_degree(a.total_degree() + b.total_degree())
         scale = den // (a._den * b._den)
-        right = _packed(b, vs)
-        for k1, c1 in _packed(a, vs):
+        right = _widened(b._terms, b._vars, vs).items()
+        for k1, c1 in _widened(a._terms, a._vars, vs).items():
             c1 *= scale
             for k2, c2 in right:
                 key = k1 + k2
                 out[key] = out.get(key, 0) + c1 * c2
-    # the slots, written out in native byte order, read back as unsigned shorts
-    width = 2 * len(vs)
-    terms = {tuple(memoryview(k.to_bytes(width, sys.byteorder)).cast("H")): c for k, c in out.items()}
-    return ClassPoly._make(vs, terms, den)
-
-
-def _packed(p: ClassPoly, vs: Variables) -> list[tuple[int, int]]:
-    """The terms of ``p`` with each exponent vector over ``vs`` packed into one int."""
-    weights = [1 << 16 * vs.index(v) for v in p._vars]
-    return [(sum(map(mul, e, weights)), c) for e, c in p._terms.items()]
+    return ClassPoly._make(vs, out, den)
 
 
 def _coerce(value: object) -> ClassPoly:
@@ -495,7 +523,7 @@ def _coerce(value: object) -> ClassPoly:
     if isinstance(value, ClassPoly):
         return value
     pair = _ratio(value)
-    return NotImplemented if pair is None else ClassPoly._make((), {(): pair[0]}, pair[1])
+    return NotImplemented if pair is None else ClassPoly._make((), {0: pair[0]}, pair[1])
 
 
 def as_class(value: PolyLike) -> ClassPoly:
@@ -625,8 +653,8 @@ class _Parser:
                     raise PolyParseError(f"rational literal needs an integer denominator, got {den!r}")
                 if _literal(den) == 0:
                     raise PolyParseError("rational literal with zero denominator")
-                return ClassPoly._make((), {(): num}, int(den))
-            return ClassPoly._make((), {(): num})
+                return ClassPoly._make((), {0: num}, int(den))
+            return _coerce(num)
         if _is_name(tok):
             return ClassPoly.var(tok)
         raise PolyParseError(f"unexpected token {tok!r} in polynomial {self.text!r}")
@@ -649,17 +677,15 @@ def render(value: ClassPoly | ClassSeries, latex: bool) -> str:
 
 def cmd_eval(args: SimpleNamespace) -> None:
     poly = parse_poly(args.expr)
-    if not args.at:
-        print(render(poly, args.latex))
-        return
-    assignment: dict[str, int] = {}
-    for item in args.at:
-        name, _, value = item.partition("=")
-        message = f"bad --at {item!r}"
-        name = name.strip()
-        read_field(ClassPoly.var, name, InputSyntaxError, message)  # checks the name
-        if name in assignment:
-            raise InputSyntaxError(f"{message}: {name} is assigned twice")
-        assignment[name] = read_field(int, value, InputSyntaxError, message)
-    n, d = poly._evaluate_pair(assignment)
-    print(render(ClassPoly._make((), {(): n}, d), args.latex))
+    if args.at:
+        assignment: dict[str, int] = {}
+        for item in args.at:
+            name, _, value = item.partition("=")
+            message = f"bad --at {item!r}"
+            name = name.strip()
+            read_field(ClassPoly.var, name, InputSyntaxError, message)  # checks the name
+            if name in assignment:
+                raise InputSyntaxError(f"{message}: {name} is assigned twice")
+            assignment[name] = read_field(int, value, InputSyntaxError, message)
+        poly = poly._value(assignment)
+    print(render(poly, args.latex))

@@ -6,7 +6,8 @@ re-parseable.  Exit codes: 0 on success, 1 when stdout could not be written
 (with an ``error:`` line, or with nothing on stderr when its reader closed
 it), 2 when an input (file or argument) cannot be parsed, 3 when a documented
 precondition is violated, 4 when the independent routes of ``quotient``
-disagree.
+disagree.  Help goes through the same write path as a verb's output, and a
+code does not depend on stderr taking its ``error:`` line.
 
 A verb's handler, ``cmd_<verb>``, lives in the module whose formula it calls,
 its home in ``VERBS``; ``main`` imports that module alone, so a job compiles
@@ -24,8 +25,10 @@ returns instead, and the interpreter exits as usual.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -167,19 +170,23 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         return _process(sys.argv[1:])
     args = read_argv(argv)
-    if args is None:  # help and usage errors come from argparse
-        args = build_parser().parse_args(argv, SimpleNamespace())
-    from importlib import import_module
-
-    home = import_module(f".{VERBS[args.verb][1]}", __package__)
-    handler = getattr(home, "cmd_" + args.verb.replace("-", "_"))
-    exit_codes = {InputSyntaxError: 2, PreconditionError: 3, RouteDisagreementError: 4}
     try:
-        handler(args)
+        if args is None:  # help and usage errors come from argparse, which ignores a failed write
+            # of its own: what it prints on stdout, such as help, is written here, where one raises
+            try:
+                with redirect_stdout(io.StringIO()) as text:
+                    args = build_parser().parse_args(argv, SimpleNamespace())
+            finally:
+                if text.tell():  # a write of nothing fails on a full device too
+                    sys.stdout.write(text.getvalue())
+        from importlib import import_module
+
+        handler = "cmd_" + args.verb.replace("-", "_")
+        getattr(import_module(f".{VERBS[args.verb][1]}", __package__), handler)(args)
         sys.stdout.flush()
-    except tuple(exit_codes) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return next(code for kind, code in exit_codes.items() if isinstance(e, kind))
+    except (InputSyntaxError, PreconditionError, RouteDisagreementError) as e:
+        _stderr(f"error: {e}")
+        return e.exit_code
     except OSError as e:  # a write to stdout: read_file turns every other OSError into an input error
         return _write_failed(e)
     return 0
@@ -191,8 +198,19 @@ def _write_failed(e: OSError) -> int:
     raise again (the idiom of the Python docs' note on SIGPIPE)."""
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if not isinstance(e, BrokenPipeError):
-        print(f"error: cannot write the output: {e.strerror or e}", file=sys.stderr)
+        _stderr(f"error: cannot write the output: {e.strerror or e}")
     return 1
+
+
+def _stderr(line: str = "") -> None:
+    """Write ``line`` and a newline on stderr, or nothing for no line, and flush it.  When stderr
+    refuses, fd 2 points at the null device after, as fd 1 does after a failed write: the exit
+    code stays the contract's."""
+    try:
+        sys.stderr.write(line and line + "\n")
+        sys.stderr.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _process(argv: list[str]) -> int:
@@ -210,7 +228,7 @@ def _process(argv: list[str]) -> int:
         sys.stdout.flush()  # what argparse wrote, such as help
     except OSError as e:
         code = _write_failed(e)
-    sys.stderr.flush()
+    _stderr()
     os._exit(code)
 
 

@@ -1,7 +1,7 @@
 """Shared exception bases and the line reader behind every input file.
 
 Three failure families matter to callers (and to the command line tool, which
-maps them to distinct exit codes): input that could not be parsed, input
+exits with each family's ``exit_code``): input that could not be parsed, input
 that parsed fine but violates a documented precondition of an operation, and
 independent routes to one result that give different values.  One input
 error is shared by two modules: ``GSpaceFormatError``, raised by the G-space
@@ -21,9 +21,13 @@ from typing import Any, Callable, Iterator
 class InputSyntaxError(ValueError):
     """Raised when a polynomial, permutation, or data file cannot be parsed."""
 
+    exit_code = 2
+
 
 class PreconditionError(ValueError):
     """Raised when an operation's documented precondition is violated."""
+
+    exit_code = 3
 
 
 class DOutOfRangeError(PreconditionError):
@@ -32,6 +36,8 @@ class DOutOfRangeError(PreconditionError):
 
 class RouteDisagreementError(RuntimeError):
     """Raised when independent routes to the same result give different values."""
+
+    exit_code = 4
 
 
 class GSpaceFormatError(InputSyntaxError):

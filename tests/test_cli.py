@@ -983,6 +983,57 @@ def test_output_to_a_full_device_exits_1_with_one_error_line(unbuffered):
     assert (code, err) == (1, "error: cannot write the output: No space left on device\n")
 
 
+HELP_ARGVS = [["--help"], ["eval", "--help"]]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_to_a_full_device_exits_1_with_one_error_line(argv, unbuffered):
+    # argparse ignores a failed write of its own, so the help goes through the verbs' write path
+    with open("/dev/full", "wb") as full:
+        code, _, err = kzero_child(*argv, stdout=full.fileno(), env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert (code, err) == (1, "error: cannot write the output: No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_usage_error_with_stdout_on_a_full_device_still_exits_2(unbuffered):
+    # argparse writes nothing on stdout here, and a write of nothing to /dev/full fails too
+    with open("/dev/full", "wb") as full:
+        code, _, err = kzero_child("cycprod", "--n", "abc", "--X", "x", stdout=full.fileno(),
+                                   env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert code == 2 and err.startswith("usage: kzero cycprod") and "invalid int value: 'abc'" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_to_a_closed_pipe_exits_1_with_empty_stderr(argv, unbuffered):
+    with closed_pipe() as stdout:
+        code, _, err = kzero_child(*argv, stdout=stdout, env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert (code, err) == (1, "")
+
+
+def test_help_still_prints_and_exits_0():
+    code, out, err = kzero_child("eval", "--help")[1]
+    assert (code, err) == (0, "") and out.startswith("usage: kzero eval [-h]")
+
+
+ERROR_ARGVS = {
+    "exit 2, a parse error": (["eval", "x+"], 2),
+    "exit 2 from argparse": (["cycprod", "--n", "abc", "--X", "x"], 2),
+    "exit 3": (["eval", "x+a", "--at", "x=1"], 3),
+}
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("name", ERROR_ARGVS)
+def test_the_exit_code_holds_when_stderr_cannot_take_the_error_line(name, unbuffered):
+    argv, want = ERROR_ARGVS[name]
+    with open("/dev/full", "wb") as full:
+        proc = run_child(["-m", "kzero.cli", *argv], timeout=60, stderr=full.fileno(),
+                         env={"PYTHONUNBUFFERED": unbuffered})[1]
+    assert (proc.returncode, proc.stdout) == (want, "")
+
+
 ENTRIES = {
     "python -m": "import runpy; runpy.run_module('kzero.cli', run_name='__main__', alter_sys=True)",
     "main()": "import sys; from kzero.cli import main; sys.exit(main())",

@@ -1,4 +1,5 @@
-"""Smoke test of ``tools/code_lines.py``, the counter of code lines outside docstrings and comments."""
+"""Smoke test of ``tools/code_lines.py``, the counter of code lines outside docstrings and comments
+and of AST nodes."""
 
 from pathlib import Path
 
@@ -14,7 +15,17 @@ def test_only_the_statement_is_a_code_line(tmp_path):
     module.write_text('"""A docstring\nover two lines."""\n\n# a comment\nx = 1  # and a trailing one\n')
     proc = run_child([str(TOOL), str(module)], timeout=60)[1]
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.split() == ["1", str(module), "1", "total"]
+    # Module, Expr and Constant (the docstring), Assign, Name, Store, Constant: 7 nodes
+    assert proc.stdout.split() == ["1", "7", str(module), "1", "7", "total"]
+
+
+def test_every_node_of_the_tree_counts_contexts_and_operators_too(tmp_path):
+    first, second = tmp_path / "a.py", tmp_path / "b.py"
+    first.write_text("x = y + 1\n")  # Module, Assign, Name, Store, BinOp, Name, Load, Add, Constant
+    second.write_text("pass\n")  # Module, Pass
+    proc = run_child([str(TOOL), str(tmp_path)], timeout=60)[1]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["1", "9", str(first), "1", "2", str(second), "2", "11", "total"]
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

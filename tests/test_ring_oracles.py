@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kzero import classpoly
-from kzero.classpoly import ClassPoly, PolyTooLargeError, as_class, binomial, parse_poly
+from kzero.classpoly import MAX_TOTAL_DEGREE, ClassPoly, PolyTooLargeError, as_class, binomial, parse_poly
 from kzero.classseries import ClassSeries, binomial_series
 
 from util import FractionPoly, brute_force_binomial_series, reference_series_text
@@ -202,6 +202,99 @@ def test_one_polynomial_through_different_denominators_is_one_value():
         assert c == 1 and hash(c) == hash(1) and c.is_constant()
     zero = x / 3 - x / 3
     assert zero == 0 and hash(zero) == hash(0) and str(zero) == "0"
+
+
+# -- packed monomials: one int per term, the degree slot on top ----------------
+
+NAMES = ("z", "x", "b", "a2", "a")
+"""Variables whose slots interleave: a missing one may sit above, between or below the others."""
+
+
+@st.composite
+def variable_sets(draw, relation: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Two variable tuples, in a random order of names: ``disjoint``; ``nested``, the
+    second inside the first; or ``differing``, each with a variable the other lacks."""
+    names = draw(st.permutations(NAMES))
+    if relation == "differing":
+        i = draw(st.integers(1, len(NAMES) - 2))
+        return names[:draw(st.integers(i + 1, len(NAMES) - 1))], names[i:]
+    i, j = sorted(draw(st.tuples(*[st.integers(0, len(NAMES))] * 2)))
+    return (names[:i], names[i:j]) if relation == "disjoint" else (names[:j], names[:i])
+
+
+@st.composite
+def terms_over(draw, vs: tuple[str, ...], max_exponent: int = 3) -> dict:
+    return draw(st.dictionaries(st.tuples(*[st.integers(0, max_exponent)] * len(vs)), coefficients, max_size=4))
+
+
+@given(st.sampled_from(["disjoint", "nested", "differing"]).flatmap(variable_sets).flatmap(
+    lambda pair: st.tuples(*(st.just(vs) for vs in pair), *(terms_over(vs) for vs in pair))))
+@settings(max_examples=300, deadline=None)
+def test_sums_and_products_over_other_variable_sets_agree_with_the_reference(case):
+    vs, ws, left, right = case
+    p, q = ClassPoly(vs, left), ClassPoly(ws, right)
+    ref, other = FractionPoly(vs, left), FractionPoly(ws, right)
+    for got, want in ((p + q, ref + other), (q + p, other + ref), (p - q, ref - other), (p * q, ref * other),
+                      (q * p, other * ref)):
+        assert_same(got, want)
+        assert got == ClassPoly(want.variables, want.coeffs) and got.total_degree() == max(map(sum, want.coeffs),
+                                                                                         default=-1)
+
+
+@given(st.permutations(NAMES), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_variable_that_cancels_gives_up_its_slot(names, data):
+    # p and q have no b; a multiple of b added and taken away again leaves no slot for b
+    vs = tuple(v for v in names if v != "b")[:data.draw(st.integers(0, 4))]
+    left, right, k = data.draw(terms_over(vs)), data.draw(terms_over(vs)), data.draw(st.integers(1, 3))
+    p, q, b = ClassPoly(vs, left), ClassPoly(vs, right), ClassPoly(("b",), {(k,): 1})
+    ref_p, ref_q, ref_b = FractionPoly(vs, left), FractionPoly(vs, right), FractionPoly(("b",), {(k,): 1})
+    cases = [((p + b * q) - b * q, (ref_p + ref_b * ref_q) - ref_b * ref_q, p),
+             ((p + b) * q - b * q, (ref_p + ref_b) * ref_q - ref_b * ref_q, p * q),
+             (p * (b + 1) - p * b, ref_p * (ref_b + FractionPoly((), {(): 1})) - ref_p * ref_b, p)]
+    for got, want, same_as in cases:
+        assert_same(got, want)
+        assert "b" not in got.variables and got == same_as and hash(got) == hash(same_as)
+
+
+@given(st.integers(0, MAX_TOTAL_DEGREE), st.integers(0, MAX_TOTAL_DEGREE), coefficients.filter(bool),
+       coefficients.filter(bool))
+@example(MAX_TOTAL_DEGREE, 0, 1, 1)  # all of the degree in the slot of x
+@example(0, MAX_TOTAL_DEGREE, -1, Fraction(1, 2))  # all of it in the slot of a
+@settings(max_examples=50, deadline=None)
+def test_a_product_at_exactly_the_degree_cap_fills_its_slots_without_carrying(i, j, c, d):
+    # c x^i a^k + d times d x^(cap - i - k) + c: the top term of the product has degree cap
+    k = min(j, MAX_TOTAL_DEGREE - i)
+    p = ClassPoly(("x", "a"), {(i, k): c, (0, 0): d})
+    q = ClassPoly(("a", "x"), {(0, MAX_TOTAL_DEGREE - i - k): d, (0, 0): c})
+    product = p * q
+    assert product.total_degree() == MAX_TOTAL_DEGREE
+    assert_same(product, FractionPoly.of(p) * FractionPoly.of(q))
+    with pytest.raises(PolyTooLargeError, match=f"total degree {MAX_TOTAL_DEGREE + 1};"):
+        product * ClassPoly.var("y")
+
+
+@pytest.mark.parametrize("exponents", [
+    (MAX_TOTAL_DEGREE + 1,), (1 << MAX_TOTAL_DEGREE.bit_length(),), (-1,), (600, 401), (MAX_TOTAL_DEGREE, 1),
+])
+def test_an_exponent_vector_that_does_not_fit_its_slots_is_the_documented_value_error(exponents):
+    vs = ("x", "a")[:len(exponents)]
+    with pytest.raises(ValueError, match=re.escape(f"bad exponent vector {exponents!r} for variables {vs!r}")):
+        ClassPoly(vs, {exponents: 1})
+    # the largest vectors that fit are read
+    assert ClassPoly(vs, {(MAX_TOTAL_DEGREE, 0)[:len(vs)]: 1}).total_degree() == MAX_TOTAL_DEGREE
+    assert ClassPoly(("x", "a"), {(500, 500): 1, (1000, 0): 2}).total_degree() == MAX_TOTAL_DEGREE
+
+
+@given(polys(max_terms=8))
+@settings(max_examples=200, deadline=None)
+def test_terms_come_in_print_order(p):
+    # by decreasing total degree, then decreasing exponent vector over the variables' order
+    monomials = [m for m, _ in p.terms()]
+    keys = [(sum(m.values()), tuple(m.get(v, 0) for v in p.variables)) for m in monomials]
+    assert keys == sorted(keys, reverse=True) and len(set(keys)) == len(keys)
+    assert list(p.terms()) == FractionPoly.of(p).terms()
+    assert str(p) == FractionPoly.of(p).render(latex=False)
 
 
 # -- scalars enter as integer pairs ---------------------------------------------

@@ -52,16 +52,17 @@ def child_env() -> dict[str, str]:
 
 
 def run_child(args: Sequence[str], *, timeout: float, address_space: int | None = None,
-              stdout: int = subprocess.PIPE, env: dict[str, str] | None = None,
-              ) -> tuple[float, subprocess.CompletedProcess]:
+              stdout: int = subprocess.PIPE, stderr: int = subprocess.PIPE,
+              env: dict[str, str] | None = None) -> tuple[float, subprocess.CompletedProcess]:
     """Seconds taken and the completed process of ``python args``, run with :func:`child_env`
     and ``env`` on top of it, no stdin and its text output captured; ``address_space`` bytes
-    bound the child's when given, and a file descriptor ``stdout`` takes the child's stdout."""
+    bound the child's when given, and a file descriptor ``stdout`` or ``stderr`` takes the
+    child's stdout or stderr."""
     limit = None if address_space is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], stdin=subprocess.DEVNULL, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env={**child_env(), **(env or {})},
+                          stderr=stderr, text=True, env={**child_env(), **(env or {})},
                           timeout=timeout, preexec_fn=limit)
     return time.perf_counter() - start, proc
 

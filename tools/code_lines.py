@@ -1,14 +1,19 @@
-"""Count the code lines of Python modules.
+"""Count the code lines and the AST nodes of Python modules.
 
 A code line is a physical line that holds a token of code: blank lines,
 comment lines and the lines of string statements (the docstrings of modules,
 classes and functions, and any other statement that is a bare string) do not
 count.  A line holding both code and a comment counts once.
 
-Prints one ``<count>  <path>`` row per module, then the total; when the reader
-of stdout closes it early, the script exits 1 with nothing on stderr.  Each
-argument is a module or a directory, whose ``*.py`` files are read
-recursively::
+The AST node count is the number of nodes ``ast.walk`` yields for the module,
+docstrings, operators and ``Load``/``Store`` contexts included: what compiling
+the module from source walks, so it tracks the compile cost a job pays when
+no bytecode cache is kept.
+
+Prints one ``<code lines>  <nodes>  <path>`` row per module, then the totals;
+when the reader of stdout closes it early, the script exits 1 with nothing on
+stderr.  Each argument is a module or a directory, whose ``*.py`` files are
+read recursively::
 
     python3 tools/code_lines.py src/kzero
 """
@@ -44,6 +49,11 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
+def ast_nodes(source: str) -> int:
+    """The number of nodes ``ast.walk`` yields for the module ``source``."""
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
 def modules(paths: list[str]) -> list[Path]:
     found: list[Path] = []
     for arg in map(Path, paths):
@@ -55,13 +65,14 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    total = 0
+    lines = nodes = 0
     try:
         for path in modules(argv):
-            count = code_lines(path.read_text(encoding="utf-8"))
-            total += count
-            print(f"{count:6d}  {path}")
-        print(f"{total:6d}  total")
+            source = path.read_text(encoding="utf-8")
+            count, size = code_lines(source), ast_nodes(source)
+            lines, nodes = lines + count, nodes + size
+            print(f"{count:6d}  {size:7d}  {path}")
+        print(f"{lines:6d}  {nodes:7d}  total")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point fd 1 at the null device, so the flush at exit
