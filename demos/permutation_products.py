@@ -12,9 +12,8 @@ from collections import Counter
 from math import factorial
 
 from kzero.classpoly import ClassPoly
-from kzero.permgroups import (
-    PermGroup,
-    Permutation,
+from kzero.permgroups import PermGroup, Permutation
+from kzero.products import (
     burnside_quotient_class,
     coset_chi,
     cyclic_product_class,

@@ -4,9 +4,10 @@ The ring lives in :mod:`kzero.classpoly`; truncated power series over it in
 :mod:`kzero.classseries`.  On top of those sit the geometric calculators:
 polyhedral products, fat wedges, diagonal arrangements and their complements
 (:mod:`kzero.polyhedral`, backed by :mod:`kzero.simplicial` and
-:mod:`kzero.posets`), permutation, cyclic, and symmetric products
-(:mod:`kzero.permgroups`), quotients of stratified finite-group actions
-(:mod:`kzero.quotients`), action descriptors, orbifold and crystallographic
+:mod:`kzero.posets`), finite permutation groups (:mod:`kzero.permgroups`),
+permutation, cyclic, and symmetric products (:mod:`kzero.products`),
+quotients of stratified finite-group actions (:mod:`kzero.quotients`),
+action descriptors, orbifold and crystallographic
 Euler characteristics and affine fixed points for infinite discrete groups
 (:mod:`kzero.discrete`), and spaces of 0-cycles (:mod:`kzero.zerocycles`).
 ``kzero.cli`` exposes everything as the ``kzero`` command line tool.
@@ -27,16 +28,17 @@ _EXPORTS = {
         "descriptor_class", "has_unique_fixed_point", "orbifold_euler",
         "quotient_euler_from_fixed_data",
     ),
-    "permgroups": (
-        "PermGroup", "Permutation", "burnside_quotient_class", "cyclic_product_class",
-        "permutation_product_class", "symmetric_product_class",
-    ),
+    "permgroups": ("PermGroup", "Permutation"),
     "polyhedral": (
         "PolyPair", "delta_config_class", "delta_config_class_disjoint", "fat_wedge_class",
         "m_complement_class", "polyhedral_product_class", "polyhedral_product_complement_class",
         "w_class",
     ),
     "posets": ("IntersectionPoset", "inclusion_exclusion", "intersection_poset"),
+    "products": (
+        "burnside_quotient_class", "cyclic_product_class", "permutation_product_class",
+        "symmetric_product_class",
+    ),
     "quotients": ("StratifiedGSpace", "burnside_class", "centralizer_sum_class", "orbit_sum_class"),
     "simplicial": ("SimplicialComplex", "full_simplex"),
     "zerocycles": ("ZeroCycleTable", "closed_series", "ratio_series", "sp_vector_class"),

@@ -43,7 +43,9 @@ anything else, a float or a string too, is a ``TypeError``, and so is a
 coefficient, evaluation value or divisor that is not an ``int`` or ``Fraction``.
 The ring operations build their results through the private ``ClassPoly._make``,
 which trusts that the keys are packed over the variables; it still puts the
-result in canonical form.
+result in canonical form.  So do ``ClassPoly.var``, ``const``, ``zero`` and
+``one``, after checking their own argument, and a sum or difference takes its
++1 or -1 unit from the module.
 
 A polynomial is stored as integer numerators over one positive common
 denominator: a term's coefficient is its numerator over that denominator.
@@ -246,10 +248,10 @@ class ClassPoly:
         monomials = []
         for e, c in (terms or {}).items():
             e = tuple(e)
-            if len(e) != len(vs) or min(e, default=0) < 0 or sum(e) > MAX_TOTAL_DEGREE:
+            if (len(e) != len(vs) or not all(isinstance(k, int) and k >= 0 for k in e)
+                    or sum(e) > MAX_TOTAL_DEGREE):
                 raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
-            n, d = _scalar(c, "a coefficient")
-            monomials.append((ClassPoly._make(ordered, {sum(map(mul, e, units)): n}, d), _ONE))
+            monomials.append((ClassPoly._make(ordered, {sum(map(mul, e, units)): 1}), ClassPoly.const(c)))
         p = sum_of_products(monomials)
         self._vars, self._terms, self._den = p._vars, p._terms, p._den
 
@@ -265,20 +267,23 @@ class ClassPoly:
 
     @classmethod
     def zero(cls) -> ClassPoly:
-        return cls()
+        return cls._make((), {})
 
     @classmethod
     def one(cls) -> ClassPoly:
-        return cls.const(1)
+        return cls._make((), {0: 1})
 
     @classmethod
     def const(cls, value: Scalar) -> ClassPoly:
-        return cls((), {(): value})
+        n, d = _scalar(value, "a coefficient")
+        return cls._make((), {0: n}, d)
 
     @classmethod
     def var(cls, name: str) -> ClassPoly:
         """The polynomial consisting of the single variable ``name``."""
-        return cls((name,), {(1,): 1})
+        if not _is_name(name):
+            raise ValueError(f"bad variable name {name!r}")
+        return cls._make((name,), {(1 << _SLOT) + 1: 1})  # x^1: one in the degree slot and in x's
 
     # -- structure ---------------------------------------------------------
 
@@ -320,7 +325,7 @@ class ClassPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return sum_of_products(((self, _ONE), (other, _coerce(sign))))
+        return sum_of_products(((self, _ONE), (other, _ONE if sign == 1 else _MINUS_ONE)))
 
     __radd__ = __add__
 
@@ -479,7 +484,8 @@ def join_terms(pairs: list[tuple[bool, str]]) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
-_ONE = ClassPoly._make((), {0: 1})
+_ONE = ClassPoly.one()
+_MINUS_ONE = ClassPoly.const(-1)
 
 
 def square_and_multiply(one: Ring, base: Ring, k: int) -> Ring:

@@ -63,9 +63,9 @@ VERBS: dict[str, tuple[str, str, tuple[tuple[str, dict], ...]]] = {
     "config": ("class of the diagonal arrangement Delta_K(X)", "polyhedral", (_COMPLEX, _X, _LATEX)),
     "config-complement": ("class of X^n minus Delta_K(X)", "polyhedral",
                           (_COMPLEX, _X, _SHOW_POSET, _LATEX)),
-    "permprod": ("class of X^n / G for a subgroup G of S_n", "permgroups",
+    "permprod": ("class of X^n / G for a subgroup G of S_n", "products",
                  (("--group", _PATH), _X, _LATEX)),
-    "cycprod": ("class of the cyclic product X^n / (Z/n)", "permgroups", (_N, _X, _LATEX)),
+    "cycprod": ("class of the cyclic product X^n / (Z/n)", "products", (_N, _X, _LATEX)),
     "symprod-series": ("symmetric product series (1 - t)^(-x)", "classseries", (_X, _ORDER, _LATEX)),
     "zerocycles": ("0-cycle series, or the full table with --table", "zerocycles", (
         _M, _N, _X, _ORDER,

@@ -18,12 +18,18 @@ they must agree:
   orbits of the centralizer C(g), closed under its Schreier generators, on
   the strata fixed by g, of [S] / |{h in C(g) : h S = S}|.
 
+Each route is one ring accumulation, ``sum_of_products`` over (stratum class,
+integer weight) pairs, and the Burnside and centralizer sums divide it once
+by |G|.
+
 The ``quotient`` verb computes all three and refuses to print when they
 disagree.  The centralizer sum is the form that extends to infinite discrete
 groups; action descriptors, orbifold and crystallographic Euler
-characteristics and affine fixed points live in :mod:`kzero.discrete`, so a
-G-space job compiles none of them.  Their names are still readable from this
-module: each is imported from :mod:`kzero.discrete` on first use (PEP 562).
+characteristics and affine fixed points live in :mod:`kzero.discrete`, and
+the quotients of a power X^n by a permutation group in :mod:`kzero.products`,
+so a G-space job compiles none of them.  The discrete-group names are still
+readable from this module: each is imported from :mod:`kzero.discrete` on
+first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from bisect import bisect_left
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class, parse_poly, render
+from .classpoly import ClassPoly, PolyLike, as_class, parse_poly, render, sum_of_products
 from .errors import GSpaceFormatError, PreconditionError, RouteDisagreementError, data_lines, read_field
 from .errors import read_file
 from .permgroups import MAX_IMAGES, OrderCapExceededError, PermGroup, Permutation, closures, read_group_line
@@ -153,16 +159,18 @@ class StratifiedGSpace:
 
 
 def orbit_sum_class(space: StratifiedGSpace) -> ClassPoly:
-    """[X/G] as one summand per stratum orbit."""
-    return sum((space.classes[orbit[0]] for orbit in space.orbits()), ClassPoly.zero())
+    """[X/G] as one summand per stratum orbit, summed in one ring accumulation."""
+    one = ClassPoly.one()
+    return sum_of_products((space.classes[orbit[0]], one) for orbit in space.orbits())
 
 
 def burnside_class(space: StratifiedGSpace) -> ClassPoly:
     """[X/G] = (1/|G|) sum over g of [X^g]: each stratum's class times the number of elements
-    fixing it, counted in one pass over H's list, whose elements are the pairs (g, a(g))."""
+    fixing it, counted in one pass over H's list, whose elements are the pairs (g, a(g)),
+    summed in one ring accumulation and divided once."""
     fixing = Counter(i for h in space._joint.elements for i in space._fixed(h))
-    total = sum((count * space.classes[i] for i, count in fixing.items()), ClassPoly.zero())
-    return total / space.group.order
+    pairs = [(space.classes[i], ClassPoly.const(count)) for i, count in fixing.items()]
+    return sum_of_products(pairs) / space.group.order
 
 
 def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
@@ -172,16 +180,18 @@ def centralizer_sum_class(space: StratifiedGSpace) -> ClassPoly:
     the strata fixed by g; each C(g)-orbit O, closed under the distinct strata actions
     of the generators that ``PermGroup.class_walk`` gives, contributes the class of a
     stratum S in it divided by |{h in C(g) : h S = S}| = |C(g)| / |O| = |G| / (|class| |O|).
+    So each term is [S] weighted by |class| |O|, and their sum, one ring accumulation,
+    is divided once by |G|.
     """
-    total = ClassPoly.zero()
+    weighted = []
     for members, centralizing in space.group.class_walk():
         fixed = space.fixed_strata(members[0])
         if not fixed:
             continue
         moves = [lambda i, a=a: a[i] for a in {space._images(space._pair(h)) for h in centralizing}]
-        for orbit in closures(fixed, moves):
-            total = total + space.classes[orbit[0]] / (space.group.order // (len(members) * len(orbit)))
-    return total
+        weighted += [(space.classes[orbit[0]], ClassPoly.const(len(members) * len(orbit)))
+                     for orbit in closures(fixed, moves)]
+    return sum_of_products(weighted) / space.group.order
 
 
 # -- file formats ---------------------------------------------------------------
@@ -196,6 +206,7 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
     (k is the 1-based generator number; unmentioned labels stay fixed).
     """
     strata: list[tuple[str, ClassPoly]] = []
+    classes: dict[str, ClassPoly] = {}  # by text: the strata of an orbit repeat their class
     degree: int | None = None
     gens: list[Permutation] = []
     action_lines: dict[int, dict[str, str]] = {}
@@ -204,8 +215,9 @@ def parse_gspace_text(text: str) -> StratifiedGSpace:
             parts = line.split(None, 2)
             if len(parts) != 3 or not parts[2].startswith("class="):
                 raise GSpaceFormatError(f"line {lineno}: expected 'stratum <label> class=<poly>'")
-            message = f"line {lineno}: bad class"
-            cls = read_field(parse_poly, parts[2][6:], GSpaceFormatError, message)
+            if (cls := classes.get(parts[2])) is None:
+                message = f"line {lineno}: bad class"
+                cls = classes[parts[2]] = read_field(parse_poly, parts[2][6:], GSpaceFormatError, message)
             strata.append((parts[1], cls))
         elif line.startswith("group "):
             degree = read_group_line(lineno, line[6:].strip(), degree, gens, GSpaceFormatError)

@@ -7,12 +7,8 @@ import pytest
 from kzero.classpoly import ClassPoly, as_class, binomial
 from kzero.classseries import ClassSeries, binomial_series, macdonald_series
 from kzero.discrete import descriptor_class
-from kzero.permgroups import (
-    PermGroup,
-    burnside_quotient_class,
-    cyclic_product_class,
-    symmetric_product_class,
-)
+from kzero.permgroups import PermGroup
+from kzero.products import burnside_quotient_class, cyclic_product_class, symmetric_product_class
 from kzero.polyhedral import (
     PolyPair,
     delta_config_class,

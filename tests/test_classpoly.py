@@ -38,6 +38,22 @@ def test_constructors_and_canonical_form():
     assert str(ClassPoly.zero()) == "0"
 
 
+@pytest.mark.parametrize("exponent", [1.5, 1.0, "1"], ids=repr)
+def test_an_exponent_that_is_not_an_int_is_a_bad_exponent_vector(exponent):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        ClassPoly(("x",), {(exponent,): 1})
+
+
+def test_the_hot_constructors_equal_the_validating_one():
+    assert ClassPoly.var("x") == ClassPoly(("x",), {(1,): 1})
+    assert ClassPoly.const(Fraction(-4, 6)) == ClassPoly((), {(): Fraction(-2, 3)})
+    assert ClassPoly.zero() == ClassPoly() and ClassPoly.one() == ClassPoly((), {(): 1})
+    with pytest.raises(ValueError, match="bad variable name 'x y'"):
+        ClassPoly.var("x y")
+    with pytest.raises(TypeError, match="a coefficient must be an int or Fraction, got float"):
+        ClassPoly.const(0.5)
+
+
 def test_equality_is_structural():
     assert x + a == a + x
     assert x * (x + 1) == x ** 2 + x

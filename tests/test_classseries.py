@@ -11,7 +11,7 @@ from kzero.classseries import (
     binomial_series,
     macdonald_series,
 )
-from kzero.permgroups import symmetric_product_class
+from kzero.products import symmetric_product_class
 from kzero.zerocycles import closed_series, ratio_series
 
 from util import random_poly

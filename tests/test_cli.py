@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero import cli
 from kzero.cli import main
-from kzero.permgroups import MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
+from kzero.permgroups import MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
 from kzero.polyhedral import PolyPair, polyhedral_product_class
+from kzero.products import MAX_CYCLIC_ORDER
 from kzero.simplicial import SimplicialComplex
 from util import child_env, closed_pipe, kzero_child, run_child
 

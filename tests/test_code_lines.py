@@ -33,3 +33,23 @@ def test_output_to_a_closed_pipe_exits_1_with_empty_stderr(unbuffered):
     with closed_pipe() as stdout:
         proc = run_child([str(TOOL), str(TOOL)], timeout=60, stdout=stdout, env={"PYTHONUNBUFFERED": unbuffered})[1]
     assert (proc.returncode, proc.stderr) == (1, "")
+
+
+PACKAGE = TOOL.parent.parent / "src" / "kzero"
+
+
+def test_a_verb_bill_is_the_sum_of_the_rows_of_the_modules_it_loads():
+    from kzero.cli import VERBS
+
+    proc = run_child([str(TOOL), str(PACKAGE)], timeout=60)[1]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    nodes = {Path(row[2]).stem: int(row[1]) for row in rows if row[2].endswith(".py")}
+    bills = {row[2].rstrip(":"): (int(row[1]), row[3:]) for row in rows if row[0] == "verb"}
+    assert list(bills) == list(VERBS)
+    bill, modules = bills["quotient"]
+    assert modules == ["__init__", "classpoly", "cli", "errors", "permgroups", "quotients"]
+    assert bill == sum(nodes[name] for name in modules)
+    # the product formulas are loaded only by their own verbs; cycprod needs no group code
+    assert {"permgroups", "products"} <= set(bills["permprod"][1])
+    assert "products" in bills["cycprod"][1] and "permgroups" not in bills["cycprod"][1]

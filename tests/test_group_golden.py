@@ -27,9 +27,8 @@ from pathlib import Path
 from typing import Iterator
 
 from kzero.classpoly import parse_poly
-from kzero.permgroups import (
-    MAX_CYCLIC_ORDER, MAX_IMAGES, MAX_ORDER, PermGroup, Permutation, burnside_quotient_class, permutation_product_class,
-)
+from kzero.permgroups import MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
+from kzero.products import MAX_CYCLIC_ORDER, burnside_quotient_class, permutation_product_class
 from kzero.quotients import StratifiedGSpace, burnside_class, centralizer_sum_class, orbit_sum_class
 from util import (
     centralizer, check_golden, digest, named_generators, random_gspace, random_subgroup, run_main, subset_space,

@@ -19,7 +19,7 @@ RING_VERBS = {
     "ratio": ["ratio", "--m", "2", "--n", "1", "--X", "x", "--order", "4"],
     "cycprod": ["cycprod", "--n", "4", "--X", "x"],
 }
-"""Verbs that need the ring and at most ``permgroups`` and ``zerocycles``."""
+"""Verbs that need the ring and at most ``products`` and ``zerocycles``."""
 
 UNUSED_BY_RING_VERBS = {"kzero.quotients", "kzero.polyhedral", "kzero.posets", "kzero.simplicial", "dataclasses"}
 
@@ -49,8 +49,10 @@ FILE_VERBS = {
 }
 """The complex and quotient verbs, which read an input file."""
 
-PERMUTATION_FREE_VERBS = ("quotient-descriptor", "orbifold-euler", "crystal", "fixed-point", "zerocycles", "ratio")
-"""Verbs that use no permutation group."""
+PERMUTATION_FREE_VERBS = (
+    "quotient-descriptor", "orbifold-euler", "crystal", "fixed-point", "zerocycles", "ratio", "cycprod",
+)
+"""Verbs that use no permutation group: ``cycprod`` is a formula in ``n`` alone."""
 
 
 def fresh(code: str, *args: str):
@@ -128,6 +130,47 @@ def test_quotient_leaves_the_discrete_group_module_unloaded(tmp_path):
     assert "kzero.discrete" not in loaded_by(FILE_VERBS["quotient"], tmp_path)
 
 
+PERMPROD = ["permprod", "--group", "group.txt", "--X", "x"]
+
+
+def test_quotient_leaves_the_product_formulas_unloaded(tmp_path):
+    loaded = loaded_by(FILE_VERBS["quotient"], tmp_path)
+    assert "kzero.permgroups" in loaded
+    assert "kzero.products" not in loaded
+
+
+@pytest.mark.parametrize("argv", [PERMPROD, RING_VERBS["cycprod"]], ids=["permprod", "cycprod"])
+def test_permprod_and_cycprod_load_the_product_formulas(argv, tmp_path):
+    assert "kzero.products" in loaded_by(argv, tmp_path)
+
+
+MOVED_TO_PRODUCTS = (
+    "burnside_quotient_class", "cyclic_product_class", "permutation_product_class", "symmetric_product_class",
+)
+"""The product-space formulas that ``kzero.permgroups`` forwards to ``kzero.products``."""
+
+
+def test_every_moved_formula_is_one_object_in_permgroups_and_products():
+    loaded_first, different = fresh(
+        "import json, sys, kzero.permgroups as g\n"
+        "loaded_first = 'kzero.products' in sys.modules\n"
+        "from kzero.permgroups import " + ", ".join(MOVED_TO_PRODUCTS) + "\n"
+        "import kzero.products as p\n"
+        "print(json.dumps([loaded_first, [n for n in sys.argv[1:] if getattr(g, n) is not getattr(p, n)\n"
+        "                                 or globals()[n] is not getattr(p, n)]]))",
+        *MOVED_TO_PRODUCTS,
+    )
+    assert not loaded_first  # a moved formula is imported on first use, not with permgroups
+    assert different == []
+
+
+def test_permgroups_still_refuses_an_unknown_name():
+    import kzero.permgroups
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kzero.permgroups.no_such_name
+
+
 @pytest.mark.parametrize("verb", ("quotient-descriptor", "orbifold-euler", "crystal", "fixed-point"))
 def test_a_discrete_group_verb_leaves_quotients_and_permgroups_unloaded(verb, tmp_path):
     loaded = loaded_by(FILE_VERBS[verb], tmp_path)
@@ -154,7 +197,7 @@ FRACTION_FREE_ARGVS = {
     **{verb: FILE_VERBS[verb] for verb in (
         "polyprod", "complement", "config", "config-complement", "quotient", "quotient-descriptor",
     )},
-    "permprod": ["permprod", "--group", "group.txt", "--X", "x"],
+    "permprod": PERMPROD,
     "fatwedge": FATWEDGE,
     "fatwedge with p/q": ["fatwedge", "--n", "6", "--d", "3", "--X", "1/3*x^2 + y"],
     # the --at forms of the series and cli workloads of perfbench/jobs.py
@@ -192,8 +235,8 @@ def test_every_export_is_the_object_of_its_home_module():
     homes, wrong, listed = report
     assert wrong == []
     assert homes == [f"kzero.{m}" for m in (
-        "classpoly", "classseries", "discrete", "permgroups", "polyhedral", "posets", "quotients",
-        "simplicial", "zerocycles",
+        "classpoly", "classseries", "discrete", "permgroups", "polyhedral", "posets", "products",
+        "quotients", "simplicial", "zerocycles",
     )]
     assert listed
 

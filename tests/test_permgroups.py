@@ -12,15 +12,11 @@ from hypothesis import strategies as st
 
 from kzero import permgroups
 from kzero.classpoly import ClassPoly
-from kzero.permgroups import (
-    OrderCapExceededError,
-    PermGroup,
-    PermParseError,
-    Permutation,
+from kzero.permgroups import OrderCapExceededError, PermGroup, PermParseError, Permutation, parse_group_text
+from kzero.products import (
     burnside_quotient_class,
     coset_chi,
     cyclic_product_class,
-    parse_group_text,
     permutation_product_class,
     symmetric_product_class,
 )

@@ -5,13 +5,8 @@ import pytest
 from kzero.classpoly import ClassPoly, binomial
 from kzero.classseries import ClassSeries, binomial_series
 from kzero.errors import DOutOfRangeError, PreconditionError
-from kzero.permgroups import (
-    PermGroup,
-    Permutation,
-    coset_chi,
-    cyclic_product_class,
-    symmetric_product_class,
-)
+from kzero.permgroups import PermGroup, Permutation
+from kzero.products import coset_chi, cyclic_product_class, symmetric_product_class
 from kzero.polyhedral import fat_wedge_as_polyhedral_product, fat_wedge_class, w_class
 from kzero.simplicial import SimplicialComplex, full_simplex
 

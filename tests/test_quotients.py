@@ -74,6 +74,15 @@ def test_gspace_file_round_trip():
     assert space.orbits() == ((0,), (1,), (2, 3))
 
 
+def test_equal_class_texts_are_read_once():
+    space = circle_space()
+    assert space.classes[0] is space.classes[1] and space.classes[2] is space.classes[3]
+    assert space.classes == (1, 1, -1, -1)
+    # a bad class is reported at the line that first gives it
+    with pytest.raises(GSpaceFormatError, match="line 2: bad class"):
+        parse_gspace_text("stratum a class=x\nstratum b class=x+\nstratum c class=x+\ngroup degree=1\n")
+
+
 def test_circle_half_turn_quotient_is_an_interval():
     space = circle_space()
     assert orbit_sum_class(space) == ONE

@@ -16,6 +16,14 @@ stderr.  Each argument is a module or a directory, whose ``*.py`` files are
 read recursively::
 
     python3 tools/code_lines.py src/kzero
+
+A directory that holds the package's ``cli.py`` also gets one
+``verb  <nodes>  <verb>: <modules>`` row per verb of its ``VERBS`` table after
+the totals: the compile bill of a job of that verb, the nodes of the modules
+it loads.  Those are ``__init__``, ``cli`` and the verb's home module, each
+with the sibling modules its body imports when it runs, and theirs in turn;
+an import inside a function counts only in the home's ``cmd_<verb>`` handler,
+and one in an ``if TYPE_CHECKING:`` block never does.
 """
 
 from __future__ import annotations
@@ -54,6 +62,51 @@ def ast_nodes(source: str) -> int:
     return sum(1 for _ in ast.walk(ast.parse(source)))
 
 
+def start_up_siblings(source: str, handler: str = "") -> set[str]:
+    """The sibling modules that the module ``source`` imports when it runs, and those that
+    its function ``handler`` imports: its relative imports outside other function bodies
+    and ``if TYPE_CHECKING:`` blocks."""
+    found, todo = set(), list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != handler:
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            todo += node.orelse
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            todo += getattr(node, field, [])
+    return found
+
+
+def verb_homes(cli_source: str) -> dict[str, str]:
+    """Each verb of the ``VERBS: ... = {...}`` table in ``cli_source`` and its home module,
+    the second field of its row."""
+    for node in ast.parse(cli_source).body:
+        if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "VERBS":
+            return {key.value: row.elts[1].value for key, row in zip(node.value.keys, node.value.values)}
+    return {}
+
+
+def compile_bills(package: Path) -> dict[str, list[str]]:
+    """Per verb of ``package``'s CLI, the modules its job loads, sorted by name: at start,
+    and those its handler ``cmd_<verb>`` imports."""
+    bills = {}
+    for verb, home in verb_homes((package / "cli.py").read_text(encoding="utf-8")).items():
+        handler = "cmd_" + verb.replace("-", "_")
+        loaded, todo = set(), ["__init__", "cli", home]
+        while todo:
+            name = todo.pop()
+            if name not in loaded:
+                loaded.add(name)
+                source = (package / f"{name}.py").read_text(encoding="utf-8")
+                todo += start_up_siblings(source, handler if name == home else "")
+        bills[verb] = sorted(loaded)
+    return bills
+
+
 def modules(paths: list[str]) -> list[Path]:
     found: list[Path] = []
     for arg in map(Path, paths):
@@ -66,13 +119,19 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     lines = nodes = 0
+    sizes: dict[Path, int] = {}
     try:
         for path in modules(argv):
             source = path.read_text(encoding="utf-8")
-            count, size = code_lines(source), ast_nodes(source)
-            lines, nodes = lines + count, nodes + size
-            print(f"{count:6d}  {size:7d}  {path}")
+            count, sizes[path] = code_lines(source), ast_nodes(source)
+            lines, nodes = lines + count, nodes + sizes[path]
+            print(f"{count:6d}  {sizes[path]:7d}  {path}")
         print(f"{lines:6d}  {nodes:7d}  total")
+        for package in map(Path, argv):
+            if (package / "cli.py").is_file():
+                for verb, names in compile_bills(package).items():
+                    bill = sum(sizes[package / f"{name}.py"] for name in names)
+                    print(f"{'verb':>6}  {bill:7d}  {verb}: {' '.join(names)}")
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point fd 1 at the null device, so the flush at exit
