@@ -15,7 +15,6 @@ from kzero.classpoly import ClassPoly
 from kzero.permgroups import PermGroup, Permutation
 from kzero.products import (
     burnside_quotient_class,
-    coset_chi,
     cyclic_product_class,
     permutation_product_class,
     symmetric_product_class,
@@ -37,11 +36,15 @@ print("[X^4 / <(1 2)(3 4)>] =", burnside_quotient_class(swap_pairs, x))
 # number h_lambda of its permutations in S_4 and the number chi^G of G-stable
 # cosets; term by term this is the element average.  chi^G vanishes on the
 # types G does not meet, so the sum runs over one element of G per type.
-h = Counter(s.cycle_type() for s in PermGroup.symmetric(4))
+# A coset tG is G-stable under sigma when t^-1 sigma t lies in G, and each
+# such coset has |G| such t, so chi^G counts those t over S_4.
+S4 = PermGroup.symmetric(4)
+h = Counter(s.cycle_type() for s in S4)
 for G in (swap_two, swap_pairs, PermGroup.cyclic(4)):
     by_type = ClassPoly.zero()
     for lam, sigma in {g.cycle_type(): g for g in G}.items():
-        by_type += h[lam] * coset_chi(G, sigma) * x ** len(lam)
+        chi = sum(1 for t in S4 if t.inverse() * sigma * t in G) // G.order
+        by_type += h[lam] * chi * x ** len(lam)
     assert by_type / factorial(4) == permutation_product_class(G, x)
 print("cycle-type sum agrees with the element average on all three groups")
 

@@ -14,8 +14,8 @@ The class formulas here are all averages over a group:
   chi^G(sigma_lambda) = z_lambda * |G meet C_lambda| / |G|, with C_lambda the
   S_n-class of type lambda and z_lambda = n! / h_lambda its centralizer order.
   So each term h_lambda * chi^G / n! is |G meet C_lambda| / |G|, and the two
-  sums agree term by term, and the cycle-type sum over brute-force coset
-  counts is a test oracle;
+  sums agree term by term.  The count chi^G and the cycle-type sum over
+  brute-force coset counts are test oracles;
 
 * the same class for G = S_n and G = A_n in closed form, which
   ``permutation_product_class`` reads off |G| before any element is listed:
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import factorial
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .classpoly import ClassPoly, PolyLike, as_class, binomial, parse_poly, render, sum_of_products
 from .errors import PreconditionError, read_file
@@ -49,7 +49,7 @@ from .errors import PreconditionError, read_file
 if TYPE_CHECKING:
     from types import SimpleNamespace
 
-    from .permgroups import PermGroup, Permutation
+    from .permgroups import PermGroup
 
 
 MAX_CYCLIC_ORDER = 10**12
@@ -63,27 +63,6 @@ def check_degree(n: int) -> None:
 
     if n > MAX_DEGREE:
         raise DegreeTooLargeError(f"permutation products are capped at degree {MAX_DEGREE}, got {n}")
-
-
-def _centralizer_order(lam: Sequence[int]) -> int:
-    """z_lambda = product over part sizes k of k^m_k * m_k!, m_k the multiplicity of k."""
-    z = 1
-    for k, m in Counter(lam).items():
-        z *= k ** m * factorial(m)
-    return z
-
-
-def coset_chi(G: PermGroup, sigma: Permutation) -> int:
-    """Number of left cosets tG of G in S_n with t^-1 sigma t in G.
-
-    This is the number of fixed points of sigma acting on S_n / G, and is
-    constant on conjugacy classes of S_n: with lambda the cycle type of
-    sigma, it equals z_lambda * |G meet C_lambda| / |G|.
-    """
-    if sigma.degree != G.degree:
-        raise ValueError("sigma must have the group's degree")
-    lam = sigma.cycle_type()
-    return _centralizer_order(lam) * sum(1 for g in G if g.cycle_type() == lam) // G.order
 
 
 def burnside_quotient_class(G: PermGroup, x_class: PolyLike) -> ClassPoly:

@@ -27,9 +27,9 @@ disagree.  The centralizer sum is the form that extends to infinite discrete
 groups; action descriptors, orbifold and crystallographic Euler
 characteristics and affine fixed points live in :mod:`kzero.discrete`, and
 the quotients of a power X^n by a permutation group in :mod:`kzero.products`,
-so a G-space job compiles none of them.  The discrete-group names are still
-readable from this module: each is imported from :mod:`kzero.discrete` on
-first use (PEP 562).
+so a G-space job compiles none of them.  Six of the discrete-group names are
+still readable from this module: each is imported from :mod:`kzero.discrete`
+on first use (PEP 562).
 """
 
 from __future__ import annotations
@@ -47,12 +47,10 @@ if TYPE_CHECKING:
     from types import SimpleNamespace
 
 _FORWARDED = (
-    "AffineMap", "CentralIsometryClass", "DimensionMismatchError", "crystal_chi",
-    "crystal_quotient_class", "descriptor_class", "has_unique_fixed_point", "orbifold_euler",
-    "parse_affine_map_text", "parse_cells_text", "parse_descriptor_text",
-    "parse_isometry_classes_text", "quotient_euler_from_fixed_data",
+    "CentralIsometryClass", "crystal_chi", "descriptor_class", "orbifold_euler", "parse_descriptor_text",
+    "quotient_euler_from_fixed_data",
 )
-"""The names that moved to :mod:`kzero.discrete`, read from there on first use."""
+"""The names that moved to :mod:`kzero.discrete` and are still read from here on first use."""
 
 
 def __getattr__(name: str):

@@ -202,9 +202,9 @@ class SimplicialComplex(_Complex):
         return [sum((-1) ** (k - j) * comb(k, j) * f for k, f in counts.items() if k >= j)
                 for j in range(len(counts))]
 
-    def _h_by_mobius(self, meets: list[tuple[Simplex, int]] | None = None) -> list[int]:
+    def _h_by_mobius(self, meets: list[tuple[Simplex, int]]) -> list[int]:
         h = [0] * (self.dim + 2)
-        for vertex_set, mu in meet_mobius(self.facets) if meets is None else meets:
+        for vertex_set, mu in meets:
             h[len(vertex_set)] -= mu
         return h
 

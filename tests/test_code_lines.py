@@ -47,9 +47,5 @@ def test_a_verb_bill_is_the_sum_of_the_rows_of_the_modules_it_loads():
     nodes = {Path(row[2]).stem: int(row[1]) for row in rows if row[2].endswith(".py")}
     bills = {row[2].rstrip(":"): (int(row[1]), row[3:]) for row in rows if row[0] == "verb"}
     assert list(bills) == list(VERBS)
-    bill, modules = bills["quotient"]
-    assert modules == ["__init__", "classpoly", "cli", "errors", "permgroups", "quotients"]
-    assert bill == sum(nodes[name] for name in modules)
-    # the product formulas are loaded only by their own verbs; cycprod needs no group code
-    assert {"permgroups", "products"} <= set(bills["permprod"][1])
-    assert "products" in bills["cycprod"][1] and "permgroups" not in bills["cycprod"][1]
+    # which modules each verb loads is checked against a real job in test_imports.py
+    assert [verb for verb, (bill, modules) in bills.items() if bill != sum(nodes[m] for m in modules)] == []

@@ -15,7 +15,6 @@ from kzero.classpoly import ClassPoly
 from kzero.permgroups import OrderCapExceededError, PermGroup, PermParseError, Permutation, parse_group_text
 from kzero.products import (
     burnside_quotient_class,
-    coset_chi,
     cyclic_product_class,
     permutation_product_class,
     symmetric_product_class,
@@ -25,6 +24,7 @@ from util import (
     brute_force_coset_chi,
     centralizer,
     closure_elements,
+    coset_chi,
     count_coloring_orbits,
     cycle_type_quotient_class,
     cycle_type_quotient_classes,

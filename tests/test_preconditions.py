@@ -6,7 +6,7 @@ from kzero.classpoly import ClassPoly, binomial
 from kzero.classseries import ClassSeries, binomial_series
 from kzero.errors import DOutOfRangeError, PreconditionError
 from kzero.permgroups import PermGroup, Permutation
-from kzero.products import coset_chi, cyclic_product_class, symmetric_product_class
+from kzero.products import cyclic_product_class, symmetric_product_class
 from kzero.polyhedral import fat_wedge_as_polyhedral_product, fat_wedge_class, w_class
 from kzero.simplicial import SimplicialComplex, full_simplex
 
@@ -25,7 +25,6 @@ REFUSED = [
     ("PermGroup(3, [Permutation([2, 1])])", ValueError, "does not match 3"),
     ("PermGroup.cyclic(0)", ValueError, "n >= 1"),
     ("PermGroup.symmetric(0)", ValueError, "n >= 1"),
-    ("coset_chi(PermGroup.symmetric(3), Permutation.identity(4))", ValueError, "the group's degree"),
     ("SimplicialComplex(-1)", ValueError, "non-negative integer"),
     ("full_simplex(0)", ValueError, "n >= 1"),
     ("ClassSeries([1]).coefficient(2)", IndexError, "outside truncation order 0"),

@@ -1,9 +1,9 @@
-"""Import rules read from the source: no module of the package imports an
-underscore name from a sibling module or reads an underscore attribute that it
-does not define itself, the package and its CLI import no calculator module at
-start-up, the CLI imports no ``argparse`` at start-up, no module imports ``re``,
-only the CLI ends the process at ``os._exit``, and no module freezes the
-collector."""
+"""Import rules read from the source, the ones no run can check: no module of the
+package imports an underscore name from a sibling module or reads an underscore
+attribute that it does not define itself, no module imports ``re``, only the CLI
+ends the process at ``os._exit``, no module freezes the collector, and
+``simplicial`` imports nothing from ``posets``.  What a job loads at start-up is
+checked by running it: see the load table of ``test_imports.py``."""
 
 import ast
 from pathlib import Path
@@ -60,43 +60,6 @@ def private_attribute_reads(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_reads_a_private_attribute_it_does_not_define(path):
     assert private_attribute_reads(path) == []
-
-
-def start_up_imports(body: list[ast.stmt]) -> list[str]:
-    """Modules imported by ``body`` when it runs, a relative one with its leading dots:
-    function and class bodies and ``if TYPE_CHECKING:`` blocks do not run at import time
-    and are skipped."""
-    found = []
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
-            found += start_up_imports(node.orelse)
-            continue
-        if isinstance(node, ast.ImportFrom):
-            dots = "." * node.level
-            found += [dots + node.module] if node.module else [dots + a.name for a in node.names]
-        elif isinstance(node, ast.Import):
-            found += [a.name for a in node.names]
-        for field in ("body", "orelse", "finalbody", "handlers"):
-            found += start_up_imports(getattr(node, field, []))
-    return found
-
-
-def start_up_imports_of(name: str) -> list[str]:
-    return start_up_imports(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8")).body)
-
-
-@pytest.mark.parametrize("name", ["__init__", "cli"])
-def test_start_up_imports_no_sibling_but_errors(name):
-    package = {m for m in start_up_imports_of(name) if m.startswith(".") or m.split(".")[0] == "kzero"}
-    assert package <= {".errors"}
-
-
-def test_cli_start_up_imports_no_argparse():
-    # argparse and the gettext and locale it loads cost milliseconds a job; only help
-    # and usage errors need them, so ``build_parser`` imports argparse itself.
-    assert [m for m in start_up_imports_of("cli") if m.split(".")[0] == "argparse"] == []
 
 
 def imported_modules(path: Path) -> set[str]:

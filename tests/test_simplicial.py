@@ -1,11 +1,9 @@
 """Complexes: facet normalization, skeleta, the text format, disjoint unions."""
 
-import importlib.util
 import math
 import random
 from collections import Counter
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +25,7 @@ from util import (
     facet_list_cases,
     horner_h_numbers,
     link_deletion_h_numbers,
+    load_tool,
     random_complex,
 )
 
@@ -148,7 +147,8 @@ H_ROUTES = ["h_numbers", "_h_by_faces", "_h_by_mobius"]
 
 
 def assert_route_matches_horner(K: SimplicialComplex, route: str) -> None:
-    h = K.h_numbers() if K.is_empty() else getattr(K, route)()
+    meets = (meet_mobius(K.facets),) if route == "_h_by_mobius" else ()
+    h = K.h_numbers() if K.is_empty() else getattr(K, route)(*meets)
     assert h == horner_h_numbers(K) and all(type(c) is int for c in h), K
 
 
@@ -199,10 +199,7 @@ def test_the_link_deletion_oracle_matches_the_horner_fold():
 def h_route_families(*kinds: str) -> list[SimplicialComplex]:
     """The complexes of every seed of the ``tools/h_routes.py`` families whose label starts
     with one of ``kinds``."""
-    path = Path(__file__).resolve().parent.parent / "tools" / "h_routes.py"
-    spec = importlib.util.spec_from_file_location("h_routes", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = load_tool("h_routes")
     return [tool.build(seed, *shape) for label, *shape in tool.FAMILIES if label.startswith(kinds)
             for seed in tool.SEEDS]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -30,6 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Iterator, Sequence
 
 from kzero.classpoly import ClassPoly, PolyParseError, binomial, parse_poly
@@ -43,6 +45,14 @@ from kzero.simplicial import SimplicialComplex
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def load_tool(name: str) -> ModuleType:
+    """The script ``tools/<name>.py``, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, Path(SRC).parent / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 def child_env() -> dict[str, str]:
@@ -531,13 +541,15 @@ def partitions_with_weights(n: int) -> list[tuple[tuple[int, ...], int]]:
     h_lambda = n! / (product of parts * product of multiplicity factorials)."""
     if n < 1:
         raise ValueError("partitions need n >= 1")
-    weights = []
-    for lam in _partitions(n, n):
-        z = 1
-        for k, m in Counter(lam).items():
-            z *= k ** m * factorial(m)
-        weights.append((lam, factorial(n) // z))
-    return weights
+    return [(lam, factorial(n) // _centralizer_order(lam)) for lam in _partitions(n, n)]
+
+
+def _centralizer_order(lam: Sequence[int]) -> int:
+    """z_lambda = product over part sizes k of k^m_k * m_k!, m_k the multiplicity of k."""
+    z = 1
+    for k, m in Counter(lam).items():
+        z *= k ** m * factorial(m)
+    return z
 
 
 def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
@@ -582,6 +594,17 @@ def brute_force_orbits(space: StratifiedGSpace) -> tuple[tuple[int, ...], ...]:
         for i in range(len(space.labels))
     }
     return tuple(sorted(orbits))
+
+
+def coset_chi(G: PermGroup, sigma: Permutation) -> int:
+    """Number of left cosets tG of G in S_n with t^-1 sigma t in G, sigma of G's degree.
+
+    This is the number of fixed points of sigma acting on S_n / G, and is
+    constant on conjugacy classes of S_n: with lambda the cycle type of
+    sigma, it equals z_lambda * |G meet C_lambda| / |G|.
+    """
+    lam = sigma.cycle_type()
+    return _centralizer_order(lam) * sum(1 for g in G if g.cycle_type() == lam) // G.order
 
 
 def brute_force_coset_chi(G: PermGroup, sigma: Permutation) -> int:
