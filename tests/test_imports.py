@@ -2,15 +2,17 @@
 
 ``LOADS`` is the one load table: an argv of every verb, and of the
 ``--show-poset``, ``--table``, one-facet, ``p/q`` and ``--at`` forms, with the
-``kzero`` modules its job loads.  Each row runs in a fresh interpreter, so the
-modules found loaded are the ones the job imported, not ones an earlier test
-pulled in; a verb's first row is its plain argv, whose modules are also the
+``kzero`` modules its job loads.  Each row runs once, in a fresh interpreter, so
+the modules found loaded are the ones the job imported, not ones an earlier test
+pulled in; one test per fact reads that run: the ``kzero`` set, the stdlib
+modules no job adds, and ``fractions``.  A verb's first row is its plain argv, whose modules are also the
 compile bill that ``tools/code_lines.py`` reads off the source.  The other
 checks here are the package's import surface: its lazy exports, the names two
 modules forward to where they moved, and the CLI that no module imports.
 """
 
 import ast
+import functools
 import importlib
 import json
 import shlex
@@ -89,26 +91,54 @@ def fresh(code: str, *args: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("line", LOADS)
-def test_a_job_loads_its_row_and_adds_no_unused_stdlib_module(line, tmp_path):
+def row(line: str) -> set[str]:
+    """The ``kzero`` modules the job of ``line`` loads, by the table."""
+    return {"kzero", "kzero.cli", "kzero.errors", "kzero.classpoly", *(f"kzero.{m}" for m in LOADS[line].split())}
+
+
+@pytest.fixture(scope="module")
+def job(tmp_path_factory):
+    """Run a row's argv once, in a fresh interpreter, for all the tests that read it; return
+    its verb, the ``kzero`` modules it loaded and the modules it added."""
+    folder = tmp_path_factory.mktemp("inputs")
     for name, text in INPUTS.items():
-        (tmp_path / name).write_text(text)
-    argv = [str(tmp_path / arg) if arg in INPUTS else arg for arg in shlex.split(line)]
-    code, before, after = fresh(
-        "import json, sys; before = sorted(sys.modules); from kzero.cli import main; "
-        "code = main(sys.argv[1:]); print(json.dumps([code, before, sorted(sys.modules)]))",
-        *argv,
-    )
-    assert code == 0
-    row = {"kzero", "kzero.cli", "kzero.errors", "kzero.classpoly", *(f"kzero.{m}" for m in LOADS[line].split())}
-    assert {m for m in after if m.split(".")[0] == "kzero"} == row
-    # measured against the modules loaded before kzero, which a site .pth may widen
-    added = set(after) - set(before)
-    assert NEVER_ADDED.isdisjoint(added)
-    assert FRACTIONS.isdisjoint(added) or argv[0] in FRACTION_VERBS
+        (folder / name).write_text(text)
+
+    @functools.cache
+    def run(line):
+        argv = [str(folder / arg) if arg in INPUTS else arg for arg in shlex.split(line)]
+        code, before, after = fresh(
+            "import json, sys; before = sorted(sys.modules); from kzero.cli import main; "
+            "code = main(sys.argv[1:]); print(json.dumps([code, before, sorted(sys.modules)]))",
+            *argv,
+        )
+        assert code == 0
+        # added is measured against the modules loaded before kzero, which a site .pth may widen
+        return argv[0], {m for m in after if m.split(".")[0] == "kzero"}, set(after) - set(before)
+
+    return run
+
+
+@pytest.mark.parametrize("line", LOADS)
+def test_a_job_loads_the_kzero_modules_of_its_row(line, job):
+    assert job(line)[1] == row(line)
+
+
+@pytest.mark.parametrize("line", LOADS)
+def test_a_job_adds_no_argparse_gettext_locale_or_dataclasses(line, job):
+    assert NEVER_ADDED.isdisjoint(job(line)[2])
+
+
+@pytest.mark.parametrize("line", LOADS)
+def test_only_a_job_that_computes_a_fraction_adds_the_fractions_module(line, job):
+    verb, _, added = job(line)
+    assert FRACTIONS.isdisjoint(added) or verb in FRACTION_VERBS
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_the_compile_bill_of_a_verb_is_the_row_of_its_plain_argv(verb):
     assert PLAIN.keys() == BILLS.keys() == VERBS.keys()
-    if PLAIN[argv[0]] == line:
-        assert {"kzero" if m == "__init__" else f"kzero.{m}" for m in BILLS[argv[0]]} == row
+    assert {"kzero" if m == "__init__" else f"kzero.{m}" for m in BILLS[verb]} == row(PLAIN[verb])
 
 
 def test_building_the_parser_loads_no_calculator_module():
