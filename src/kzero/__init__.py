@@ -21,6 +21,7 @@ a ``kzero`` verb pays only for the modules it uses.
 """
 
 _EXPORTS = {
+    "arrangements": ("delta_config_class_disjoint", "w_class"),
     "classpoly": ("ClassPoly", "binomial", "parse_poly"),
     "classseries": ("ClassSeries", "binomial_series", "macdonald_series"),
     "discrete": (
@@ -30,9 +31,8 @@ _EXPORTS = {
     ),
     "permgroups": ("PermGroup", "Permutation"),
     "polyhedral": (
-        "PolyPair", "delta_config_class", "delta_config_class_disjoint", "fat_wedge_class",
+        "PolyPair", "delta_config_class", "fat_wedge_class",
         "m_complement_class", "polyhedral_product_class", "polyhedral_product_complement_class",
-        "w_class",
     ),
     "posets": ("IntersectionPoset", "inclusion_exclusion", "intersection_poset"),
     "products": (

@@ -47,6 +47,14 @@ result in canonical form.  So do ``ClassPoly.var``, ``const``, ``zero`` and
 ``one``, after checking their own argument, and a sum or difference takes its
 +1 or -1 unit from the module.
 
+No ring operation and no verb but ``eval`` exchanges classes with Python
+values, so that code lives in :mod:`kzero.polyvalues`, the ``eval`` verb's home:
+the bodies of the validating constructor, of ``terms`` and of ``evaluate``.
+Each of the three methods imports it on its first call, as :func:`_ratio`
+imports ``fractions``, and every other verb's job compiles none of it.  It
+builds the constructor's class by the ring operations and reads the stored form
+through :func:`slot_shifts`, :data:`SLOT_MASK` and :func:`scalar_pair`.
+
 A polynomial is stored as integer numerators over one positive common
 denominator: a term's coefficient is its numerator over that denominator.
 The gcd of the denominator and all the numerators is 1, so the denominator
@@ -86,14 +94,13 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import repeat
-from operator import add, floordiv, mul, or_
+from operator import add, floordiv, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar, Union
 
-from .errors import InputSyntaxError, PreconditionError, read_field
+from .errors import InputSyntaxError, PreconditionError
 
 if TYPE_CHECKING:
     from fractions import Fraction
-    from types import SimpleNamespace
 
     from .classseries import ClassSeries
 
@@ -111,7 +118,7 @@ on a 2-vCPU Xeon VM with Python 3.11, ``(x+1)^1000`` takes 0.4 s and
 ``(x+1)^2000`` 2.5 s."""
 
 _SLOT = MAX_TOTAL_DEGREE.bit_length()
-_MASK = (1 << _SLOT) - 1
+SLOT_MASK = (1 << _SLOT) - 1  # one slot of a packed key, its lowest
 
 MAX_DIGITS = 4300
 """Most decimal digits a number may have where it is parsed or rendered:
@@ -149,7 +156,7 @@ def _ratio(value: object) -> tuple[int, int] | None:
     return (value.numerator, value.denominator) if isinstance(value, Fraction) else None
 
 
-def _scalar(value: object, role: str) -> tuple[int, int]:
+def scalar_pair(value: object, role: str) -> tuple[int, int]:
     """An ``int`` or ``Fraction`` as its (numerator, denominator) pair; anything else
     is a ``TypeError``."""
     pair = _ratio(value)
@@ -185,25 +192,20 @@ def _is_name(v: str) -> bool:
     return isinstance(v, str) and v.isascii() and v.isidentifier()
 
 
-def _shifts(n: int) -> range:
+def slot_shifts(n: int) -> range:
     """The offset of each variable's slot in a key over ``n`` variables, in variable order."""
     return range(_SLOT * (n - 1), -1, -_SLOT)
-
-
-def _exponents(key: int, n: int) -> list[int]:
-    """The exponent vector that ``key`` packs over ``n`` variables."""
-    return [key >> s & _MASK for s in _shifts(n)]
 
 
 def _widened(terms: Terms, old: Variables, new: Variables) -> Terms:
     """``terms`` keyed over the variables ``new``, which hold ``old`` in its order: a
     zero slot goes in for each variable missing from ``old``, the lowest first, so the
     ``j`` slots below it are in place.  The part of a key from bit ``s`` up moves up one
-    slot, times ``2**_SLOT``: the key gains that part times ``_MASK``."""
+    slot, times ``2**_SLOT``: the key gains that part times ``SLOT_MASK``."""
     for j, v in enumerate(reversed(new)):
         if v not in old:
             s = _SLOT * j
-            terms = {k + (k >> s << s) * _MASK: c for k, c in terms.items()}
+            terms = {k + (k >> s << s) * SLOT_MASK: c for k, c in terms.items()}
     return terms
 
 
@@ -214,11 +216,11 @@ def _normalized(variables: Variables, terms: Terms, den: int) -> tuple[Variables
     g = math.gcd(den, *terms.values())
     terms = {k: c // g for k, c in terms.items() if c}
     used, kept = reduce(or_, terms, 0), []
-    for v, s in zip(variables, _shifts(len(variables))):  # from the top, so lower slots stay put
-        if used >> s & _MASK:
+    for v, s in zip(variables, slot_shifts(len(variables))):  # from the top, so lower slots stay put
+        if used >> s & SLOT_MASK:
             kept.append(v)
         else:
-            terms = {k - (k >> s + _SLOT << s) * _MASK: c for k, c in terms.items()}
+            terms = {k - (k >> s + _SLOT << s) * SLOT_MASK: c for k, c in terms.items()}
     return tuple(kept), terms, den // g
 
 
@@ -236,24 +238,9 @@ class ClassPoly:
         """An exponent vector has one ``int`` exponent >= 0 per variable, and a total of at
         most :data:`MAX_TOTAL_DEGREE`, so every slot of its key fits; any other is a
         ``ValueError``.  The terms are summed as the ring sums."""
-        vs = tuple(variables)
-        for v in vs:
-            if not _is_name(v):
-                raise ValueError(f"bad variable name {v!r}")
-        if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variable name")
-        ordered = tuple(sorted(vs, reverse=True))
-        # one of a variable's exponent adds one to its slot and one to the degree slot
-        units = [(1 << _SLOT * len(vs)) + (1 << _shifts(len(vs))[ordered.index(v)]) for v in vs]
-        monomials = []
-        for e, c in (terms or {}).items():
-            e = tuple(e)
-            if (len(e) != len(vs) or not all(isinstance(k, int) and k >= 0 for k in e)
-                    or sum(e) > MAX_TOTAL_DEGREE):
-                raise ValueError(f"bad exponent vector {e!r} for variables {vs!r}")
-            monomials.append((ClassPoly._make(ordered, {sum(map(mul, e, units)): 1}), ClassPoly.const(c)))
-        p = sum_of_products(monomials)
-        self._vars, self._terms, self._den = p._vars, p._terms, p._den
+        from .polyvalues import construct
+
+        construct(self, variables, terms)
 
     @classmethod
     def _make(cls, variables: Variables, terms: Terms, den: int = 1) -> ClassPoly:
@@ -275,7 +262,7 @@ class ClassPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> ClassPoly:
-        n, d = _scalar(value, "a coefficient")
+        n, d = scalar_pair(value, "a coefficient")
         return cls._make((), {0: n}, d)
 
     @classmethod
@@ -293,11 +280,9 @@ class ClassPoly:
 
     def terms(self) -> Iterator[tuple[dict[str, int], Fraction]]:
         """Yield (monomial as {variable: exponent}, coefficient) pairs in print order."""
-        from fractions import Fraction
+        from .polyvalues import terms
 
-        for k in sorted(self._terms, reverse=True):
-            exponents = _exponents(k, len(self._vars))
-            yield {v: e for v, e in zip(self._vars, exponents) if e}, Fraction(self._terms[k], self._den)
+        return terms(self)
 
     def constant_term(self) -> Fraction:
         from fractions import Fraction
@@ -353,18 +338,21 @@ class ClassPoly:
             _check_degree(self.total_degree() * k)
             # a term extreme in lex order (its key with the degree slot masked off), or in one
             # exponent with ties broken by lex order, is a vertex of the Newton polytope, so its
-            # c^k is a coefficient of the power; each part a of a reduced c is >= 2^(bits-1)
-            lex = ((1 << _SLOT * len(self._vars)) - 1).__and__
-            keys = [lex, *(lambda e, s=s: (e >> s & _MASK, lex(e)) for s in _shifts(len(self._vars)))]
-            vertices = {pick(self._terms, key=key) for key in keys for pick in (min, max)}
-            bits = max(max(abs(c) // g, self._den // g).bit_length()
-                       for c in map(self._terms.get, vertices) for g in [math.gcd(c, self._den)])
-            if k * (bits - 1) >= _DIGIT_BITS:
-                raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
+            # c^k is a coefficient of the power; each part a of a reduced c is >= 2^(bits-1).
+            # No part has more bits than the largest stored number, so the vertices are
+            # searched only when k times that many bits reaches the limit.
+            if k * max(*map(abs, self._terms.values()), self._den).bit_length() >= _DIGIT_BITS:
+                lex = ((1 << _SLOT * len(self._vars)) - 1).__and__
+                keys = [lex, *(lambda e, s=s: (e >> s & SLOT_MASK, lex(e)) for s in slot_shifts(len(self._vars)))]
+                vertices = {pick(self._terms, key=key) for key in keys for pick in (min, max)}
+                bits = max(max(abs(c) // g, self._den // g).bit_length()
+                           for c in map(self._terms.get, vertices) for g in [math.gcd(c, self._den)])
+                if k * (bits - 1) >= _DIGIT_BITS:
+                    raise PolyTooLargeError(f"power would pass {MAX_DIGITS} digits")
         return square_and_multiply(_ONE, self, k)
 
     def __truediv__(self, scalar: Scalar) -> ClassPoly:
-        n, d = _scalar(scalar, "a divisor")
+        n, d = scalar_pair(scalar, "a divisor")
         if not n:
             raise ZeroDivisionError("division of a class polynomial by zero")
         if n < 0:
@@ -384,29 +372,9 @@ class ClassPoly:
         number's numerator and denominator.  A term whose bound passes the bit
         length of ``10**MAX_DIGITS`` raises :class:`PolyTooLargeError`.
         """
-        return self._value(assignment).constant_term()
+        from .polyvalues import value
 
-    def _value(self, assignment: Mapping[str, Scalar]) -> ClassPoly:
-        """``evaluate`` as a constant class, read without ``fractions``: the terms summed
-        over one common denominator, ``den`` times each value's denominator to the
-        highest power its variable takes."""
-        missing = [v for v in self._vars if v not in assignment]
-        if missing:
-            raise MissingVariableError(f"no value assigned to {', '.join(missing)}")
-        pairs = [_scalar(assignment[v], f"the value of {v}") for v in self._vars]
-        bits = [max(abs(n), d).bit_length() for n, d in pairs]
-        rows = [(_exponents(k, len(pairs)), c) for k, c in self._terms.items()]
-        for e, c in rows:
-            if max(abs(c), self._den).bit_length() + sum(map(mul, e, bits)) > _DIGIT_BITS:
-                raise PolyTooLargeError(f"a term of the value may pass {MAX_DIGITS} digits")
-        tops = [max(column) for column in zip(*(e for e, _ in rows))]
-        total = 0
-        for e, c in rows:
-            for (n, d), k, top in zip(pairs, e, tops):
-                c *= n ** k * d ** (top - k)
-            total += c
-        return ClassPoly._make((), {0: total},
-                               self._den * math.prod(d ** top for (_, d), top in zip(pairs, tops)))
+        return value(self, assignment).constant_term()
 
     # -- comparison --------------------------------------------------------
 
@@ -450,8 +418,8 @@ class ClassPoly:
         dens = list(map(floordiv, repeat(self._den), gs))
         check_digits(max(nums + dens, default=0))
         monos = [""] * len(keys)
-        for v, s in zip(self._vars, _shifts(len(self._vars))):
-            column = [k >> s & _MASK for k in keys]
+        for v, s in zip(self._vars, slot_shifts(len(self._vars))):
+            column = [k >> s & SLOT_MASK for k in keys]
             text = {k: sep + (v if k == 1 else power.format(v, k)) for k in set(column)}
             text[0] = ""
             monos = list(map(add, monos, map(text.__getitem__, column)))
@@ -679,19 +647,3 @@ def parse_poly(text: str) -> ClassPoly:
 def render(value: ClassPoly | ClassSeries, latex: bool) -> str:
     """How a verb prints a class or a series: its canonical text, or its LaTeX with ``latex``."""
     return value.latex() if latex else str(value)
-
-
-def cmd_eval(args: SimpleNamespace) -> None:
-    poly = parse_poly(args.expr)
-    if args.at:
-        assignment: dict[str, int] = {}
-        for item in args.at:
-            name, _, value = item.partition("=")
-            message = f"bad --at {item!r}"
-            name = name.strip()
-            read_field(ClassPoly.var, name, InputSyntaxError, message)  # checks the name
-            if name in assignment:
-                raise InputSyntaxError(f"{message}: {name} is assigned twice")
-            assignment[name] = read_field(int, value, InputSyntaxError, message)
-        poly = poly._value(assignment)
-    print(render(poly, args.latex))

@@ -11,7 +11,9 @@ code does not depend on stderr taking its ``error:`` line.
 
 A verb's handler, ``cmd_<verb>``, lives in the module whose formula it calls,
 its home in ``VERBS``; ``main`` imports that module alone, so a job compiles
-only its own handler and formulas.  No handler module imports this one: under
+only its own handler and formulas.  The home of ``eval`` is
+:mod:`kzero.polyvalues`, the ring's exchange with Python values, which no other
+verb runs.  No handler module imports this one: under
 ``python -m kzero.cli`` it runs as ``__main__``, and such an import would
 compile it a second time.
 
@@ -82,7 +84,7 @@ VERBS: dict[str, tuple[str, str, tuple[tuple[str, dict], ...]]] = {
     "crystal": ("Euler characteristic of R^n / Gamma from isometry classes", "discrete",
                 (("--descriptor", _PATH),)),
     "fixed-point": ("does an affine map have a unique fixed point", "discrete", (("--map", _PATH),)),
-    "eval": ("parse a polynomial; evaluate it with --at assignments", "classpoly", (
+    "eval": ("parse a polynomial; evaluate it with --at assignments", "polyvalues", (
         ("expr", {"help": "polynomial text"}),
         ("--at", {"action": "append", "default": [], "metavar": "NAME=INT"}),
         _LATEX,

@@ -198,14 +198,10 @@ class Permutation(tuple):
         seen = set()
         out: list[tuple[int, ...]] = []
         for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self[start - 1]
-            while j != start:
-                cyc.append(j)
+            cyc, j = [], start
+            while j not in seen:  # empty where an earlier cycle holds start
                 seen.add(j)
+                cyc.append(j)
                 j = self[j - 1]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
@@ -231,10 +227,7 @@ class Permutation(tuple):
         return tuple(sorted(lengths, reverse=True))
 
     def __str__(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
+        return "".join(f"({' '.join(map(str, c))})" for c in self.cycles()) or "()"
 
     def __repr__(self) -> str:
         return f"Permutation[{self.degree}]{self}"
@@ -381,12 +374,24 @@ def _stabilizer_chain(degree: int, generators: Sequence[Permutation]) -> list[li
 
     The work is a stack, not recursion.  Each step pushes items of its own level or the
     next, so an item is popped only when every deeper level is complete, and the sift of
-    a new generator is exact.  The product of the transversal lengths never exceeds
+    a new generator is exact.  Each u_j is inverted at its first division and the
+    inverse kept beside it, keyed by b and j, until the chain is built, so no u_j is
+    inverted twice.  The product of the transversal lengths never exceeds
     |G|, so a group past ``MAX_ORDER``, or whose order times ``degree`` passes
     ``MAX_IMAGES``, is refused as soon as it passes.
     """
     identity = Permutation.identity(degree)
-    levels: list[tuple[int, list[Permutation], dict[int, Permutation]]] = []  # (b, S_k, {j: u_j})
+    levels = []  # (b, S_k, {j: u_j})
+    inverses = {}  # (b, j): u_j^-1 of the level of base point b, kept from its first use
+
+    def divided(y, b, j, transversal):
+        """u_j^-1 y, or y where j = b."""
+        if j == b:
+            return y
+        if (b, j) not in inverses:
+            inverses[b, j] = transversal[j].inverse()
+        return inverses[b, j] * y
+
     for g in generators:
         todo = [(0, g, True)]
         while todo:
@@ -397,7 +402,7 @@ def _stabilizer_chain(degree: int, generators: Sequence[Permutation]) -> list[li
                 for b, _, transversal in levels[k:]:
                     if y == identity or (j := y[b - 1]) not in transversal:
                         break
-                    y = y if j == b else transversal[j].inverse() * y
+                    y = divided(y, b, j, transversal)
                 if y == identity:
                     continue
                 if k == len(levels):
@@ -420,7 +425,7 @@ def _stabilizer_chain(degree: int, generators: Sequence[Permutation]) -> list[li
                     )
                 todo += [(k, s * x, False) for s in gens]
             else:  # the residue u_j^-1 x fixes b
-                residue = x if j == b else transversal[j].inverse() * x
+                residue = divided(x, b, j, transversal)
                 if residue != identity:
                     todo.append((k + 1, residue, True))
     return [list(transversal.values()) for _, _, transversal in levels]

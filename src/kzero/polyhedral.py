@@ -38,24 +38,49 @@ and
 while the complement M(K, X) = X^n - Delta_K(X) has class x^n - [Delta_K(X)].
 
 Every complex formula reads the h-numbers of K, ``SimplicialComplex.h_numbers``,
-and sums their powers through one helper, so none expands a power of x - a or
-x - 1; the facets' meets are closed only by the h-numbers' Möbius route, which
-runs first on a budget, and the intersection poset is built only to be printed.
+and sums their powers through one helper, :func:`power_sum`, so none expands a
+power of x - a or x - 1; the facets' meets are closed only by the h-numbers'
+Möbius route, which runs first on a budget, and the intersection poset is built
+only to be printed.
+
+The formulas that no verb runs, the fat wedge read as a polyhedral product,
+W_n(X), the disjoint-union arrangement and the Euler characteristic of a
+complement over a manifold, live in :mod:`kzero.arrangements`, so a complex
+verb's job compiles none of them.  They and the two errors of the disjoint-union
+formula are still readable from this module: each is imported from
+:mod:`kzero.arrangements` on first use (PEP 562).
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .classpoly import (
     MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, check_digits, parse_poly, render,
 )
 from .errors import DOutOfRangeError, PreconditionError, read_file
-from .simplicial import EmptyComplexError, SimplicialComplex, full_simplex
+from .simplicial import EmptyComplexError, SimplicialComplex
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
+
+_FORWARDED = (
+    "ComponentIsSingleSimplexError", "TooFewComponentsError", "chi_complement_manifold",
+    "delta_config_class_disjoint", "fat_wedge_as_polyhedral_product", "w_class",
+)
+"""The formulas that no verb runs and their errors, moved to :mod:`kzero.arrangements`
+and read from there on first use."""
+
+
+def __getattr__(name: str):
+    """Import a name that moved to :mod:`kzero.arrangements` on first use and keep it here."""
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import arrangements
+
+    value = globals()[name] = getattr(arrangements, name)
+    return value
 
 
 class DimensionConditionError(PreconditionError):
@@ -64,14 +89,6 @@ class DimensionConditionError(PreconditionError):
 
 class SingleSimplexError(PreconditionError):
     """A complement-of-arrangement operation needs at least two facets."""
-
-
-class TooFewComponentsError(PreconditionError):
-    """The disjoint-union arrangement formula needs at least three components."""
-
-
-class ComponentIsSingleSimplexError(PreconditionError):
-    """A disjoint-union component has fewer than two facets."""
 
 
 class _Pair(NamedTuple):
@@ -93,7 +110,7 @@ class PolyPair(_Pair):
         return cls(*fields)
 
 
-def _power_sum(terms: Iterable[tuple[int, int]], x: PolyLike, a: PolyLike, n: int) -> PolyLike:
+def power_sum(terms: Iterable[tuple[int, int]], x: PolyLike, a: PolyLike, n: int) -> PolyLike:
     """Sum of c * x^j * a^(n - j) over the (j, c) of ``terms`` with c nonzero.
 
     Each power is one ``**``, taken in the order of ``terms``, so a power past
@@ -112,7 +129,7 @@ def polyhedral_product_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
     x, a = pair.x_class, pair.a_class
     if K.is_empty():
         return a ** K.n
-    return _power_sum(reversed(list(enumerate(K.h_numbers()))), x, a, K.n)
+    return power_sum(reversed(list(enumerate(K.h_numbers()))), x, a, K.n)
 
 
 def polyhedral_product_complement_class(K: SimplicialComplex, pair: PolyPair) -> ClassPoly:
@@ -157,29 +174,8 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
     return total
 
 
-def fat_wedge_as_polyhedral_product(n: int, d: int, x_class: PolyLike | None = None) -> ClassPoly:
-    """The same class computed as the polyhedral product of (X, pt) over a skeleton.
-
-    fat_wedge_class(n, d) equals the polyhedral product of the pair (x, 1)
-    over the (d-1)-skeleton of the full simplex on n vertices.
-    """
-    if n < 1:
-        raise PreconditionError(f"fat wedge needs n >= 1, got {n}")
-    if not 0 <= d <= n:
-        raise DOutOfRangeError(f"fatness index d={d} outside 0..{n}")
-    x = ClassPoly.var("x") if x_class is None else x_class
-    return polyhedral_product_class(full_simplex(n).skeleton(d - 1), PolyPair(x, 1))
-
-
-def w_class(n: int, x_class: PolyLike | None = None) -> ClassPoly:
-    """[W_n(X)] = x (x-1)^(n-1): tuples whose last n-1 coordinates each differ from the first."""
-    if n < 1:
-        raise PreconditionError(f"w_class needs n >= 1, got {n}")
-    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
-    return x * (x - 1) ** (n - 1)
-
-
-def _check_dimension_condition(K: SimplicialComplex) -> None:
+def check_dimension_condition(K: SimplicialComplex) -> None:
+    """Refuse K with :class:`DimensionConditionError` unless 2(dim K + 1) < n."""
     if not 2 * (K.dim + 1) < K.n:
         raise DimensionConditionError(
             f"need 2(dim K + 1) < n, got 2*({K.dim} + 1) = {2 * (K.dim + 1)} and n = {K.n}"
@@ -191,38 +187,8 @@ def delta_config_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
     x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if K.is_empty():
         return ClassPoly.zero()
-    _check_dimension_condition(K)
-    return x * _power_sum(enumerate(K.h_numbers()), x, 1, K.n)
-
-
-def delta_config_class_disjoint(
-    components: Sequence[SimplicialComplex], x_class: PolyLike | None = None
-) -> ClassPoly:
-    """[Delta_K(X)] when K is a disjoint union of N >= 3 components.
-
-    Inside the big product the component arrangements meet only along the
-    thin diagonal, so the classes add up with the diagonal counted once:
-
-        sum_i [Delta_{K_i}(X)] - (N - 1) x.
-
-    Per-component classes are computed by ``delta_config_class``, so each
-    component needs its own dimension condition.  Every component must have
-    at least two facets, so no face exhausts its component's vertex set.
-    """
-    x = ClassPoly.var("x") if x_class is None else as_class(x_class)
-    if len(components) < 3:
-        raise TooFewComponentsError(
-            f"disjoint-union arrangement formula needs >= 3 components, got {len(components)}"
-        )
-    for i, K in enumerate(components):
-        if len(K.facets) < 2:
-            raise ComponentIsSingleSimplexError(
-                f"component {i} has {len(K.facets)} facet(s); need at least two"
-            )
-    total = ClassPoly.zero()
-    for K in components:
-        total = total + delta_config_class(K, x)
-    return total - (len(components) - 1) * x
+    check_dimension_condition(K)
+    return x * power_sum(enumerate(K.h_numbers()), x, 1, K.n)
 
 
 def m_complement_class(K: SimplicialComplex, x_class: PolyLike | None = None) -> ClassPoly:
@@ -230,26 +196,8 @@ def m_complement_class(K: SimplicialComplex, x_class: PolyLike | None = None) ->
     x = ClassPoly.var("x") if x_class is None else as_class(x_class)
     if len(K.facets) < 2:
         raise SingleSimplexError("complement of an arrangement needs at least two facets")
-    _check_dimension_condition(K)  # before x^n, whose size cap would refuse first otherwise
+    check_dimension_condition(K)  # before x^n, whose size cap would refuse first otherwise
     return x ** K.n - delta_config_class(K, x)
-
-
-def chi_complement_manifold(K: SimplicialComplex, chi: int, m_dim: int) -> int:
-    """Euler characteristic of M(K, X) for X a closed manifold of dimension m_dim.
-
-    chi^n - (-1)^(m(n+1)) * chi * sum over faces of ((-1)^m chi - 1)^|sigma|,
-    where m = m_dim and chi is the Euler characteristic of X; the sum is
-    sum_j h_j ((-1)^m chi)^j.  For even m this agrees with m_complement_class
-    evaluated at chi; for odd m the manifold has chi = 0 and the complement
-    does too.
-    """
-    if len(K.facets) < 2:
-        raise SingleSimplexError("complement of an arrangement needs at least two facets")
-    _check_dimension_condition(K)
-    n = K.n
-    sign = (-1) ** (m_dim * (n + 1))
-    inner = _power_sum(enumerate(K.h_numbers()), (-1) ** m_dim * chi, 1, n)
-    return chi ** n - sign * chi * inner
 
 
 # -- command line ----------------------------------------------------------------

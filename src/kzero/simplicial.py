@@ -171,17 +171,6 @@ class SimplicialComplex(_Complex):
         """True for the complex with no faces at all."""
         return not self.facets
 
-    def _faces(self) -> set[Simplex]:
-        faces: set[Simplex] = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                faces.update(combinations(f, k))
-        return faces
-
-    def all_faces(self) -> list[Simplex]:
-        """Every face, the empty simplex included, sorted by (size, lexicographic)."""
-        return sorted(self._faces(), key=lambda s: (len(s), s))
-
     def h_numbers(self) -> list[int]:
         """Entry j is the coefficient of t^j in the sum over faces sigma of (t - 1)^|sigma|;
         [] when there are no faces.  The route is picked as the module docstring says."""
@@ -198,7 +187,11 @@ class SimplicialComplex(_Complex):
         return self._h_by_faces() if meets is None else self._h_by_mobius(meets)
 
     def _h_by_faces(self) -> list[int]:
-        counts = Counter(map(len, self._faces()))  # f_k, the number of faces of size k
+        faces: set[Simplex] = set()
+        for f in self.facets:
+            for k in range(len(f) + 1):
+                faces.update(combinations(f, k))
+        counts = Counter(map(len, faces))  # f_k, the number of faces of size k
         return [sum((-1) ** (k - j) * comb(k, j) * f for k, f in counts.items() if k >= j)
                 for j in range(len(counts))]
 

@@ -4,11 +4,14 @@
 ``--show-poset``, ``--table``, one-facet, ``p/q`` and ``--at`` forms, with the
 ``kzero`` modules its job loads.  Each row runs once, in a fresh interpreter, so
 the modules found loaded are the ones the job imported, not ones an earlier test
-pulled in; one test per fact reads that run: the ``kzero`` set, the stdlib
-modules no job adds, and ``fractions``.  A verb's first row is its plain argv, whose modules are also the
-compile bill that ``tools/code_lines.py`` reads off the source.  The other
-checks here are the package's import surface: its lazy exports, the names two
-modules forward to where they moved, and the CLI that no module imports.
+pulled in; one test per fact reads that run: the ``kzero`` set, the value
+module that only ``eval`` loads, the stdlib modules no job adds, and
+``fractions``.  A verb's first row is its plain argv, whose modules are also the
+compile bill that ``tools/code_lines.py`` reads off the source, and ``BUDGET``
+caps that bill's AST nodes.  The other checks here are the package's import
+surface: its lazy exports, the ring methods that import the value module on
+first use, the names three modules forward to where they moved, and the CLI
+that no module imports.
 """
 
 import ast
@@ -58,11 +61,11 @@ LOADS = {
     "orbifold-euler --cells cells.txt": "discrete",
     "crystal --descriptor classes.txt": "discrete",
     "fixed-point --map map.txt": "discrete",
-    "eval 'x^2 + 1'": "",
+    "eval 'x^2 + 1'": "polyvalues",
     # the --at forms of the series and cli workloads of perfbench/jobs.py
-    "eval '(x+3)^40*(x-1)^3' --at x=-7": "",
-    "eval '(3/5*x - a + 1)^9' --at x=4 --at a=-2": "",
-    "eval '(x+2)^5 - 7*a' --at x=-3 --at a=2": "",
+    "eval '(x+3)^40*(x-1)^3' --at x=-7": "polyvalues",
+    "eval '(3/5*x - a + 1)^9' --at x=4 --at a=-2": "polyvalues",
+    "eval '(x+2)^5 - 7*a' --at x=-3 --at a=2": "polyvalues",
 }
 """An argv of a successful job, as a shell line, and the ``kzero`` modules its job loads
 beyond the package, ``cli``, ``errors`` and ``classpoly``."""
@@ -81,7 +84,24 @@ verb that reads and prints integers and ``p/q`` literals loads none of them."""
 FRACTION_VERBS = {"orbifold-euler", "crystal", "fixed-point"}
 """The verbs that compute a ``Fraction``."""
 
-BILLS = load_tool("code_lines").compile_bills(Path(SRC) / "kzero")
+CODE_LINES = load_tool("code_lines")
+BILLS = CODE_LINES.compile_bills(Path(SRC) / "kzero")
+
+BUDGET = {
+    **dict.fromkeys(["polyprod", "complement", "fatwedge", "config", "config-complement"], 8700),
+    "permprod": 9261,
+    "cycprod": 6217,
+    "symprod-series": 6548,
+    "zerocycles": 7786,
+    "ratio": 7786,
+    "quotient": 10505,
+    **dict.fromkeys(["quotient-descriptor", "orbifold-euler", "crystal", "fixed-point"], 7189),
+    "eval": 6500,
+}
+"""The most AST nodes a job of each verb may compile from source, by ``tools/code_lines.py``:
+8700 for a complex verb (its bill was 9905 while ``polyhedral`` held the formulas no verb
+runs), 6500 for ``eval``, and 800 below the bill of every other verb before ``classpoly``'s
+exchange with Python values moved to ``polyvalues``."""
 
 
 def fresh(code: str, *args: str):
@@ -125,6 +145,12 @@ def test_a_job_loads_the_kzero_modules_of_its_row(line, job):
 
 
 @pytest.mark.parametrize("line", LOADS)
+def test_only_an_eval_job_loads_the_value_module(line, job):
+    verb, loaded, _ = job(line)
+    assert ("kzero.polyvalues" in loaded) == (verb == "eval")
+
+
+@pytest.mark.parametrize("line", LOADS)
 def test_a_job_adds_no_argparse_gettext_locale_or_dataclasses(line, job):
     assert NEVER_ADDED.isdisjoint(job(line)[2])
 
@@ -139,6 +165,27 @@ def test_only_a_job_that_computes_a_fraction_adds_the_fractions_module(line, job
 def test_the_compile_bill_of_a_verb_is_the_row_of_its_plain_argv(verb):
     assert PLAIN.keys() == BILLS.keys() == VERBS.keys()
     assert {"kzero" if m == "__init__" else f"kzero.{m}" for m in BILLS[verb]} == row(PLAIN[verb])
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_job_compiles_no_more_ast_nodes_than_its_budget(verb):
+    assert BUDGET.keys() == VERBS.keys()
+    package = Path(SRC) / "kzero"
+    nodes = sum(CODE_LINES.ast_nodes((package / f"{m}.py").read_text(encoding="utf-8")) for m in BILLS[verb])
+    assert nodes <= BUDGET[verb]
+
+
+@pytest.mark.parametrize("call", ["ClassPoly(('x', 'a'), {(2, 1): 3})", "list(p.terms())", "p.evaluate({'x': 2})"])
+def test_a_ring_method_that_exchanges_python_values_imports_the_value_module_on_first_call(call):
+    before, after = fresh(
+        "import json, sys\n"
+        "from kzero.classpoly import ClassPoly, parse_poly\n"
+        "p = parse_poly('(x + 1)^2') * 3 - ClassPoly.var('x') / 2\n"
+        "before = ['kzero.polyvalues' in sys.modules, str(p), p.latex(), hash(p)]\n"
+        f"{call}\n"
+        "print(json.dumps([before[0], 'kzero.polyvalues' in sys.modules]))"
+    )
+    assert (before, after) == (False, True)
 
 
 def test_building_the_parser_loads_no_calculator_module():
@@ -168,8 +215,8 @@ def test_every_export_is_the_object_of_its_home_module():
     homes, wrong, listed = report
     assert wrong == []
     assert homes == [f"kzero.{m}" for m in (
-        "classpoly", "classseries", "discrete", "permgroups", "polyhedral", "posets", "products",
-        "quotients", "simplicial", "zerocycles",
+        "arrangements", "classpoly", "classseries", "discrete", "permgroups", "polyhedral", "posets",
+        "products", "quotients", "simplicial", "zerocycles",
     )]
     assert listed
 
@@ -182,9 +229,14 @@ FORWARDS = {
         "CentralIsometryClass", "crystal_chi", "descriptor_class", "orbifold_euler", "parse_descriptor_text",
         "quotient_euler_from_fixed_data",
     )),
+    "polyhedral": ("arrangements", "no_such_name", (
+        "ComponentIsSingleSimplexError", "TooFewComponentsError", "chi_complement_manifold",
+        "delta_config_class_disjoint", "fat_wedge_as_polyhedral_product", "w_class",
+    )),
 }
 """Per forwarding module: the module its names moved to, a name it refuses, and the names
-it forwards, the ones ``tests/test_acceptance.py`` imports through it."""
+it forwards: the ones ``tests/test_acceptance.py`` or a demo imports through it, with
+the errors they raise."""
 
 
 @pytest.mark.parametrize("module", FORWARDS)

@@ -20,6 +20,7 @@ from kzero.simplicial import (
     to_mask,
 )
 from util import (
+    all_faces,
     brute_force_facets,
     disjoint_union,
     facet_list_cases,
@@ -70,8 +71,8 @@ def test_empty_complex_versus_empty_simplex_only():
     assert none_at_all.dim == -1
     assert only_empty.dim == -1
     assert none_at_all != only_empty
-    assert only_empty.all_faces() == [()]
-    assert none_at_all.all_faces() == []
+    assert all_faces(only_empty) == [()]
+    assert all_faces(none_at_all) == []
 
 
 def test_vertex_out_of_range_rejected():
@@ -83,7 +84,7 @@ def test_vertex_out_of_range_rejected():
 
 def test_all_faces_of_a_triangle():
     K = full_simplex(3)
-    assert K.all_faces() == [
+    assert all_faces(K) == [
         (), (1,), (2,), (3,),
         (1, 2), (1, 3), (2, 3),
         (1, 2, 3),
@@ -139,7 +140,7 @@ def face_count_cases() -> list[SimplicialComplex]:
 
 
 def counted_faces(K: SimplicialComplex) -> dict[int, int]:
-    counts = Counter(map(len, K.all_faces()))
+    counts = Counter(map(len, all_faces(K)))
     return {k: counts[k] for k in range(len(counts))}
 
 
@@ -259,7 +260,7 @@ def test_random_skeleton_is_monotone_and_idempotent():
         S = K.skeleton(d)
         assert S.dim <= d
         assert S.skeleton(d) == S
-        for f in S.all_faces():
+        for f in all_faces(S):
             assert f in K or f == ()
 
 

@@ -300,10 +300,17 @@ def random_complex(rng: random.Random, n_min: int = 1, n_max: int = 7) -> Simpli
     return SimplicialComplex(n, facets)
 
 
+def all_faces(K: SimplicialComplex) -> list[tuple[int, ...]]:
+    """Every face of K, the empty simplex included, sorted by (size, lexicographic): the
+    subsets of each facet, listed by ``combinations``."""
+    faces = {face for f in K.facets for k in range(len(f) + 1) for face in combinations(f, k)}
+    return sorted(faces, key=lambda s: (len(s), s))
+
+
 def horner_h_numbers(K: SimplicialComplex) -> list[int]:
     """The coefficients of sum_k f_k (t - 1)^k, f_k the number of faces of size k in
-    ``all_faces()``, folded by Horner's rule; [] when K has no faces."""
-    counts = Counter(map(len, K.all_faces()))
+    ``all_faces(K)``, folded by Horner's rule; [] when K has no faces."""
+    counts = Counter(map(len, all_faces(K)))
     h: list[int] = []
     for k in reversed(range(len(counts))):
         h = [lo - hi for lo, hi in zip([0, *h], [*h, 0])]  # h * (t - 1)
@@ -823,7 +830,7 @@ def count_polyhedral_product_points(K: SimplicialComplex, cx: int, ca: int) -> i
     count = 0
     if K.is_empty():
         return ca ** K.n
-    faces = set(K.all_faces())
+    faces = set(all_faces(K))
     for tup in product(range(cx), repeat=K.n):
         support = tuple(i for i in range(1, K.n + 1) if tup[i - 1] >= ca)
         if any(set(support) <= set(f) for f in faces):
@@ -833,10 +840,10 @@ def count_polyhedral_product_points(K: SimplicialComplex, cx: int, ca: int) -> i
 
 def face_sum_polyhedral_product(K: SimplicialComplex, x: ClassPoly, a: ClassPoly) -> ClassPoly:
     """[(X, A)^K] as the face sum: (x - a)^|sigma| * a^(n - |sigma|) added up over
-    every face sigma in ``K.all_faces()``, the empty face included."""
+    every face sigma in ``all_faces(K)``, the empty face included."""
     term = [(x - a) ** k * a ** (K.n - k) for k in range(K.n + 1)]
     total = ClassPoly.zero()
-    for sigma in K.all_faces():
+    for sigma in all_faces(K):
         total = total + term[len(sigma)]
     return total
 
