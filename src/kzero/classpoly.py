@@ -577,9 +577,7 @@ class _Parser:
     def expr(self) -> ClassPoly:
         p = self.term()
         while self.peek() in ("+", "-"):
-            op = self.take()
-            q = self.term()
-            p = p + q if op == "+" else p - q
+            p = p + self.term() if self.take() == "+" else p - self.term()  # the operator is taken before its term
         return p
 
     def term(self) -> ClassPoly:

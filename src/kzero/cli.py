@@ -5,9 +5,11 @@ line of stdout in the canonical text form, so outputs are byte-stable and
 re-parseable.  Exit codes: 0 on success, 1 when stdout could not be written
 (with an ``error:`` line, or with nothing on stderr when its reader closed
 it), 2 when an input (file or argument) cannot be parsed, 3 when a documented
-precondition is violated, 4 when the independent routes of ``quotient``
-disagree.  Help goes through the same write path as a verb's output, and a
-code does not depend on stderr taking its ``error:`` line.
+precondition is violated or the result outgrows the memory the process may
+take (a ``MemoryError``, reported as ``error: out of memory``), 4 when the
+independent routes of ``quotient`` disagree.  Help goes through the same write
+path as a verb's output, and a code does not depend on stderr taking its
+``error:`` line.
 
 A verb's handler, ``cmd_<verb>``, lives in the module whose formula it calls,
 its home in ``VERBS``; ``main`` imports that module alone, so a job compiles
@@ -183,12 +185,15 @@ def main(argv: list[str] | None = None) -> int:
                     sys.stdout.write(text.getvalue())
         from importlib import import_module
 
-        handler = "cmd_" + args.verb.replace("-", "_")
-        getattr(import_module(f".{VERBS[args.verb][1]}", __package__), handler)(args)
+        getattr(import_module(f".{VERBS[args.verb][1]}", __package__),
+                "cmd_" + args.verb.replace("-", "_"))(args)
         sys.stdout.flush()
     except (InputSyntaxError, PreconditionError, RouteDisagreementError) as e:
         _stderr(f"error: {e}")
         return e.exit_code
+    except MemoryError:  # a result past the address space: a precondition no verb can check up front
+        _stderr("error: out of memory")
+        return 3
     except OSError as e:  # a write to stdout: read_file turns every other OSError into an input error
         return _write_failed(e)
     return 0

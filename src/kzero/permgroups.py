@@ -328,22 +328,23 @@ class PermGroup:
         of g's centralizer C(g).  A breadth-first walk from g conjugates each member c by
         each generator s and records t_c with t_c g t_c^-1 = c: t_g = 1, and a new member
         d = s c s^-1 gets t_d = s t_c.  C(g) is g's stabilizer under conjugation, so the
-        t_d^-1 s t_c generate it (Schreier's lemma; Seress 2003, section 4.2)."""
+        t_d^-1 s t_c generate it (Schreier's lemma; Seress 2003, section 4.2).  Each t_d is
+        kept with its inverse t_c^-1 s^-1, so no conjugator is inverted."""
         identity = Permutation.identity(self._degree)
         pairs = [(s, s.inverse()) for s in self._generators]
         seen: set[Permutation] = set()
         for g in filterfalse(seen.__contains__, self.elements):
-            conjugator = {g: identity}
+            conjugator = {g: (identity, identity)}
             members = [g]
             centralizing: set[Permutation] = set()
             for c in members:  # the list grows as the walk finds more
-                t = conjugator[c]
+                t, t_inv = conjugator[c]
                 for s, s_inv in pairs:
                     d = Permutation._make([s[c[j - 1] - 1] for j in s_inv])
                     if d in conjugator:
-                        centralizing.add(conjugator[d].inverse() * s * t)
+                        centralizing.add(conjugator[d][1] * s * t)
                     else:
-                        conjugator[d] = s * t
+                        conjugator[d] = s * t, t_inv * s_inv
                         members.append(d)
             seen.update(members)
             yield members, centralizing

@@ -25,7 +25,9 @@ tuples with at most d coordinates away from the basepoint:
 
 so d = 0 gives the point, d = 1 the wedge of n copies (class n*x - (n-1)),
 and d = n all of X^n.  Equivalently this is the polyhedral product of the
-pair (X, pt) over the (d-1)-skeleton of the full simplex on n vertices.
+pair (X, pt) over the (d-1)-skeleton of the full simplex on n vertices.  The
+sum is folded by Horner's rule in x - 1, one product by x - 1 per j, so no
+power of x - 1 is expanded.
 
 Diagonal arrangements.  For a face sigma, Delta_sigma(X) in X^n is the
 subspace where all coordinates outside sigma agree, and Delta_K(X) is the
@@ -39,9 +41,9 @@ while the complement M(K, X) = X^n - Delta_K(X) has class x^n - [Delta_K(X)].
 
 Every complex formula reads the h-numbers of K, ``SimplicialComplex.h_numbers``,
 and sums their powers through one helper, :func:`power_sum`, so none expands a
-power of x - a or x - 1; the facets' meets are closed only by the h-numbers'
-Möbius route, which runs first on a budget, and the intersection poset is built
-only to be printed.
+power of x - a or x - 1, and neither does the fat wedge; the facets' meets are
+closed only by the h-numbers' Möbius route, which runs first on a budget, and
+the intersection poset is built only to be printed.
 
 The formulas that no verb runs, the fat wedge read as a polyhedral product,
 W_n(X), the disjoint-union arrangement and the Euler characteristic of a
@@ -167,10 +169,9 @@ def fat_wedge_class(n: int, d: int, x_class: PolyLike | None = None) -> ClassPol
         a, b = step.leading_coefficient()
         numerator, denominator = comb(n, d) * a ** d, b ** d
         check_digits(max(abs(numerator), denominator) // gcd(numerator, denominator))
-    total = power = ClassPoly.one()
-    for j in range(1, d + 1):
-        power = power * step  # (x-1)^j
-        total = total + comb(n, j) * power
+    total = ClassPoly.zero()
+    for j in range(d, -1, -1):  # Horner's rule in x - 1
+        total = total * step + comb(n, j)
     return total
 
 

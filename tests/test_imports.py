@@ -24,20 +24,7 @@ from pathlib import Path
 import pytest
 
 from kzero.cli import VERBS
-from util import SRC, load_tool, run_child
-
-INPUTS = {
-    "K.txt": "n=5\n1,2\n2,3\n3,4\n4,5\n",
-    "space.txt": "stratum p1 class=1\nstratum p2 class=1\nstratum arc1 class=-1\n"
-    "stratum arc2 class=-1\ngroup degree=2\ngen (1 2)\naction 1 arc1->arc2 arc2->arc1\n",
-    "desc.txt": "id c=2 class=1\nid c=1 class=-1\nid c=2 class=1\nt1 c=2 class=1\nt2 c=2 class=1\n",
-    "cells.txt": "0 2\n1 1\n0 2\n",
-    "classes.txt": "r1 c=2\nr2 c=2\n",
-    "map.txt": "dim=2\nrow -1 0\nrow 0 -1\nt 1 0\n",
-    "group.txt": "degree=4\ngen (1 2 3 4)\n",
-    "facet.txt": "n=30\n" + ",".join(map(str, range(1, 25))) + "\n",
-}
-"""Input files the file verbs below read, by the name their argv gives."""
+from util import INPUTS, SRC, load_tool, run_child
 
 LOADS = {
     "polyprod --complex K.txt --X x --A a": "polyhedral simplicial",

@@ -7,9 +7,11 @@ test), deliberately avoiding the library code paths they check.
 Every test that starts a child interpreter goes through :func:`run_child`, or
 :func:`kzero_child` for a ``kzero`` verb, which put ``src`` first on the child's
 ``PYTHONPATH`` (:func:`child_env`), time it, and cap its address space when
-asked; :func:`closed_pipe` gives a child a stdout whose reader is gone.  The golden gates share :func:`digest`, :func:`run_main` (``main`` in
-this process, its output captured), :func:`check_golden` and
-:func:`write_golden`.
+asked; :func:`closed_pipe` gives a child a stdout whose reader is gone.
+:func:`run_main` is the one in-process runner: ``main`` in this process, its
+output and the code of a usage error captured.  The golden gates share it with
+:func:`digest`, :func:`check_golden` and :func:`write_golden`, and ``INPUTS``
+holds the input files that the load table and the CLI contract table name.
 """
 
 from __future__ import annotations
@@ -101,11 +103,31 @@ def digest(*lines: str) -> str:
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of ``main(argv)`` run in this process."""
+    """(exit code, stdout, stderr) of ``main(argv)`` run in this process, the code of a
+    ``SystemExit`` too: help and usage errors, from argparse."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue()
+
+
+INPUTS = {
+    "K.txt": "n=5\n1,2\n2,3\n3,4\n4,5\n",  # the line graph on 5 vertices
+    # a circle as two points and two arcs, the arcs swapped by Z/2
+    "space.txt": "stratum p1 class=1\nstratum p2 class=1\nstratum arc1 class=-1\nstratum arc2 class=-1\n"
+                 "group degree=2\ngen (1 2)\naction 1 arc1->arc2 arc2->arc1\n",
+    "desc.txt": "id c=2 class=1\nid c=1 class=-1\nid c=2 class=1\nt1 c=2 class=1\nt2 c=2 class=1\n",
+    "cells.txt": "0 2\n1 1\n0 2\n",
+    "classes.txt": "r1 c=2\nr2 c=2\nr3 c=2\nr4 c=2\n",
+    "map.txt": "dim=2\nrow 0 -1\nrow 1 0\nt 1 0\n",  # a quarter turn about (1/2, 1/2)
+    "group.txt": "degree=4\ngen (1 2 3 4)\n",
+    "facet.txt": "n=30\n" + ",".join(map(str, range(1, 25))) + "\n",
+}
+"""Input files of the verbs, by the name the argvs of ``tests/test_imports.py::LOADS`` and
+``tests/test_cli.py::CONTRACT`` give them."""
 
 
 def golden_changes(path: Path, table: dict[str, dict[str, str]]) -> list[str]:
