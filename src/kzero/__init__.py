@@ -2,9 +2,10 @@
 
 The ring lives in :mod:`kzero.classpoly`; truncated power series over it in
 :mod:`kzero.classseries`.  On top of those sit the geometric calculators:
-polyhedral products, fat wedges, diagonal arrangements and their complements
-(:mod:`kzero.polyhedral`, backed by :mod:`kzero.simplicial` and
-:mod:`kzero.posets`), finite permutation groups (:mod:`kzero.permgroups`),
+polyhedral products, diagonal arrangements and their complements
+(:mod:`kzero.polyhedral`, backed by :mod:`kzero.simplicial`, :mod:`kzero.meets`
+and :mod:`kzero.posets`), fat wedges and the arrangement formulas no verb runs
+(:mod:`kzero.arrangements`), finite permutation groups (:mod:`kzero.permgroups`),
 permutation, cyclic, and symmetric products (:mod:`kzero.products`),
 quotients of stratified finite-group actions (:mod:`kzero.quotients`),
 action descriptors, orbifold and crystallographic
@@ -21,7 +22,7 @@ a ``kzero`` verb pays only for the modules it uses.
 """
 
 _EXPORTS = {
-    "arrangements": ("delta_config_class_disjoint", "w_class"),
+    "arrangements": ("delta_config_class_disjoint", "fat_wedge_class", "w_class"),
     "classpoly": ("ClassPoly", "binomial", "parse_poly"),
     "classseries": ("ClassSeries", "binomial_series", "macdonald_series"),
     "discrete": (
@@ -31,8 +32,8 @@ _EXPORTS = {
     ),
     "permgroups": ("PermGroup", "Permutation"),
     "polyhedral": (
-        "PolyPair", "delta_config_class", "fat_wedge_class",
-        "m_complement_class", "polyhedral_product_class", "polyhedral_product_complement_class",
+        "PolyPair", "delta_config_class", "m_complement_class", "polyhedral_product_class",
+        "polyhedral_product_complement_class",
     ),
     "posets": ("IntersectionPoset", "inclusion_exclusion", "intersection_poset"),
     "products": (

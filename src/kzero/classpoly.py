@@ -95,20 +95,20 @@ import math
 from functools import reduce
 from itertools import repeat
 from operator import add, floordiv, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .errors import InputSyntaxError, PreconditionError
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # names for annotations only, so no job builds them
     from fractions import Fraction
 
     from .classseries import ClassSeries
 
-Scalar = Union[int, "Fraction"]
-PolyLike = Union["ClassPoly", int, "Fraction"]
-Variables = tuple[str, ...]
-Terms = dict[int, int]
-Ring = TypeVar("Ring", "ClassPoly", "ClassSeries")
+    Scalar = int | Fraction
+    PolyLike = ClassPoly | Scalar
+    Variables = tuple[str, ...]
+    Terms = dict[int, int]
+    Ring = ClassPoly | ClassSeries
 
 MAX_TOTAL_DEGREE = 1000
 """Largest total degree of a class: the constructor refuses more, and a product or
@@ -457,14 +457,19 @@ _MINUS_ONE = ClassPoly.const(-1)
 
 
 def square_and_multiply(one: Ring, base: Ring, k: int) -> Ring:
-    """``base`` to the power ``k`` >= 0, from the ring's ``one``, by binary square-and-multiply:
-    the one power loop of ``ClassPoly`` and ``ClassSeries``, which check ``k`` first."""
+    """``base`` to the power ``k`` >= 0 by binary square-and-multiply, from the lowest set bit of
+    ``k`` up: ``base`` is squared once per bit past the lowest and multiplied in once per set bit
+    past the first, so a power takes popcount(k) + bit_length(k) - 2 products, none of them by the
+    ring's ``one``.  The one power loop of ``ClassPoly`` and ``ClassSeries``, which check ``k``
+    first."""
+    result = one
     while k:
-        if k & 1:
-            one = one * base
-        base = base * base if k > 1 else base
+        if k & 1:  # every product is a new object, so result is one until the first set bit
+            result = base if result is one else result * base
         k >>= 1
-    return one
+        if k:  # no square past the top bit
+            base = base * base
+    return result
 
 
 def sum_of_products(pairs: Iterable[tuple[ClassPoly, ClassPoly]]) -> ClassPoly:
@@ -642,6 +647,6 @@ def parse_poly(text: str) -> ClassPoly:
 # -- command line ----------------------------------------------------------------
 
 
-def render(value: ClassPoly | ClassSeries, latex: bool) -> str:
+def render(value: Ring, latex: bool) -> str:
     """How a verb prints a class or a series: its canonical text, or its LaTeX with ``latex``."""
     return value.latex() if latex else str(value)

@@ -25,13 +25,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from .classpoly import (
-    MAX_TOTAL_DEGREE, ClassPoly, PolyLike, PolyTooLargeError, as_class, join_terms, parse_poly, render,
-    square_and_multiply, sum_of_products,
+    MAX_TOTAL_DEGREE, ClassPoly, PolyTooLargeError, as_class, join_terms, parse_poly, render, square_and_multiply,
+    sum_of_products,
 )
 from .errors import PreconditionError
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
+
+    from .classpoly import PolyLike
 
 
 class NonUnitConstantTermError(PreconditionError):

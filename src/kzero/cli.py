@@ -62,7 +62,7 @@ VERBS: dict[str, tuple[str, str, tuple[tuple[str, dict], ...]]] = {
     )),
     "complement": ("class of X^n minus a polyhedral product", "polyhedral",
                    (_COMPLEX, _X, ("--A", {"required": True}), _SHOW_POSET, _LATEX)),
-    "fatwedge": ("class of tuples with at most d coordinates off basepoint", "polyhedral",
+    "fatwedge": ("class of tuples with at most d coordinates off basepoint", "arrangements",
                  (_N, ("--d", _INT), _X, _LATEX)),
     "config": ("class of the diagonal arrangement Delta_K(X)", "polyhedral", (_COMPLEX, _X, _LATEX)),
     "config-complement": ("class of X^n minus Delta_K(X)", "polyhedral",

@@ -26,14 +26,20 @@ handlers of the four verbs that read these files.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class, check_digits, parse_poly, render
+from .classpoly import ClassPoly, as_class, check_digits, parse_poly, render
 from .errors import GSpaceFormatError, PreconditionError, data_lines, read_field, read_file
 
 if TYPE_CHECKING:
     from fractions import Fraction
     from types import SimpleNamespace
+
+    from .classpoly import PolyLike
+
+    Cell = tuple[int, int]  # a cell orbit's dimension and stabilizer order
+    Vector = tuple[Fraction, ...]
 
 
 class DimensionMismatchError(PreconditionError):
@@ -56,7 +62,7 @@ def descriptor_class(rows: Iterable[tuple[str, PolyLike, int]]) -> ClassPoly:
 # -- orbifold Euler characteristics ------------------------------------------
 
 
-def orbifold_euler(cells: Iterable[tuple[int, int]]) -> Fraction:
+def orbifold_euler(cells: Iterable[Cell]) -> Fraction:
     """e(Gamma, X) = sum over cell orbit representatives of (-1)^dim / |stabilizer|."""
     from fractions import Fraction
 
@@ -71,7 +77,7 @@ def orbifold_euler(cells: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def quotient_euler_from_fixed_data(
-    fixed_sets: Iterable[Iterable[tuple[int, int]]]
+    fixed_sets: Iterable[Iterable[Cell]]
 ) -> Fraction:
     """chi of the quotient as the sum of e(C(gamma), X^gamma) over finite-order
     conjugacy representatives gamma, each given by its cell orbit data."""
@@ -83,11 +89,19 @@ def quotient_euler_from_fixed_data(
 # -- crystallographic groups --------------------------------------------------
 
 
-class CentralIsometryClass(NamedTuple):
+class CentralIsometryClass(tuple):
     """A conjugacy class of central isometries and its centralizer order."""
 
-    label: str
-    centralizer_order: int
+    __slots__ = ()
+
+    def __new__(cls, label: str, centralizer_order: int) -> CentralIsometryClass:
+        return tuple.__new__(cls, (label, centralizer_order))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    label = property(itemgetter(0))
+    centralizer_order = property(itemgetter(1))
 
 
 def crystal_chi(classes: Sequence[CentralIsometryClass]) -> Fraction:
@@ -99,12 +113,10 @@ def crystal_chi(classes: Sequence[CentralIsometryClass]) -> Fraction:
     from fractions import Fraction
 
     total = Fraction(0)
-    for c in classes:
-        if c.centralizer_order < 1:
-            raise PreconditionError(
-                f"centralizer order must be >= 1, got {c.centralizer_order} for {c.label!r}"
-            )
-        total += Fraction(1, c.centralizer_order)
+    for label, order in classes:
+        if order < 1:
+            raise PreconditionError(f"centralizer order must be >= 1, got {order} for {label!r}")
+        total += Fraction(1, order)
     if total.denominator != 1:
         warnings.warn(f"crystallographic Euler characteristic {total} is not an integer")
     return total
@@ -118,30 +130,24 @@ def crystal_quotient_class(classes: Sequence[CentralIsometryClass]) -> ClassPoly
 # -- affine maps ---------------------------------------------------------------
 
 
-class _Affine(NamedTuple):
-    linear: tuple[tuple[Fraction, ...], ...]
-    translation: tuple[Fraction, ...]
-
-
-class AffineMap(_Affine):
+class AffineMap(tuple):
     """x -> linear @ x + translation with exact rational entries."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, linear: tuple[tuple[Fraction, ...], ...], translation: tuple[Fraction, ...]
-    ) -> AffineMap:
+    def __new__(cls, linear: tuple[Vector, ...], translation: Vector) -> AffineMap:
         n = len(translation)
         if len(linear) != n or any(len(row) != n for row in linear):
             raise DimensionMismatchError(
                 f"linear part must be {n}x{n} to match a translation of length {n}"
             )
-        return super().__new__(cls, linear, translation)
+        return tuple.__new__(cls, (linear, translation))
 
-    @classmethod
-    def _make(cls, fields: Iterable[tuple]) -> AffineMap:
-        """Build through ``__new__``, so ``_replace`` checks its fields too."""
-        return cls(*fields)
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    linear = property(itemgetter(0))  # a tuple of rows
+    translation = property(itemgetter(1))
 
     @property
     def dimension(self) -> int:
@@ -194,9 +200,9 @@ def parse_isometry_classes_text(text: str) -> list[CentralIsometryClass]:
     return out
 
 
-def parse_cells_text(text: str) -> list[tuple[int, int]]:
+def parse_cells_text(text: str) -> list[Cell]:
     """Read orbifold cell data: one ``<dim> <stabilizer order>`` line per cell orbit."""
-    out: list[tuple[int, int]] = []
+    out: list[Cell] = []
     for lineno, line in data_lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -209,7 +215,7 @@ def parse_cells_text(text: str) -> list[tuple[int, int]]:
 def parse_affine_map_text(text: str) -> AffineMap:
     """Read an affine map: ``dim=<n>``, n ``row <q> ...`` lines, one ``t <q> ...`` line."""
     dim: int | None = None
-    by_kind: dict[str, list[tuple[Fraction, ...]]] = {"row": [], "t": []}
+    by_kind: dict[str, list[Vector]] = {"row": [], "t": []}
     for lineno, line in data_lines(text):
         if dim is None:
             if not line.startswith("dim="):

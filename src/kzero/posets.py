@@ -16,13 +16,15 @@ expresses the class of a complement as sum of mu(sigma) times the class of
 the stratum at sigma.
 
 The nodes above the bottom and their Möbius values are those of
-:func:`kzero.simplicial.meet_mobius`, which owns the meet closure and the
-recursion; this module adds the bottom and the node records.
+:func:`kzero.meets.meet_mobius`, which owns the meet closure and the
+recursion; this module adds the bottom and the node records, plain tuples
+whose fields are properties.
 
 The complex formulas do not run on the poset: they read the h-numbers of
-:mod:`kzero.simplicial`, whose Möbius route calls ``meet_mobius`` itself, so
-the CLI loads this module only for ``--show-poset``.  ``inclusion_exclusion`` stays as
-the route the test suite checks the complements against: for a ``class_of``
+:mod:`kzero.simplicial`, whose Möbius route in :mod:`kzero.meets` calls
+``meet_mobius`` itself, so the CLI loads this module only for ``--show-poset``.
+``inclusion_exclusion`` stays as the route the test suite checks the
+complements against: for a ``class_of``
 that depends on sigma only through |sigma| (as the stratum classes
 x^|sigma| a^(n - |sigma|) of polyhedral products and x^(|sigma| + 1) of
 diagonal arrangements do), it first adds up mu over the nodes of each size and
@@ -33,17 +35,27 @@ first node of that size as the representative.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, NamedTuple
+from operator import itemgetter
+from typing import Callable
 
 from .classpoly import ClassPoly
-from .simplicial import EmptyComplexError, Simplex, SimplicialComplex, meet_mobius
+from .meets import meet_mobius
+from .simplicial import EmptyComplexError, Simplex, SimplicialComplex
 
 
-class PosetNode(NamedTuple):
+class PosetNode(tuple):
     """One node: its vertex set (None for the artificial bottom) and Möbius value."""
 
-    vertex_set: Simplex | None
-    mobius: int
+    __slots__ = ()
+
+    def __new__(cls, vertex_set: Simplex | None, mobius: int) -> PosetNode:
+        return tuple.__new__(cls, (vertex_set, mobius))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    vertex_set = property(itemgetter(0))
+    mobius = property(itemgetter(1))
 
     def label(self) -> str:
         if self.vertex_set is None:

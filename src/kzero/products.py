@@ -43,12 +43,13 @@ from collections import Counter
 from math import factorial
 from typing import TYPE_CHECKING
 
-from .classpoly import ClassPoly, PolyLike, as_class, binomial, parse_poly, render, sum_of_products
+from .classpoly import ClassPoly, as_class, binomial, parse_poly, render, sum_of_products
 from .errors import PreconditionError, read_file
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
 
+    from .classpoly import PolyLike
     from .permgroups import PermGroup
 
 

@@ -38,13 +38,15 @@ from bisect import bisect_left
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class, parse_poly, render, sum_of_products
+from .classpoly import ClassPoly, as_class, parse_poly, render, sum_of_products
 from .errors import GSpaceFormatError, PreconditionError, RouteDisagreementError, data_lines, read_field
 from .errors import read_file
 from .permgroups import MAX_IMAGES, OrderCapExceededError, PermGroup, Permutation, closures, read_group_line
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
+
+    from .classpoly import PolyLike
 
 _FORWARDED = (
     "CentralIsometryClass", "crystal_chi", "descriptor_class", "orbifold_euler", "parse_descriptor_text",

@@ -1,11 +1,10 @@
 """Finite abstract simplicial complexes on vertices 1..n.
 
 A complex is the pair (n, facets) of its vertex count and its facets
-(inclusion-maximal faces), a ``NamedTuple`` whose constructor, ``_make`` and
-``_replace`` all filter the facets and check the vertices, so equality and
-hashing are the pair's.  The empty complex (no faces at all) and the complex
-whose only face is the empty simplex are distinct values; the latter arises
-as the (-1)-skeleton.
+(inclusion-maximal faces), a ``tuple`` whose constructor filters the facets and
+checks the vertices, so equality and hashing are the pair's.  The empty complex
+(no faces at all) and the complex whose only face is the empty simplex are
+distinct values; the latter arises as the (-1)-skeleton.
 
 Simplices are plain sorted tuples of vertices.  Vertex numbering is global to the
 complex: two complexes on the same n share vertices.
@@ -19,33 +18,10 @@ The h-numbers (``h_numbers``) are the one face count the complex formulas
 read: h_j is the coefficient of t^j in the sum over faces sigma of
 (t - 1)^|sigma|.  A skeleton of the full simplex (all C(n, s) faces of one
 size s as facets) has h_j = (-1)^(s - j) C(n, j) C(n - j - 1, s - j) for
-s < n; the full simplex has h_n = 1 and no other.  Otherwise two routes are
-exact.  Listing the faces writes the sum over facets F of |F| 2^(|F| - 1)
-vertices into face tuples, and h_j is the sum over sizes k of
-(-1)^(k - j) C(k, j) f_k, f_k the faces of size k.  The poset route sums mu
-over the meets of the facets: -h_j is the sum of mu over the meets of size j
-in their intersection poset (Rota 1964).  The poset route runs first, with as
-many steps to spend as listing writes vertices.  Each meet the closure takes
-is a step; once it is closed, the Möbius values are charged up front, one step
-per set and two per vertex of each set (a vertex bitset read, then written).
-Once the steps would outnumber the vertices, the poset route stops and the
-faces are listed, so the meets given up never outnumber them.  One facet on
-5000 vertices is one meet, not 2^5000 faces, and five facets of 24 vertices
-on a shared core of 23 are 15 meets, not 5 * 2^24 faces.
-
-``meet_mobius`` gives that poset's meets and Möbius values, with no module of
-its own to import.  It reads each facet as an int bitmask over the facets'
-vertices, bit k for the k-th smallest of them, so a meet is ``a & b`` and a mask
-has no more bits than the facets have vertices, however large their labels;
-``to_mask`` and ``from_mask`` take time linear in the mask's size, and every
-node is read back as labels before the nodes are sorted.  The closure first
-meets each pair of facets once, then each newly found set with the facets
-only: every meet F1 & ... & Fk is reached from F1 one facet at a time.  The
-nodes below sigma (its strict supersets) all come earlier in size order, and
-each vertex keeps a bitset of the sets listed so far that contain it, so the
-strict supersets of sigma are the AND of those bitsets over sigma's vertices;
-one more bitset per Möbius value gives the sum of mu over them as a sum of
-value times popcount.
+s < n; the full simplex has h_n = 1 and no other.  Any other complex takes
+the general routes of :mod:`kzero.meets`, its facets' meets or its faces,
+which this module imports only then: a job over a skeleton compiles none of
+them.
 
 File format (one complex per file): a line ``n=<int>`` followed by one facet
 per line as comma-separated vertices.  Blank lines and ``#`` comments are
@@ -55,10 +31,10 @@ representation (an empty line reads as a blank, not a facet).
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate, combinations, groupby
-from math import comb, inf
-from typing import Iterable, NamedTuple, NoReturn
+from itertools import combinations, groupby
+from math import comb
+from operator import itemgetter
+from typing import Iterable, NoReturn
 
 from .errors import InputSyntaxError, PreconditionError, data_lines, read_field
 
@@ -77,55 +53,6 @@ class EmptyComplexError(PreconditionError):
     """An operation needing at least one facet was given a complex without any."""
 
 
-def to_mask(face: Simplex) -> int:
-    """The bitmask of a tuple of vertex numbers: bit v is set for each number v, written into bytes
-    read little-endian."""
-    bits = bytearray(max(face, default=0) // 8 + 1)
-    for v in face:
-        bits[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(bits, "little")
-
-
-def from_mask(mask: int) -> Simplex:
-    """The sorted tuple of the numbers whose bits a mask sets: from bit 0 up, each run of 0s in its
-    binary numeral, plus one, steps to the next number, so a run of 0s costs no Python step."""
-    runs = bin(mask).split("1")[1:]
-    return tuple(accumulate((len(run) + 1 for run in reversed(runs)), initial=-1))[1:]
-
-
-def meet_mobius(facets: tuple[Simplex, ...], budget: float = inf) -> list[tuple[Simplex, int]] | None:
-    """(vertex set, mu) for every meet of the facets, by decreasing size, then lexicographic: the
-    nodes of the intersection poset above its bottom, whose mu is 1.  None, with no mu computed, once
-    the steps counted in the module docstring number more than ``budget``."""
-    spent = len(facets) * (len(facets) - 1) // 2  # the pairs are met first
-    vertices = sorted(set().union(*facets))  # bit k of a mask stands for vertices[k]
-    number = {v: k for k, v in enumerate(vertices)}
-    facet_masks = [to_mask(tuple(map(number.__getitem__, f))) for f in facets] if spent <= budget else []
-    masks = set(facet_masks)
-    frontier = {f & g for f, g in combinations(facet_masks, 2)} - masks
-    while frontier:
-        masks |= frontier
-        spent += len(frontier) * len(facet_masks)
-        frontier = {s & f for s in frontier for f in facet_masks} - masks if spent <= budget else set()
-    spent += len(masks) + 2 * sum(map(int.bit_count, masks))  # each vertex bitset is read, then written
-    if spent > budget:
-        return None
-    # per vertex, and per Möbius value: the sets listed so far that contain it, or have it, bit k the k-th
-    containing, with_mobius, meets = {}, {}, []
-    nodes = (tuple(map(vertices.__getitem__, from_mask(m))) for m in masks)
-    for k, vs in enumerate(sorted(nodes, key=lambda vs: (-len(vs), vs))):
-        supersets = (1 << k) - 1
-        for v in vs:
-            supersets &= containing.get(v, 0)
-        mu = -1 - sum(value * (supersets & bits).bit_count() for value, bits in with_mobius.items())
-        meets.append((vs, mu))
-        bit = 1 << k
-        for v in vs:
-            containing[v] = containing.get(v, 0) | bit
-        with_mobius[mu] = with_mobius.get(mu, 0) | bit
-    return meets
-
-
 def _as_simplex(face: Iterable[int], n: int) -> Simplex:
     s = tuple(sorted(set(face)))
     for v in s:
@@ -134,12 +61,7 @@ def _as_simplex(face: Iterable[int], n: int) -> Simplex:
     return s
 
 
-class _Complex(NamedTuple):
-    n: int
-    facets: tuple[Simplex, ...]
-
-
-class SimplicialComplex(_Complex):
+class SimplicialComplex(tuple):
     """Immutable simplicial complex: its vertex count and its facets, sorted by
     (size, lexicographic)."""
 
@@ -155,12 +77,13 @@ class SimplicialComplex(_Complex):
             fresh = [f for f in same_size if not any(map(frozenset(f).issubset, larger))]
             kept.extend(fresh)
             larger.extend(map(frozenset, fresh))
-        return super().__new__(cls, n, tuple(sorted(kept, key=lambda s: (len(s), s))))
+        return tuple.__new__(cls, (n, tuple(sorted(kept, key=lambda s: (len(s), s)))))
 
-    @classmethod
-    def _make(cls, fields: Iterable) -> SimplicialComplex:
-        """Build through ``__new__``, so ``_replace`` checks and filters its fields too."""
-        return cls(*fields)
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    n = property(itemgetter(0))
+    facets = property(itemgetter(1))  # sorted by (size, lexicographic)
 
     @property
     def dim(self) -> int:
@@ -173,7 +96,8 @@ class SimplicialComplex(_Complex):
 
     def h_numbers(self) -> list[int]:
         """Entry j is the coefficient of t^j in the sum over faces sigma of (t - 1)^|sigma|;
-        [] when there are no faces.  The route is picked as the module docstring says."""
+        [] when there are no faces.  A skeleton of the full simplex takes the closed form of
+        the module docstring, any other complex :func:`kzero.meets.h_numbers`."""
         facets = self.facets
         if not facets:
             return []
@@ -183,23 +107,9 @@ class SimplicialComplex(_Complex):
             if size == n:  # the full simplex
                 return [0] * n + [1]
             return [(-1) ** (size - j) * comb(n, j) * comb(n - j - 1, size - j) for j in range(size + 1)]
-        meets = meet_mobius(facets, sum(len(f) << len(f) for f in facets) // 2)
-        return self._h_by_faces() if meets is None else self._h_by_mobius(meets)
+        from .meets import h_numbers
 
-    def _h_by_faces(self) -> list[int]:
-        faces: set[Simplex] = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                faces.update(combinations(f, k))
-        counts = Counter(map(len, faces))  # f_k, the number of faces of size k
-        return [sum((-1) ** (k - j) * comb(k, j) * f for k, f in counts.items() if k >= j)
-                for j in range(len(counts))]
-
-    def _h_by_mobius(self, meets: list[tuple[Simplex, int]]) -> list[int]:
-        h = [0] * (self.dim + 2)
-        for vertex_set, mu in meets:
-            h[len(vertex_set)] -= mu
-        return h
+        return h_numbers(facets)
 
     def face_count_by_size(self) -> dict[int, int]:
         """Number of faces of each size, by increasing size: f_k = sum_j h_j C(j, k)."""
@@ -254,9 +164,11 @@ class SimplicialComplex(_Complex):
                 if n < 0:
                     raise ComplexFormatError(f"line {lineno}: vertex count must be >= 0")
             else:
-                message = f"line {lineno}: bad facet"
-                face = line.split(",")
-                facets.append(tuple(read_field(int, v, ComplexFormatError, message) for v in face))
+                try:
+                    facets.append(tuple(map(int, line.split(","))))
+                except ValueError:  # reread field by field, so the error names the one that failed
+                    for v in line.split(","):
+                        read_field(int, v, ComplexFormatError, f"line {lineno}: bad facet")
         if n is None:
             raise ComplexFormatError("missing 'n=<int>' line")
         try:

@@ -28,12 +28,14 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .classpoly import ClassPoly, PolyLike, as_class, check_digits, parse_poly, render, sum_of_products
+from .classpoly import ClassPoly, as_class, check_digits, parse_poly, render, sum_of_products
 from .classseries import ClassSeries, binomial_series, macdonald_series
 from .errors import DOutOfRangeError, PreconditionError
 
 if TYPE_CHECKING:
     from types import SimpleNamespace
+
+    from .classpoly import PolyLike
 
 DegreeVector = tuple[int, ...]
 

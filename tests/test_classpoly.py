@@ -19,6 +19,7 @@ from kzero.classpoly import (
     binomial,
     parse_poly,
 )
+from kzero.classseries import ClassSeries
 
 from util import random_poly, regex_tokens
 
@@ -141,6 +142,21 @@ def test_power():
     assert (x + 1) ** 2 == x ** 2 + 2 * x + 1
     with pytest.raises(ValueError):
         x ** -1
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_a_power_takes_popcount_plus_bit_length_minus_two_products_and_none_by_one(k, monkeypatch):
+    # (x+1)**2 once took two products, one of them by 1, and **5 four
+    for base in (x + 1, ClassSeries([1, x, a], order=5)):
+        ring, want = type(base), base
+        for _ in range(k - 1):
+            want = want * base
+        products = []
+        multiply = ring.__mul__
+        monkeypatch.setattr(ring, "__mul__", lambda p, q: products.append((p, q)) or multiply(p, q))
+        assert base ** k == want
+        assert len(products) == k.bit_count() + k.bit_length() - 2, (ring, products)
+        assert all(1 not in pair for pair in products if ring is ClassPoly)
 
 
 def test_symbolic_binomial_matches_integer_binomial():

@@ -35,7 +35,8 @@ from hypothesis import strategies as st
 
 from kzero.classpoly import MAX_DIGITS, MAX_NESTING, MAX_TOTAL_DEGREE, ClassPoly, parse_poly
 from kzero import cli
-from kzero.cli import main
+from kzero.cli import VERBS, main
+from kzero.errors import MAX_FILE_BYTES
 from kzero.permgroups import MAX_IMAGES, MAX_ORDER, PermGroup, Permutation
 from kzero.polyhedral import PolyPair, polyhedral_product_class
 from kzero.products import MAX_CYCLIC_ORDER
@@ -178,9 +179,21 @@ FILES = {
     "facet_200000.txt": facet(400000, 1, 200000),
     "facet_24.txt": facet(25, 1, 24),
     "edge_10_billion.txt": "n=10000000000\n1,10000000000\n",
+    "degree_0_space.txt": "stratum p class=1\ngroup degree=0\n",
+    "utf16.txt": "n=1\n".encode("utf-16"),  # starts with the bytes ff fe
 }
-"""Every input file of ``CONTRACT``, by the name its shell lines give; ``missing.txt`` is
-left out on purpose."""
+"""Every input file of ``CONTRACT``, by the name its shell lines give, as text or bytes;
+``missing.txt`` is left out on purpose."""
+
+FILE_VERBS = [verb for verb, (_, _, arguments) in VERBS.items()
+              if any(keywords.get("metavar") == "PATH" for _, keywords in arguments)]
+"""Every verb that reads an input file."""
+
+
+def file_line(verb: str, path: str) -> str:
+    """``verb`` with ``path`` for its file and ``1`` for every other required argument."""
+    return shlex.join([verb, *(token for flag, keywords in VERBS[verb][2] if keywords.get("required")
+                               for token in (flag, path if keywords.get("metavar") == "PATH" else "1"))])
 
 HALF = "5" + "0" * (MAX_DIGITS - 1)
 SEVENS = "7" * 2000
@@ -436,6 +449,17 @@ CONTRACT = {
         "polyprod --complex facet_24.txt --X y+1 --A 1", printed(binomial_power("y", 24)), 2, child=True),
     "one_facet_on_24_vertices_is_quick: complement": Row(
         "complement --complex facet_24.txt --X y+1 --A 1", printed(binomial_power("y", 24, shift=1)), 2, child=True),
+    "quotient_on_a_group_of_degree_zero_exits_2": Row("quotient --space degree_0_space.txt",
+                                                      refused(2, pattern="line 2: .*")),
+    # a file that is not UTF-8 gave a UnicodeDecodeError traceback, /dev/zero a MemoryError one
+    # under 256 MiB, and /dev/urandom was still being read at 5 s
+    **{f"a_file_that_is_not_utf8_or_never_ends_is_refused_in_a_child: {verb} {path}": Row(
+        file_line(verb, path), want, 2, True, GIB)
+       for verb in FILE_VERBS for path, want in (
+           ("utf16.txt", refused(2, pattern=".*/utf16\\.txt is not UTF-8: invalid start byte at byte 0")),
+           ("/dev/zero", (3, "", f"error: /dev/zero is longer than the limit of {MAX_FILE_BYTES} bytes\n")),
+           ("/dev/urandom", (3, "", f"error: /dev/urandom is longer than the limit of {MAX_FILE_BYTES} bytes\n")),
+       )},
     "every_verb_has_a_refusal_row: quotient-descriptor": Row(
         "quotient-descriptor --descriptor bad_descriptor.txt", refused(2, pattern="line 2: .*")),
     "every_verb_has_a_refusal_row: crystal": Row("crystal --descriptor bad_classes.txt", refused(2, pattern="line 2: .*")),
@@ -459,7 +483,7 @@ def ran(tmp_path_factory):
     code, stdout, stderr).  ``FILES`` are written once, into one folder."""
     folder = tmp_path_factory.mktemp("inputs")
     for name, text in FILES.items():
-        (folder / name).write_text(text)
+        (folder / name).write_bytes(text if isinstance(text, bytes) else text.encode())
 
     @functools.cache
     def run(name):

@@ -49,3 +49,17 @@ def test_a_verb_bill_is_the_sum_of_the_rows_of_the_modules_it_loads():
     assert list(bills) == list(VERBS)
     # which modules each verb loads is checked against a real job in test_imports.py
     assert [verb for verb, (bill, modules) in bills.items() if bill != sum(nodes[m] for m in modules)] == []
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_exits_0(flag):
+    proc = run_child([str(TOOL), flag], timeout=60)[1]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("Count the code lines and the AST nodes") and "code_lines.py src/kzero" in proc.stdout
+
+
+def test_a_path_that_does_not_exist_gives_one_error_line_and_exit_2(tmp_path):
+    # this ended in a FileNotFoundError traceback
+    missing = tmp_path / "missing.py"
+    proc = run_child([str(TOOL), str(TOOL), str(missing)], timeout=60)[1]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: no such file or directory: {missing}\n")

@@ -3,18 +3,16 @@
 import pytest
 
 from kzero.classpoly import MAX_DIGITS, PolyTooLargeError
-from kzero.cli import VERBS, main
 from kzero.discrete import (
     parse_affine_map_text,
     parse_cells_text,
     parse_descriptor_text,
     parse_isometry_classes_text,
 )
-from kzero.errors import MAX_FILE_BYTES, GSpaceFormatError, InputSyntaxError
+from kzero.errors import GSpaceFormatError, InputSyntaxError
 from kzero.permgroups import parse_group_generators
 from kzero.quotients import parse_gspace_text
 from kzero.simplicial import ComplexFormatError, SimplicialComplex
-from util import kzero_child
 
 GSPACE = (
     "stratum p1 class=1\n"
@@ -108,37 +106,3 @@ def test_a_bad_field_names_its_line_in_the_format_error(name, bare, index):
 def test_a_literal_over_the_digit_limit_is_still_a_precondition(parse, text):
     with pytest.raises(PolyTooLargeError):
         parse(text.format("7" * (MAX_DIGITS + 1)))
-
-
-def test_quotient_on_a_group_of_degree_zero_exits_2(tmp_path, capsys):
-    space = tmp_path / "space.txt"
-    space.write_text("stratum p class=1\ngroup degree=0\n")
-    assert main(["quotient", "--space", str(space)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: line 2: ") and captured.err.count("\n") == 1
-
-
-FILE_VERBS = [verb for verb, (_, _, arguments) in VERBS.items()
-              if any(keywords.get("metavar") == "PATH" for _, keywords in arguments)]
-"""Every verb that reads an input file."""
-
-
-def file_argv(verb: str, path: str) -> list[str]:
-    """``verb`` with ``path`` for its file and ``1`` for every other required argument."""
-    return [verb, *(token for flag, keywords in VERBS[verb][2] if keywords.get("required")
-                    for token in (flag, path if keywords.get("metavar") == "PATH" else "1"))]
-
-
-@pytest.mark.parametrize("verb", FILE_VERBS)
-def test_a_file_that_is_not_utf8_or_never_ends_is_refused_in_a_child(tmp_path, verb):
-    utf16 = tmp_path / "utf16.txt"
-    utf16.write_bytes("n=1\n".encode("utf-16"))  # starts with the bytes ff fe
-    refusals = [
-        (utf16, 2, f"error: {utf16} is not UTF-8: invalid start byte at byte 0\n"),
-        ("/dev/zero", 3, f"error: /dev/zero is longer than the limit of {MAX_FILE_BYTES} bytes\n"),
-        ("/dev/urandom", 3, f"error: /dev/urandom is longer than the limit of {MAX_FILE_BYTES} bytes\n"),
-    ]
-    for path, code, err in refusals:
-        seconds, got = kzero_child(*file_argv(verb, str(path)), address_space=2**30)
-        assert got == (code, "", err) and seconds < 2, (path, seconds)

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from kzero.classpoly import ClassPoly, PolyTooLargeError, parse_poly
+from kzero.errors import DOutOfRangeError
 from kzero.polyhedral import (
     ComponentIsSingleSimplexError,
     DimensionConditionError,
-    DOutOfRangeError,
     PolyPair,
     SingleSimplexError,
     TooFewComponentsError,
@@ -131,14 +131,6 @@ def test_product_over_degenerate_complexes():
 def test_product_over_no_faces_with_int_classes_is_a_class():
     got = polyhedral_product_class(SimplicialComplex(3), PolyPair(2, 1))
     assert isinstance(got, ClassPoly) and got == 1
-
-
-def test_a_pair_refuses_a_bad_field_on_every_route():
-    assert PAIR._replace(a_class=2) == PolyPair(X, 2) == PolyPair._make([X, 2])
-    with pytest.raises(TypeError):
-        PAIR._replace(a_class=0.5)
-    with pytest.raises(TypeError):
-        PolyPair._make([X, "1/2"])
 
 
 def test_fat_wedge_small_cases():

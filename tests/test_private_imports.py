@@ -1,9 +1,10 @@
 """Import rules read from the source, the ones no run can check: no module of the
 package imports an underscore name from a sibling module or reads an underscore
 attribute that it does not define itself, no module imports ``re``, only the CLI
-ends the process at ``os._exit``, no module freezes the collector, and
-``simplicial`` imports nothing from ``posets``.  What a job loads at start-up is
-checked by running it: see the load table of ``test_imports.py``."""
+ends the process at ``os._exit``, no module freezes the collector or builds a
+``NamedTuple`` class, ``simplicial`` imports nothing from ``posets``, and ``meets``
+imports neither.  What a job loads at start-up is checked by running it: see the
+load table of ``test_imports.py``."""
 
 import ast
 from pathlib import Path
@@ -98,9 +99,23 @@ def test_only_the_cli_ends_the_process_and_no_module_freezes_the_collector():
     assert [path.stem for path in MODULES if names(path, "gc.freeze")] == []
 
 
-def test_simplicial_imports_nothing_from_posets():
-    # the h-numbers' Möbius route is ``simplicial.meet_mobius``; the dependency runs one way
-    tree = ast.parse((PACKAGE / "simplicial.py").read_text(encoding="utf-8"))
-    imports = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert "from .errors import" in " ".join(imports)
-    assert [line for line in imports if "posets" in line] == []
+def test_no_module_builds_a_named_tuple_class():
+    # such a class is built each time its module runs, so every job that imports it pays for
+    # it; the records are tuple subclasses
+    assert [path.stem for path in MODULES
+            if names(path, "typing.NamedTuple") or names(path, "collections.namedtuple")] == []
+
+
+def sibling_imports(stem: str) -> list[str]:
+    """Every import statement of the module ``stem``, at any depth, as source text."""
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("stem, others", [("simplicial", ["posets"]), ("meets", ["simplicial", "posets"])],
+                         ids=["simplicial", "meets"])
+def test_the_h_routes_import_nothing_from_the_modules_that_call_them(stem, others):
+    # the general h routes are ``meets``'s: ``simplicial`` and ``posets`` call them, one way
+    imports = sibling_imports(stem)
+    assert imports  # the walk saw the module's imports
+    assert [line for line in imports for other in others if other in line] == []

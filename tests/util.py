@@ -116,6 +116,7 @@ def run_main(argv: list[str]) -> tuple[int, str, str]:
 
 INPUTS = {
     "K.txt": "n=5\n1,2\n2,3\n3,4\n4,5\n",  # the line graph on 5 vertices
+    "skeleton.txt": "n=5\n" + "".join(f"{u},{v}\n" for u, v in combinations(range(1, 6), 2)),  # all 10 edges
     # a circle as two points and two arcs, the arcs swapped by Z/2
     "space.txt": "stratum p1 class=1\nstratum p2 class=1\nstratum arc1 class=-1\nstratum arc2 class=-1\n"
                  "group degree=2\ngen (1 2)\naction 1 arc1->arc2 arc2->arc1\n",

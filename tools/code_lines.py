@@ -12,8 +12,9 @@ no bytecode cache is kept.
 
 Prints one ``<code lines>  <nodes>  <path>`` row per module, then the totals;
 when the reader of stdout closes it early, the script exits 1 with nothing on
-stderr.  Each argument is a module or a directory, whose ``*.py`` files are
-read recursively::
+stderr.  ``-h`` or ``--help`` prints this text and exits 0; a path that does not
+exist gives one ``error:`` line and exit 2, before any row.  Each argument is a
+module or a directory, whose ``*.py`` files are read recursively::
 
     python3 tools/code_lines.py src/kzero
 
@@ -114,24 +115,37 @@ def modules(paths: list[str]) -> list[Path]:
     return found
 
 
+def print_rows(paths: list[str]) -> None:
+    """Print the row of each module under ``paths``, the totals, and each verb's bill."""
+    lines = nodes = 0
+    sizes: dict[Path, int] = {}
+    for path in modules(paths):
+        source = path.read_text(encoding="utf-8")
+        count, sizes[path] = code_lines(source), ast_nodes(source)
+        lines, nodes = lines + count, nodes + sizes[path]
+        print(f"{count:6d}  {sizes[path]:7d}  {path}")
+    print(f"{lines:6d}  {nodes:7d}  total")
+    for package in map(Path, paths):
+        if (package / "cli.py").is_file():
+            for verb, names in compile_bills(package).items():
+                bill = sum(sizes[package / f"{name}.py"] for name in names)
+                print(f"{'verb':>6}  {bill:7d}  {verb}: {' '.join(names)}")
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    lines = nodes = 0
-    sizes: dict[Path, int] = {}
+    wants_help = "-h" in argv or "--help" in argv
+    missing = [] if wants_help else [path for path in argv if not Path(path).exists()]
+    if missing:
+        print(f"error: no such file or directory: {missing[0]}", file=sys.stderr)
+        return 2
     try:
-        for path in modules(argv):
-            source = path.read_text(encoding="utf-8")
-            count, sizes[path] = code_lines(source), ast_nodes(source)
-            lines, nodes = lines + count, nodes + sizes[path]
-            print(f"{count:6d}  {sizes[path]:7d}  {path}")
-        print(f"{lines:6d}  {nodes:7d}  total")
-        for package in map(Path, argv):
-            if (package / "cli.py").is_file():
-                for verb, names in compile_bills(package).items():
-                    bill = sum(sizes[package / f"{name}.py"] for name in names)
-                    print(f"{'verb':>6}  {bill:7d}  {verb}: {' '.join(names)}")
+        if wants_help:
+            print(__doc__.strip())
+        else:
+            print_rows(argv)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout.  Point fd 1 at the null device, so the flush at exit

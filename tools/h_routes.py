@@ -1,12 +1,14 @@
-"""Time the two h-number routes of ``SimplicialComplex`` on seeded random families.
+"""Time the two general h-number routes of ``kzero.meets`` on seeded random families.
 
 For each family and seed (1, 2 and 3), the script builds one complex and
-times, in-process, listing its faces (``_h_by_faces``), summing Möbius values
-over its meets (``_h_by_mobius``), and ``h_numbers`` itself.  ``h_numbers``
-runs the poset route while its steps (its meets, then one per set and two per
-vertex of each set for the Möbius values) stay within the vertices listing
-would write, the sum over facets of |F| 2^(|F| - 1), and lists the faces once
-they do not; its time counts the work it gives up on.  One markdown row is
+times, in-process, listing its faces (``h_by_faces``), summing Möbius values
+over its meets (``h_by_mobius``), and ``SimplicialComplex.h_numbers`` itself,
+which gives a skeleton of the full simplex its closed form and any other
+complex ``kzero.meets.h_numbers``.  That runs the poset route while its steps
+(its meets, then one per set and two per vertex of each set for the Möbius
+values) stay within the vertices listing would write, the sum over facets of
+|F| 2^(|F| - 1), and lists the faces once they do not; its time counts the
+work it gives up on.  One markdown row is
 printed per family, with the route ``h_numbers`` picks for each seed and times
 in ms summed over the seeds; then the total of ``h_numbers`` over the
 families, and the same figures for two larger inputs, seed 1 only.
@@ -23,7 +25,8 @@ import random
 import time
 from itertools import combinations
 
-from kzero.simplicial import SimplicialComplex, meet_mobius
+from kzero import meets
+from kzero.simplicial import SimplicialComplex
 
 SEEDS = (1, 2, 3)
 
@@ -86,17 +89,16 @@ def seconds(call) -> float:
 
 def picked_route(K: SimplicialComplex) -> str:
     """The route ``h_numbers`` takes (``closed`` for the closed form of a skeleton), seen by
-    wrapping both routes for one call."""
+    wrapping both general routes for one call."""
     taken = []
-    routes = {"faces": SimplicialComplex._h_by_faces, "poset": SimplicialComplex._h_by_mobius}
+    routes = {"faces": meets.h_by_faces, "poset": meets.h_by_mobius}
     try:
         for name, route in routes.items():
-            setattr(SimplicialComplex, route.__name__,
-                    lambda K, *meets, n=name, r=route: taken.append(n) or r(K, *meets))
+            setattr(meets, route.__name__, lambda arg, n=name, r=route: taken.append(n) or r(arg))
         K.h_numbers()
     finally:
         for route in routes.values():
-            setattr(SimplicialComplex, route.__name__, route)
+            setattr(meets, route.__name__, route)
     return taken[0] if taken else "closed"
 
 
@@ -105,8 +107,8 @@ def row(label: str, complexes: list[SimplicialComplex]) -> tuple[str, float]:
     faces = poset = by_rule = 0.0
     picks = []
     for K in complexes:
-        faces += seconds(K._h_by_faces)
-        poset += seconds(lambda K=K: K._h_by_mobius(meet_mobius(K.facets)))
+        faces += seconds(lambda K=K: meets.h_by_faces(K.facets))
+        poset += seconds(lambda K=K: meets.h_by_mobius(meets.meet_mobius(K.facets)))
         picks.append(picked_route(K))
         by_rule += seconds(K.h_numbers)
     ms = [f"{1000 * t:.1f}" for t in (faces, poset, by_rule)]
